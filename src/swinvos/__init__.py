@@ -5,9 +5,11 @@ Subpackages: ``engine`` (tensors + reverse-mode autodiff), ``attention``
 multi-scale memory read), ``decoder``, ``model`` (assembly, memory bank,
 training), ``data`` (synthetic videos + PPM/PGM I/O), ``metrics`` (J / F),
 ``cli``.
+
+Submodules load on demand (``from swinvos import engine``), so importing
+``swinvos.cli`` does not load numpy before ``--threads`` caps BLAS.
 """
 
-from . import engine
 from .errors import (
     ConfigError,
     DataError,
@@ -18,7 +20,6 @@ from .errors import (
 )
 
 __all__ = [
-    "engine",
     "SwinVosError",
     "ConfigError",
     "DataError",

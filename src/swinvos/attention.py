@@ -287,12 +287,6 @@ class SwinBlock(Module):
         return x
 
 
-def swin_block_pair(dim, heads, window, rng, count, dtype=engine.DEFAULT_DTYPE):
-    """``count`` consecutive blocks alternating unshifted/shifted."""
-    return [SwinBlock(dim, heads, window, shifted=(i % 2 == 1), rng=rng, dtype=dtype)
-            for i in range(count)]
-
-
 class PatchEmbedImage(Module):
     """Flatten 4x4x3 patches, linearly embed to C, layer-norm."""
 

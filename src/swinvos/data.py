@@ -276,9 +276,14 @@ def _read_header(blob, magic, path):
             pos += 1
         if start == pos:
             raise DataError(f"{path}: truncated header")
-        fields.append(int(blob[start:pos]))
+        token = blob[start:pos]
+        if not token.isdigit():
+            raise DataError(f"{path}: non-numeric header field {token!r}")
+        fields.append(int(token))
     pos += 1  # single whitespace after maxval
     width, height, maxval = fields
+    if width < 1 or height < 1:
+        raise DataError(f"{path}: non-positive extent {width}x{height}")
     if maxval != 255:
         raise DataError(f"{path}: unsupported maxval {maxval}, expected 255")
     return width, height, blob[pos:]

@@ -389,7 +389,7 @@ def gelu(a):
     """Tanh-approximation GELU, applied elementwise."""
     a = as_tensor(a)
     x = a.data
-    inner = _GELU_C * (x + 0.044715 * x ** 3)
+    inner = _GELU_C * (x + 0.044715 * (x * x * x))
     t = np.tanh(inner)
     out = 0.5 * x * (1.0 + t)
 

@@ -44,12 +44,6 @@ class ReadGeometry:
         h, w = self.stage_hw(stage)
         return self.t * h * w
 
-    @classmethod
-    def from_features(cls, memory_features):
-        t = memory_features.temporal
-        _, h4, w4 = memory_features.stage(4).shape[:3]
-        return cls(t, h4, w4)
-
 
 @dataclass
 class TopKIndexSet:

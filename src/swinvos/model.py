@@ -5,9 +5,12 @@ the image-only ablation path), per-path key/value projectors, and the
 decoder. Inference walks a sequence frame by frame: the ``MemoryBank``
 keeps the first frame, the previous frame, and every stride-th frame;
 multi-object segmentation runs one read/decode per object over shared
-query features and merges by soft aggregation. Training follows the
-three-frame protocol: ground truth seeds the memory, frame 1's prediction
-is both a loss term and the memory for frame 2.
+query features and merges by soft aggregation. When memory features are
+per-frame (one-frame temporal windows, or the image-only path), each
+retained frame is encoded once and its key/value maps are cached in the
+bank; 3D-window encoders re-encode the retained frames jointly. Training
+follows the three-frame protocol: ground truth seeds the memory, frame 1's
+prediction is both a loss term and the memory for frame 2.
 """
 
 import time
@@ -21,6 +24,7 @@ from .encoders import (
     EncoderConfig,
     ImageEncoder,
     ImageOnlyMemoryEncoder,
+    KeyValueMaps,
     KeyValueProjector,
     VideoEncoder,
     heads_for,
@@ -131,6 +135,8 @@ class ModelConfig:
                        read_mode=pairs["read_mode"])
         except KeyError as err:
             raise ConfigError(f"config text missing field {err}") from err
+        except ValueError as err:
+            raise ConfigError(f"config text has a non-integer field: {err}") from err
 
 
 class Model(Module):
@@ -146,6 +152,12 @@ class Model(Module):
         self.decoder = Decoder(config.dim, config.decoder_width, rng, dtype=dtype)
         self.config = config
         self.dtype = dtype
+
+    @property
+    def per_frame_memory(self):
+        """True when each memory frame's features depend on that frame alone,
+        so they can be encoded once and reused while the frame is retained."""
+        return self.config.temporal_window == 1 or self.config.encoder_mode == "image_only"
 
     def encode_memory(self, frames, targets, others):
         if self.config.encoder_mode == "full":
@@ -173,7 +185,9 @@ class MemoryBank:
     """Retained past frames and per-object masks under the retention policy.
 
     Membership at time t: frame 0, frame t-1, and (every8 policy) every
-    stride-th frame, deduplicated and sorted by frame index.
+    stride-th frame, deduplicated and sorted by frame index. For per-frame
+    memory encoders the bank also caches each retained frame's per-object
+    memory key/value maps (see ``memory_kv``); a bank serves one model.
     """
 
     def __init__(self, policy="every8", stride=8):
@@ -183,6 +197,7 @@ class MemoryBank:
         self.stride = stride
         self._permanent = {}
         self._previous = None
+        self._kv = {}
         self.n_objects = None
 
     @property
@@ -198,17 +213,22 @@ class MemoryBank:
                           for m in range(n_objects)])
         self._permanent = {0: (np.asarray(frame), probs)}
         self._previous = None
+        self._kv = {}
         self.n_objects = n_objects
 
     def admit(self, index, frame, probs):
         """Record a segmented frame: becomes the previous frame, and is
-        retained permanently when the policy keeps it."""
+        retained permanently when the policy keeps it. Cached maps of
+        frames that leave membership are dropped."""
         if not self.initialized:
             raise UsageError("memory bank not initialized with frame 0")
         entry = (np.asarray(frame), np.asarray(probs))
         self._previous = (index, entry)
         if self.policy == "every8" and index % self.stride == 0:
             self._permanent[index] = entry
+        # a re-admitted index carries new masks, so its old maps go too
+        keep = set(self.frame_indices()) - {index}
+        self._kv = {i: kv for i, kv in self._kv.items() if i in keep}
 
     def entries(self):
         """Sorted, deduplicated (index, frame, probs) list."""
@@ -222,6 +242,23 @@ class MemoryBank:
     def frame_indices(self):
         return [i for i, _, _ in self.entries()]
 
+    def cached_indices(self):
+        return sorted(self._kv)
+
+    def memory_kv(self, encode):
+        """Per-frame cached memory maps of the retained frames, in frame order.
+
+        ``encode(frame, probs)`` runs once per frame, the first time the
+        frame is seen here, and its result is kept until the frame leaves
+        membership.
+        """
+        out = []
+        for index, frame, probs in self.entries():
+            if index not in self._kv:
+                self._kv[index] = encode(frame, probs)
+            out.append(self._kv[index])
+        return out
+
 
 def membership_law(t, policy="every8", stride=8):
     """Reference predicate: which frame indices are in memory at time t."""
@@ -233,43 +270,62 @@ def membership_law(t, policy="every8", stride=8):
     return sorted(members)
 
 
-def _object_mask_tensors(probs, m, other_enabled):
-    """Target and other masks [T, H, W, 1] for object m from [T, M, H, W]."""
-    target = probs[:, m]
-    if probs.shape[1] == 1 or not other_enabled:
-        other = np.zeros_like(target)
-    else:
-        rest = np.delete(probs, m, axis=1)
-        other = rest.max(axis=1)
-    return (Tensor(target[..., None]), Tensor(other[..., None]))
+def _mask_pairs(probs, other_enabled):
+    """Per-object (target, other) mask tensors [T, H, W, 1] from a
+    [T, M, H, W] probability tensor; the other mask is the maximum over
+    the remaining objects, or zeros."""
+    n_objects = probs.shape[1]
+    pairs = []
+    for m in range(n_objects):
+        target = probs[:, m]
+        if n_objects == 1 or not other_enabled:
+            other = Tensor(np.zeros(target.shape + (1,), dtype=target.dtype))
+        else:
+            rest = None
+            for j in range(n_objects):
+                if j == m:
+                    continue
+                rest = probs[:, j] if rest is None \
+                    else engine.maximum(rest, probs[:, j])
+            other = engine.reshape(rest, rest.shape + (1,))
+        pairs.append((engine.reshape(target, target.shape + (1,)), other))
+    return pairs
 
 
-def _forward_frame(model, query_feats, mem_frames, mem_probs, out_hw):
+def _encode_memory_kv(model, frames, probs):
+    """Per-object memory k/v maps of stages 1..4 from one joint encoder call
+    per object over frames [T, H, W, 3] and mask probabilities
+    [T, M, H, W] (both Tensors)."""
+    kv = []
+    for target, other in _mask_pairs(probs, model.config.other_mask_enabled):
+        feats = model.encode_memory(frames, target, other)
+        kv.append([model.memory_proj(feats, s) for s in (1, 2, 3, 4)])
+    return kv
+
+
+def _concat_frames_kv(per_frame):
+    """Join per-frame [per-object [4 stages]] maps along the position axis,
+    giving each object's time-major maps over all the frames."""
+    return [[KeyValueMaps(engine.concat([f[m][s].key for f in per_frame], axis=1),
+                          engine.concat([f[m][s].value for f in per_frame], axis=1))
+             for s in range(4)]
+            for m in range(len(per_frame[0]))]
+
+
+def _read_decode(model, query_feats, memory_kv, t, out_hw):
     """Shared forward: read + decode per object, soft aggregation.
 
-    mem_frames: [T, H, W, 3] ndarray; mem_probs: per-object mask tensors,
-    either an ndarray [T, M, H, W] or a list of per-object (target, other)
-    Tensor pairs already built (training feeds watched tensors through).
-    Returns (class_dist, per_object_probs list).
+    ``memory_kv`` holds each object's stage 1..4 memory maps over ``t``
+    frames. Returns (class_dist, per_object_probs list).
     """
     cfg = model.config
     query_kv = [model.query_proj(query_feats, s) for s in (1, 2, 3, 4)]
     h4, w4 = query_feats.stage(4).shape[:2]
-    frames_t = Tensor(mem_frames) if not isinstance(mem_frames, Tensor) else mem_frames
+    geom = ReadGeometry(t, h4, w4)
     per_object = []
-    n_objects = (mem_probs.shape[1] if isinstance(mem_probs, np.ndarray)
-                 else len(mem_probs))
-    for m in range(n_objects):
-        if isinstance(mem_probs, np.ndarray):
-            target, other = _object_mask_tensors(mem_probs, m, cfg.other_mask_enabled)
-        else:
-            target, other = mem_probs[m]
-        mem_feats = model.encode_memory(frames_t, target, other)
-        geom = ReadGeometry.from_features(mem_feats)
-        memory_kv = [model.memory_proj(mem_feats, s) for s in (1, 2, 3, 4)]
-        ys, _ = read_all(query_kv, memory_kv, geom, cfg.k, cfg.read_mode)
-        fg = model.decoder(ys, (h4, w4), out_hw)
-        per_object.append(fg)
+    for kv in memory_kv:
+        ys, _ = read_all(query_kv, kv, geom, cfg.k, cfg.read_mode)
+        per_object.append(model.decoder(ys, (h4, w4), out_hw))
     dist = soft_aggregate(per_object)
     return dist, per_object
 
@@ -277,6 +333,9 @@ def _forward_frame(model, query_feats, mem_frames, mem_probs, out_hw):
 def segment_frame(model, bank, frame, index):
     """Segment one frame against the bank; admit the prediction.
 
+    Per-frame memory encoders reuse the maps the bank caches for each
+    retained frame, so each call encodes only the newly retained frame;
+    3D-window encoders re-encode all retained frames jointly.
     Returns (label map [H, W], per-object aggregated probabilities
     [M, H, W], updated bank).
     """
@@ -284,15 +343,21 @@ def segment_frame(model, bank, frame, index):
         raise UsageError("memory bank must be initialized with frame 0 first")
     frame = np.asarray(frame)
     entries = bank.entries()
-    mem_frames = np.stack([f for _, f, _ in entries])
-    if mem_frames.shape[1:3] != frame.shape[:2]:
-        raise DimensionError(
-            f"frame extents {frame.shape[:2]} differ from memory "
-            f"{mem_frames.shape[1:3]}")
-    mem_probs = np.stack([p for _, _, p in entries])  # [T, M, H, W]
-    query_feats = model.query_encoder(Tensor(frame.astype(model.dtype)))
-    dist, _ = _forward_frame(model, query_feats, mem_frames.astype(model.dtype),
-                             mem_probs.astype(model.dtype), frame.shape[:2])
+    for _, f, _ in entries:
+        if f.shape[:2] != frame.shape[:2]:
+            raise DimensionError(
+                f"frame extents {frame.shape[:2]} differ from memory {f.shape[:2]}")
+    dtype = model.dtype
+    query_feats = model.query_encoder(Tensor(frame.astype(dtype)))
+    if model.per_frame_memory:
+        per_frame = bank.memory_kv(lambda f, p: _encode_memory_kv(
+            model, Tensor(f[None].astype(dtype)), Tensor(p[None].astype(dtype))))
+        memory_kv = _concat_frames_kv(per_frame)
+    else:
+        mem_frames = np.stack([f for _, f, _ in entries]).astype(dtype)
+        mem_probs = np.stack([p for _, _, p in entries]).astype(dtype)  # [T, M, H, W]
+        memory_kv = _encode_memory_kv(model, Tensor(mem_frames), Tensor(mem_probs))
+    dist, _ = _read_decode(model, query_feats, memory_kv, len(entries), frame.shape[:2])
     if not np.isfinite(dist.data).all():
         raise NumericError(f"non-finite class distribution at frame {index}")
     labels = predict_labels(dist)
@@ -351,7 +416,6 @@ def train_step(model, frames, masks, lr):
     """
     if len(frames) != 3 or len(masks) != 3:
         raise UsageError("training consumes exactly three frames and masks")
-    cfg = model.config
     n_objects = int(max(np.max(m) for m in masks))
     if n_objects < 1:
         raise UsageError("triplet labels no objects")
@@ -362,15 +426,15 @@ def train_step(model, frames, masks, lr):
     with Tape() as tape:
         losses = []
         mem_frames = [frames[0].astype(model.dtype)]
-        # per object: list of [T, H, W, 1] target/other mask tensors
+        # per memory frame: [1, M, H, W] mask probabilities
         mem_probs = [Tensor(first_probs[None])]
         for step in (1, 2):
             frame = frames[step].astype(model.dtype)
             query_feats = model.query_encoder(Tensor(frame))
-            stack = np.stack(mem_frames)
-            pairs = _training_mask_pairs(mem_probs, n_objects,
-                                         cfg.other_mask_enabled)
-            dist, _ = _forward_frame(model, query_feats, stack, pairs, hw)
+            probs = (engine.concat(mem_probs, axis=0) if len(mem_probs) > 1
+                     else mem_probs[0])
+            memory_kv = _encode_memory_kv(model, Tensor(np.stack(mem_frames)), probs)
+            dist, _ = _read_decode(model, query_feats, memory_kv, len(mem_frames), hw)
             losses.append(cross_entropy(dist, masks[step]))
             if step == 1:
                 # feed the aggregated per-object maps back, as inference does
@@ -383,27 +447,6 @@ def train_step(model, frames, masks, lr):
     engine.backward(loss, tape)
     engine.adam_step([p for _, p in model.named_parameters()], lr=lr)
     return value
-
-
-def _training_mask_pairs(mem_probs, n_objects, other_enabled):
-    """Build per-object (target, other) [T, H, W, 1] tensors from a list of
-    per-frame [1, M, H, W] probability tensors (watched during training)."""
-    stacked = engine.concat(mem_probs, axis=0) if len(mem_probs) > 1 else mem_probs[0]
-    pairs = []
-    for m in range(n_objects):
-        target = stacked[:, m]
-        if n_objects == 1 or not other_enabled:
-            other = Tensor(np.zeros(target.shape + (1,), dtype=target.dtype))
-        else:
-            rest = None
-            for j in range(n_objects):
-                if j == m:
-                    continue
-                rest = stacked[:, j] if rest is None \
-                    else engine.maximum(rest, stacked[:, j])
-            other = engine.reshape(rest, rest.shape + (1,))
-        pairs.append((engine.reshape(target, target.shape + (1,)), other))
-    return pairs
 
 
 def train_toy(model, sample, steps, lr, seed=0, curriculum=True, max_interval=25):

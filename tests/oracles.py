@@ -1,12 +1,19 @@
 """Independent reference implementations shared by the test modules.
 
-These deliberately use plain Python loops and math.exp so they share no
-code path with the implementations they check.
+The numeric references deliberately use plain Python loops and math.exp
+so they share no code path with the implementations they check. The
+segmenter reference reuses the model's layers but none of the inference
+plumbing (bank, key/value cache, mask-pair builder).
 """
 
 import math
 
 import numpy as np
+
+from swinvos.decoder import predict_labels, soft_aggregate
+from swinvos.engine import Tensor
+from swinvos.memread import ReadGeometry, read_all
+from swinvos.model import membership_law
 
 
 def matmul_loops(a, b):
@@ -61,3 +68,44 @@ def topk_read_loops(kq, vq, km, vm, omega, stage, geom):
             for weight, p in zip(e, idx):
                 read[:, q] += (weight / z) * vm[:, p]
     return np.concatenate([vq, read], axis=0)
+
+
+def joint_reencode_segment(model, frames, first_mask):
+    """Reference inference: on every frame, each object's memory is the
+    whole retained set re-encoded in one joint encoder call.
+
+    Returns (label maps, per-frame [M, H, W] object probabilities for
+    frames 1..n-1).
+    """
+    cfg = model.config
+    dtype = model.dtype
+    n_objects = int(first_mask.max())
+    probs = {0: np.stack([(first_mask == m + 1).astype(np.float32)
+                          for m in range(n_objects)])}
+    labels, object_probs = [first_mask], []
+    for t in range(1, len(frames)):
+        members = membership_law(t, cfg.memory_policy, cfg.memory_stride)
+        mem_frames = Tensor(np.stack([frames[i] for i in members]).astype(dtype))
+        mem_probs = np.stack([probs[i] for i in members]).astype(dtype)
+        query = model.query_encoder(Tensor(frames[t].astype(dtype)))
+        query_kv = [model.query_proj(query, s) for s in (1, 2, 3, 4)]
+        h4, w4 = query.stage(4).shape[:2]
+        geom = ReadGeometry(len(members), h4, w4)
+        per_object = []
+        for m in range(n_objects):
+            target = mem_probs[:, m]
+            rest = np.delete(mem_probs, m, axis=1)
+            if rest.shape[1] and cfg.other_mask_enabled:
+                other = rest.max(axis=1)
+            else:
+                other = np.zeros_like(target)
+            feats = model.encode_memory(mem_frames, Tensor(target[..., None]),
+                                        Tensor(other[..., None]))
+            memory_kv = [model.memory_proj(feats, s) for s in (1, 2, 3, 4)]
+            ys, _ = read_all(query_kv, memory_kv, geom, cfg.k, cfg.read_mode)
+            per_object.append(model.decoder(ys, (h4, w4), frames[t].shape[:2]))
+        dist = soft_aggregate(per_object)
+        labels.append(predict_labels(dist))
+        probs[t] = dist.data[1:]
+        object_probs.append(dist.data[1:])
+    return labels, object_probs

@@ -1,6 +1,10 @@
 import os
+import subprocess
+import sys
 
 import pytest
+
+import swinvos
 
 from swinvos.cli import main
 
@@ -32,6 +36,17 @@ class TestGen:
     def test_unknown_flag_rejected(self, tmp_path, capsys):
         code, _, _ = run(capsys, "gen", "--out", str(tmp_path / "s"), "--bogus")
         assert code == 1
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    # --threads must reach the BLAS environment before numpy loads
+    src = os.path.dirname(os.path.dirname(swinvos.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, swinvos.cli; print('numpy' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 @pytest.fixture(scope="module")
@@ -106,6 +121,19 @@ class TestInferAndEval:
         code, _, _ = run(capsys, "infer", "--ckpt", str(ckpt), "--seq",
                          str(root / "nothing"), "--out", str(root / "y"))
         assert code == 2
+
+    def test_infer_malformed_mask_header_is_data_error(self, trained, tmp_path, capsys):
+        root, seq, ckpt = trained
+        bad = tmp_path / "badseq"
+        (bad / "frames").mkdir(parents=True)
+        (bad / "masks").mkdir()
+        for name in ("00000.ppm", "00001.ppm"):
+            (bad / "frames" / name).write_bytes((seq / "frames" / name).read_bytes())
+        (bad / "masks" / "00000.pgm").write_bytes(b"P5 x 4 255\n" + bytes(16))
+        code, _, err = run(capsys, "infer", "--ckpt", str(ckpt), "--seq", str(bad),
+                           "--out", str(tmp_path / "out"))
+        assert code == 2
+        assert "header field" in err
 
     def test_infer_missing_checkpoint_is_data_error(self, trained, capsys):
         root, seq, _ = trained

@@ -173,6 +173,15 @@ class TestPnmIO:
         with pytest.raises(DataError, match="maxval"):
             read_pgm(path)
 
+    @pytest.mark.parametrize("header", [b"P5 x 4 255\n", b"P5 4 4 2x5\n",
+                                        b"P5 -2 4 255\n", b"P5 0 4 255\n",
+                                        b"P5 4 0 255\n"])
+    def test_malformed_header_is_data_error(self, tmp_path, header):
+        path = tmp_path / "h.pgm"
+        path.write_bytes(header + bytes(64))
+        with pytest.raises(DataError, match="header field|extent"):
+            read_pgm(path)
+
     def test_comment_in_header(self, tmp_path):
         path = tmp_path / "c.pgm"
         path.write_bytes(b"P5\n# a comment\n2 1\n255\n\x05\x06")

@@ -5,8 +5,10 @@ from swinvos import engine
 from swinvos.checkpoint import load_checkpoint, read_checkpoint, save_checkpoint
 from swinvos.data import synth_moving_shapes
 from swinvos.errors import ConfigError, DataError, DimensionError, UsageError
+from swinvos import model as model_module
 from swinvos.model import (
     MemoryBank,
+    Model,
     ModelConfig,
     cross_entropy,
     init_model,
@@ -49,6 +51,11 @@ class TestModelConfig:
                           read_mode="dense_all")
         back = ModelConfig.from_canonical(cfg.canonical())
         assert back == cfg
+
+    def test_canonical_non_integer_field_is_config_error(self):
+        text = ModelConfig(variant="nano").canonical().replace("k=128", "k=abc")
+        with pytest.raises(ConfigError, match="non-integer"):
+            ModelConfig.from_canonical(text)
 
 
 class TestInitModel:
@@ -199,6 +206,109 @@ class TestRunSequence:
         monkeypatch.setattr(ImageEncoder, "__call__", counting)
         segment_frame(nano_model, bank, sample.frames[1], 1)
         assert calls["n"] == 1  # one query encode serves both objects
+
+
+def _trained_nano(n_objects, size, **overrides):
+    model = init_model(ModelConfig(variant="nano", k=8, **overrides), seed=1)
+    train_toy(model, synth_moving_shapes(3, 8, size, n_objects, 24), 3, 2e-3, seed=0)
+    return model
+
+
+class TestMemoryCache:
+    """Per-frame memory encoders encode each retained frame once."""
+
+    @pytest.mark.parametrize("n_objects, size, overrides", [
+        (1, 64, {}),
+        (2, 96, {}),
+        (2, 64, {"encoder_mode": "image_only"}),
+    ])
+    def test_matches_joint_reencode_bytewise(self, monkeypatch, n_objects, size,
+                                             overrides):
+        from oracles import joint_reencode_segment
+
+        model = _trained_nano(n_objects, size, **overrides)
+        assert model.per_frame_memory
+        sample = synth_moving_shapes(3, 20, size, n_objects, 24)
+        seen = []
+        original = model_module.segment_frame
+
+        def recording(model, bank, frame, index):
+            out = original(model, bank, frame, index)
+            seen.append(out[1].copy())
+            return out
+
+        monkeypatch.setattr(model_module, "segment_frame", recording)
+        labels, _ = run_sequence(model, sample.frames, sample.masks[0])
+        ref_labels, ref_probs = joint_reencode_segment(model, sample.frames,
+                                                       sample.masks[0])
+        assert len(seen) == len(ref_probs) == 19
+        for t, (a, b) in enumerate(zip(labels, ref_labels)):
+            np.testing.assert_array_equal(a, b, err_msg=f"labels, frame {t}")
+        for t, (a, b) in enumerate(zip(seen, ref_probs)):
+            np.testing.assert_array_equal(a, b, err_msg=f"probs, frame {t + 1}")
+
+    def test_each_frame_encodes_one_memory_frame_per_object(self, monkeypatch):
+        model = init_model(ModelConfig(variant="nano", k=4), seed=0)
+        sample = synth_moving_shapes(1, 18, 64, 2)
+        encoded = []
+        original = Model.encode_memory
+
+        def counting(self, frames, targets, others):
+            encoded.append(frames.shape[0])
+            return original(self, frames, targets, others)
+
+        monkeypatch.setattr(Model, "encode_memory", counting)
+        bank = MemoryBank()
+        bank.initialize(sample.frames[0], sample.masks[0])
+        for t in range(1, 18):
+            encoded.clear()
+            segment_frame(model, bank, sample.frames[t], t)
+            assert encoded == [1, 1], f"frame {t}: {encoded}"
+
+    def test_cache_tracks_membership(self):
+        for policy in ("every8", "firstprev"):
+            bank = MemoryBank(policy=policy)
+            mask = np.zeros((8, 8), np.int64)
+            mask[0, 0] = 1
+            bank.initialize(np.zeros((8, 8, 3), np.float32), mask)
+            probs = np.zeros((1, 8, 8), np.float32)
+            encoded = []
+
+            def encode(frame, frame_probs):
+                encoded.append(frame)
+                return len(encoded)
+
+            for t in range(1, 101):
+                before = len(encoded)
+                bank.memory_kv(encode)
+                bank.memory_kv(encode)  # the second read is served from the cache
+                assert len(encoded) - before == 1, f"t={t}"
+                assert bank.cached_indices() == bank.frame_indices()
+                bank.admit(t, np.zeros((8, 8, 3), np.float32), probs)
+                assert bank.cached_indices() == [i for i in bank.frame_indices()
+                                                 if i != t], f"t={t}"
+
+    def test_segment_frame_cache_bounded_by_membership(self):
+        model = init_model(ModelConfig(variant="nano", k=4), seed=0)
+        sample = synth_moving_shapes(2, 18, 64, 1)
+        bank = MemoryBank()
+        bank.initialize(sample.frames[0], sample.masks[0])
+        for t in range(1, 18):
+            segment_frame(model, bank, sample.frames[t], t)
+            members = membership_law(t + 1)
+            assert bank.frame_indices() == members
+            # frame t is encoded when the next frame first reads it
+            assert bank.cached_indices() == [i for i in members if i != t]
+
+    def test_per_frame_decision_follows_config(self):
+        from types import SimpleNamespace
+
+        def per_frame(**kw):
+            return Model.per_frame_memory.fget(SimpleNamespace(config=ModelConfig(**kw)))
+
+        assert per_frame(variant="nano")
+        assert per_frame(variant="T", encoder_mode="image_only")
+        assert not per_frame(variant="T")
 
 
 class TestTraining:
