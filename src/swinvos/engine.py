@@ -566,9 +566,9 @@ def softmax(a, axis):
     a = as_tensor(a)
     if a.shape[axis] == 0:
         raise DimensionError(f"softmax along empty axis {axis} of shape {a.shape}")
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=axis, keepdims=True)
+    out = a.data - a.data.max(axis=axis, keepdims=True)
+    np.exp(out, out=out)
+    out /= out.sum(axis=axis, keepdims=True)
 
     def bwd(g):
         dot = (g * out).sum(axis=axis, keepdims=True)

@@ -10,8 +10,11 @@ at stage i attends to 4^(4-i) * k positions. All query pixels inside one
 stage-4 cell share that cell's index set, which lets the sparse read run as
 batched per-cell matmuls.
 
-Big instances are processed in chunks to bound peak memory; chunking only
-splits rows, never a softmax, so results do not depend on the chunk size.
+The dense read splits big instances into row chunks to bound peak memory.
+The sparse read makes one contiguous [Nm, C] row copy of the memory maps
+per call and gathers from it in cache-sized groups of stage-4 cells, so a
+group's score and gathered blocks stay in L2. Chunks and groups only split
+rows, never a softmax, so results do not depend on their size.
 """
 
 import time
@@ -27,6 +30,8 @@ READ_MODES = ("hierarchical_topk", "last_stage_only", "dense_all")
 
 # elements per intermediate before a read falls back to row chunks (~128 MB f32)
 _CHUNK_ELEMS = 32 * 1024 * 1024
+# elements per sparse-read cell group (score or gathered block, ~1 MB f32)
+_GROUP_ELEMS = 256 * 1024
 
 
 @dataclass(frozen=True)
@@ -74,12 +79,6 @@ class TopKIndexSet:
         block = (dx * wi + dy).reshape(-1)  # [r*r]
         out = base[:, :, None] + block[None, None, :]
         return out.reshape(self.indices.shape[0], -1)
-
-    def for_query(self, stage, qx, qy):
-        """The index set of the stage-``stage`` query pixel (qx, qy)."""
-        r = 2 ** (4 - stage)
-        cell = (qx // r) * self.geom.w4 + (qy // r)
-        return self.expand(stage)[cell]
 
 
 def _check_kv(kq, vq, km, vm):
@@ -175,14 +174,16 @@ def topk_read(kq, vq, km, vm, omega, stage, geom):
             f"memory columns {km.shape[1]} != {geom.t}x{hi}x{wi}")
     ck, cv = kq.shape[0], vq.shape[0]
 
-    km_t = engine.transpose(km, (1, 0))  # [Nm, Ck]
-    vm_t = engine.transpose(vm, (1, 0))  # [Nm, Cv]
+    # contiguous rows, copied once: gathering from a transposed view would
+    # copy the whole map again on every group
+    km_t = engine.getitem(engine.transpose(km, (1, 0)), slice(None))  # [Nm, Ck]
+    vm_t = engine.getitem(engine.transpose(vm, (1, 0)), slice(None))  # [Nm, Cv]
     q_blocks = _to_cell_blocks(kq, geom, r)  # [n_cells, r*r, Ck]
 
-    chunk = max(1, _CHUNK_ELEMS // max(n * max(ck, cv), 1))
+    group = max(1, _GROUP_ELEMS // (n * max(r * r, ck, cv)))
     outs = []
-    for start in range(0, n_cells, chunk):
-        stop = min(start + chunk, n_cells)
+    for start in range(0, n_cells, group):
+        stop = min(start + group, n_cells)
         idx = omega[start:stop]
         kg = engine.take(km_t, idx, axis=0)          # [cells, n, Ck]
         vg = engine.take(vm_t, idx, axis=0)          # [cells, n, Cv]

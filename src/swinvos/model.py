@@ -122,21 +122,35 @@ class ModelConfig:
 
     @classmethod
     def from_canonical(cls, text):
-        pairs = {}
-        for line in text.strip().splitlines():
-            key, _, value = line.partition("=")
-            pairs[key] = value
+        pairs = _canonical_fields(text)
         try:
-            return cls(variant=pairs["variant"], k=int(pairs["k"]),
-                       memory_policy=pairs["memory_policy"],
-                       memory_stride=int(pairs["memory_stride"]),
-                       other_mask_enabled=bool(int(pairs["other_mask_enabled"])),
-                       encoder_mode=pairs["encoder_mode"],
-                       read_mode=pairs["read_mode"])
+            other_mask = int(pairs["other_mask_enabled"])
+            config = cls(variant=pairs["variant"], k=int(pairs["k"]),
+                         memory_policy=pairs["memory_policy"],
+                         memory_stride=int(pairs["memory_stride"]),
+                         other_mask_enabled=bool(other_mask),
+                         encoder_mode=pairs["encoder_mode"],
+                         read_mode=pairs["read_mode"])
+            # fixed by the variant; canonical text repeats them for readers
+            derived = {name: pairs[name] for name in VARIANTS[config.variant]}
         except KeyError as err:
             raise ConfigError(f"config text missing field {err}") from err
         except ValueError as err:
             raise ConfigError(f"config text has a non-integer field: {err}") from err
+        if other_mask not in (0, 1):
+            raise ConfigError(f"other_mask_enabled must be 0 or 1, got {other_mask}")
+        expected = _canonical_fields(config.canonical())
+        for name, value in derived.items():
+            if value != expected[name]:
+                raise ConfigError(
+                    f"config text has {name}={value}, variant {config.variant} "
+                    f"has {name}={expected[name]}")
+        return config
+
+
+def _canonical_fields(text):
+    """key=value lines as a dict; a repeated key keeps its last value."""
+    return dict(line.partition("=")[::2] for line in text.strip().splitlines())
 
 
 class Model(Module):

@@ -70,6 +70,14 @@ def topk_read_loops(kq, vq, km, vm, omega, stage, geom):
     return np.concatenate([vq, read], axis=0)
 
 
+def topk_set_for_query(index_set, stage, qx, qy):
+    """The expanded index set of the stage-``stage`` query pixel (qx, qy):
+    the set of the stage-4 cell that contains it."""
+    r = 2 ** (4 - stage)
+    cell = (qx // r) * index_set.geom.w4 + (qy // r)
+    return index_set.expand(stage)[cell]
+
+
 def joint_reencode_segment(model, frames, first_mask):
     """Reference inference: on every frame, each object's memory is the
     whole retained set re-encoded in one joint encoder call.

@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from oracles import dense_read_loops as oracle_dense
 from oracles import topk_read_loops as oracle_topk
+from oracles import topk_set_for_query
 
 from swinvos import engine, memread
 from swinvos.engine import Tensor
@@ -140,7 +143,7 @@ class TestMapIndices:
         omega4 = np.arange(8).reshape(4, 2) % (GEOM.t * 4)
         idxset = TopKIndexSet(omega4, GEOM)
         # stage-1 pixel (9, 3) lies in stage-4 cell (1, 0)
-        got = idxset.for_query(1, 9, 3)
+        got = topk_set_for_query(idxset, 1, 9, 3)
         np.testing.assert_array_equal(got, idxset.expand(1)[2])
 
 
@@ -191,6 +194,48 @@ class TestTopkRead:
         with pytest.raises(UsageError):
             topk_read(Tensor(kq), Tensor(vq), Tensor(km), Tensor(vm),
                       np.zeros((4, 0), dtype=int), 3, GEOM)
+
+    @pytest.mark.parametrize("stage", (1, 2, 3))
+    def test_group_size_does_not_change_output(self, stage, monkeypatch):
+        geom = ReadGeometry(t=2, h4=3, w4=2)
+        kq, vq, km, vm = small_kv(stage + 30, stage=stage, geom=geom)
+        rng = np.random.default_rng(stage)
+        omega4 = np.stack([rng.choice(geom.memory_cells(4), size=3, replace=False)
+                           for _ in range(geom.h4 * geom.w4)])
+        omega = map_indices(omega4, stage, geom)
+
+        def read():
+            return topk_read(Tensor(kq), Tensor(vq), Tensor(km), Tensor(vm),
+                             omega, stage, geom).data.tobytes()
+
+        default = read()
+        monkeypatch.setattr(memread, "_GROUP_ELEMS", 1)  # one cell per group
+        one_cell = read()
+        monkeypatch.setattr(memread, "_GROUP_ELEMS", 2 ** 62)  # all cells in one group
+        all_cells = read()
+        assert one_cell == default
+        assert all_cells == default
+
+    def test_stage1_working_set_is_bounded(self):
+        # paper-scale channels on a 6x6 stage-4 grid; whole-grid score and
+        # gather blocks would peak near 400 MB here
+        geom = ReadGeometry(t=8, h4=6, w4=6)
+        query, memory = random_kv(geom, 128, 0)
+        q, m = query[0], memory[0]
+        rng = np.random.default_rng(0)
+        omega4 = np.stack([rng.choice(geom.memory_cells(4), size=128, replace=False)
+                           for _ in range(geom.h4 * geom.w4)])
+        omega = map_indices(omega4, 1, geom)
+        out_bytes = (q.value.shape[0] + m.value.shape[0]) * q.key.shape[1] * 4
+        budget = 4 * (m.key.data.nbytes + m.value.data.nbytes + omega.nbytes + out_bytes)
+        tracemalloc.start()
+        try:
+            y = topk_read(q.key, q.value, m.key, m.value, omega, 1, geom)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert y.data.nbytes == out_bytes
+        assert peak < budget, f"peak {peak / 2**20:.1f} MB, budget {budget / 2**20:.1f} MB"
 
     def test_gradients_flow_through_gather(self):
         geom = ReadGeometry(t=1, h4=1, w4=1)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from swinvos import engine
 from swinvos.checkpoint import load_checkpoint, read_checkpoint, save_checkpoint
@@ -25,6 +27,21 @@ NANO = ModelConfig(variant="nano", k=4)
 @pytest.fixture(scope="module")
 def nano_model():
     return init_model(NANO, seed=0)
+
+
+@st.composite
+def _config_texts(draw):
+    """Canonical text with a few fields dropped or given a valid-looking
+    or arbitrary value, lines in any order."""
+    cfg = ModelConfig(variant=draw(st.sampled_from(sorted(model_module.VARIANTS))))
+    fields = dict(line.split("=", 1) for line in cfg.canonical().splitlines())
+    for key in draw(st.sets(st.sampled_from(sorted(fields)), max_size=3)):
+        fields[key] = draw(st.one_of(
+            st.none(), st.text(max_size=8),
+            st.sampled_from(["0", "1", "2", "-1", "8", "96", "1,1,2,1", "2,2,6,2", "nano",
+                             "T", "every8", "firstprev", "image_only", "dense_all", " 1"])))
+    lines = [f"{key}={value}" for key, value in fields.items() if value is not None]
+    return "\n".join(draw(st.permutations(lines))) + "\n"
 
 
 class TestModelConfig:
@@ -56,6 +73,37 @@ class TestModelConfig:
         text = ModelConfig(variant="nano").canonical().replace("k=128", "k=abc")
         with pytest.raises(ConfigError, match="non-integer"):
             ModelConfig.from_canonical(text)
+
+    @pytest.mark.parametrize("field, value", [
+        ("dim", "999"), ("depths", "1,1,1,1"), ("window", "77"),
+        ("temporal_window", "8"), ("decoder_width", "31")])
+    def test_canonical_variant_field_mismatch_is_config_error(self, field, value):
+        lines = ModelConfig(variant="nano").canonical().splitlines()
+        text = "\n".join(f"{field}={value}" if line.startswith(f"{field}=") else line
+                         for line in lines) + "\n"
+        with pytest.raises(ConfigError, match=field):
+            ModelConfig.from_canonical(text)
+
+    def test_canonical_missing_variant_field_is_config_error(self):
+        text = ModelConfig(variant="T").canonical().replace("window=7\n", "")
+        with pytest.raises(ConfigError, match="missing"):
+            ModelConfig.from_canonical(text)
+
+    @pytest.mark.parametrize("value", ["7", "-1", "2"])
+    def test_canonical_other_mask_not_0_or_1_is_config_error(self, value):
+        text = ModelConfig(variant="nano").canonical().replace(
+            "other_mask_enabled=1", f"other_mask_enabled={value}")
+        with pytest.raises(ConfigError, match="other_mask_enabled"):
+            ModelConfig.from_canonical(text)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(st.text(), _config_texts()))
+    def test_canonical_text_parses_or_raises_config_error(self, text):
+        try:
+            cfg = ModelConfig.from_canonical(text)
+        except ConfigError:
+            return
+        assert ModelConfig.from_canonical(cfg.canonical()) == cfg
 
 
 class TestInitModel:
