@@ -360,12 +360,7 @@ class PatchMerge(Module):
         self.reduce = Linear(4 * dim, 2 * dim, rng, bias=False, dtype=dtype)
 
     def __call__(self, x):
-        *lead, h, w, c = x.shape
+        h, w = x.shape[-3:-1]
         if h % 2 or w % 2:
             raise DimensionError(f"patch_merge requires even extents, got {h}x{w}")
-        y = engine.reshape(x, tuple(lead) + (h // 2, 2, w // 2, 2, c))
-        n = len(lead)
-        perm = tuple(range(n)) + (n, n + 2, n + 1, n + 3, n + 4)
-        y = engine.transpose(y, perm)
-        y = engine.reshape(y, tuple(lead) + (h // 2, w // 2, 4 * c))
-        return self.reduce(self.norm(y))
+        return self.reduce(self.norm(_patchify(x, 2)))

@@ -233,13 +233,15 @@ def cmd_gradcheck(args):
 
 def cmd_bench_memread(args):
     from .errors import UsageError
-    from .memread import ReadGeometry, bench
+    from .memread import READ_MODES, ReadGeometry, bench
 
     _print_config(args, ("modes", "k", "height", "width", "t", "dim"))
     if args.height % 32 or args.width % 32:
         raise UsageError("bench extents must be multiples of 32")
-    geom = ReadGeometry(t=args.t, h4=args.height // 32, w4=args.width // 32)
     modes = [m.strip() for m in args.modes.split(",") if m.strip()]
+    if not modes or not set(modes) <= set(READ_MODES):
+        raise UsageError(f"--modes takes a comma list of {READ_MODES}, got {args.modes!r}")
+    geom = ReadGeometry(t=args.t, h4=args.height // 32, w4=args.width // 32)
     rows = bench(geom, args.dim, args.k, modes, seed=args.seed)
     lines = ["stage,mode,k,T,H,W,flops,wall_ns"]
     lines += [",".join(str(v) for v in row) for row in rows]

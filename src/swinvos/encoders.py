@@ -119,11 +119,6 @@ class ImageEncoder(Module):
         features, valids = self.stack(tokens, valid)
         return StageFeatures(features, valids, (h, w))
 
-    def encode_tokens(self, tokens, valid):
-        """Run the pyramid from pre-embedded tokens (image-only memory path)."""
-        features, valids = self.stack(tokens, valid)
-        return features, valids
-
 
 class VideoEncoder(Module):
     """Spatiotemporal feature pyramid over past frames and their masks."""
@@ -183,7 +178,7 @@ class ImageOnlyMemoryEncoder(Module):
                 tokens = engine.add(tokens,
                                     self.embed_other(_patchify(other_masks[ti], PATCH)))
             tokens = embed.norm(tokens)
-            features, valids = image_encoder.encode_tokens(tokens, valid)
+            features, valids = image_encoder.stack(tokens, valid)
             for i, f in enumerate(features):
                 per_stage[i].append(engine.reshape(f, (1,) + f.shape))
         stacked = [engine.concat(fs, axis=0) if len(fs) > 1 else fs[0]

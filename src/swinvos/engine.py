@@ -146,24 +146,13 @@ class Parameter:
 
     def tensor(self):
         """Wrap the current value for use in a forward pass."""
-        t = Tensor(self.data_view())
+        t = Tensor(self.value)
         t.param = self
         tape = _active_tape()
         if tape is not None:
             t.watched = True
             tape._touch(self)
         return t
-
-    def data_view(self):
-        return self.value
-
-    def zero_grad(self):
-        if self.grad is not None:
-            self.grad.fill(0.0)
-
-    def astype(self, dtype):
-        """Return a copy of this parameter in another dtype (optimizer state dropped)."""
-        return Parameter(self.value.astype(dtype), name=self.name)
 
 
 class _Node:
@@ -367,12 +356,6 @@ def exp(a):
 def log(a):
     a = as_tensor(a)
     return _record_op(np.log(a.data), (a,), lambda g: (g / a.data,))
-
-
-def relu(a):
-    a = as_tensor(a)
-    mask = a.data > 0
-    return _record_op(np.where(mask, a.data, 0.0), (a,), lambda g: (g * mask,))
 
 
 def clamp(a, lo, hi):

@@ -1,6 +1,10 @@
 """Multi-scale memory read: dense matching at the coarsest stage, top-k
 sparse matching at the finer stages.
 
+One stage sequence, ``_read_stages``, runs a read in execution order
+(stage 4, then 3, 2, 1) for every read mode; ``read_all`` (the model's
+read) collects its outputs and ``bench`` times the gaps between them.
+
 Stage-4 affinities are plain key dot products (no sqrt-d scaling), softmaxed
 along the memory axis; the read output concatenates the query value map with
 the affinity-weighted memory values along the feature axis. Each finer stage
@@ -213,6 +217,33 @@ def _from_cell_blocks(x, geom, r, c):
     return engine.reshape(y, (c, h4 * r * w4 * r))
 
 
+def _read_stages(query_kv, memory_kv, geom, k, mode):
+    """The stages of one read in execution order: stage 4, then 3, 2, 1.
+
+    Yields (stage, y, omega4) after each stage; omega4 is the stage-4
+    index set (None unless top-k). Top-k selection runs with stage 4 and
+    each index expansion with the stage it feeds.
+    """
+    if mode not in READ_MODES:
+        raise UsageError(f"unknown read mode {mode!r}, expected one of {READ_MODES}")
+    if mode == "dense_all":
+        for stage in (4, 3, 2, 1):
+            q, m = query_kv[stage - 1], memory_kv[stage - 1]
+            yield stage, dense_read(q.key, q.value, m.key, m.value), None
+        return
+    q4, m4 = query_kv[3], memory_kv[3]
+    y4, s4 = dense_read_stage4(q4.key, q4.value, m4.key, m4.value)
+    if mode == "last_stage_only":
+        yield 4, y4, None
+        return
+    omega4 = TopKIndexSet(select_topk(s4, k), geom)
+    yield 4, y4, omega4
+    for stage in (3, 2, 1):
+        q, m = query_kv[stage - 1], memory_kv[stage - 1]
+        omega = omega4.expand(stage)
+        yield stage, topk_read(q.key, q.value, m.key, m.value, omega, stage, geom), omega4
+
+
 def read_all(query_kv, memory_kv, geom, k, mode):
     """Run the full multi-scale read.
 
@@ -220,25 +251,16 @@ def read_all(query_kv, memory_kv, geom, k, mode):
     KeyValueMaps. Returns [y1, y2, y3, y4] (finer stages None in
     last_stage_only mode) plus the stage-4 index set (None unless top-k).
     """
-    if mode not in READ_MODES:
-        raise UsageError(f"unknown read mode {mode!r}, expected one of {READ_MODES}")
     ys = [None, None, None, None]
-    if mode == "dense_all":
-        for i in range(4):
-            q, m = query_kv[i], memory_kv[i]
-            ys[i] = dense_read(q.key, q.value, m.key, m.value)
-        return ys, None
-    q4, m4 = query_kv[3], memory_kv[3]
-    y4, s4 = dense_read_stage4(q4.key, q4.value, m4.key, m4.value)
-    ys[3] = y4
-    if mode == "last_stage_only":
-        return ys, None
-    omega4 = TopKIndexSet(select_topk(s4, k), geom)
-    for stage in (3, 2, 1):
-        q, m = query_kv[stage - 1], memory_kv[stage - 1]
-        omega = omega4.expand(stage)
-        ys[stage - 1] = topk_read(q.key, q.value, m.key, m.value, omega, stage, geom)
+    for stage, y, omega4 in _read_stages(query_kv, memory_kv, geom, k, mode):
+        ys[stage - 1] = y
     return ys, omega4
+
+
+def _kv_channels(stage, base_dim):
+    """Key and value channels of one stage's maps: C_i/8 and C_i/2."""
+    c = base_dim * 2 ** (stage - 1)
+    return c // 8, c // 2
 
 
 def random_kv(geom, base_dim, seed, dtype=np.float32):
@@ -249,8 +271,7 @@ def random_kv(geom, base_dim, seed, dtype=np.float32):
     query, memory = [], []
     for stage in (1, 2, 3, 4):
         h, w = geom.stage_hw(stage)
-        ck = base_dim * 2 ** (stage - 1) // 8
-        cv = base_dim * 2 ** (stage - 1) // 2
+        ck, cv = _kv_channels(stage, base_dim)
         nq = h * w
         nm = geom.t * nq
         query.append(KeyValueMaps(
@@ -266,46 +287,21 @@ def bench(geom, base_dim, k, modes, seed=0):
     """Time each read stage per mode on seeded random key/value maps.
 
     Returns rows of (stage, mode, k, T, H, W, flops, wall_ns); stage "all"
-    sums the mode. Selection time is charged to the stage-4 row; index
+    sums the mode. A stage's wall time is the gap between the stage
+    sequence's yields, so selection is charged to the stage-4 row and index
     expansion to the stage it feeds. H and W are input pixel extents.
     """
     query, memory = random_kv(geom, base_dim, seed)
     h_px, w_px = geom.h4 * 32, geom.w4 * 32
     rows = []
     for mode in modes:
-        if mode not in READ_MODES:
-            raise UsageError(f"unknown read mode {mode!r}")
         model = flops_mode(mode, geom, base_dim, k)
         stage_rows = []
-
-        def _timed(stage, fn):
-            t0 = time.perf_counter_ns()
-            out = fn()
+        t0 = time.perf_counter_ns()
+        for stage, _, _ in _read_stages(query, memory, geom, k, mode):
             wall = time.perf_counter_ns() - t0
             stage_rows.append((stage, mode, k, geom.t, h_px, w_px, model[stage], wall))
-            return out
-
-        q4, m4 = query[3], memory[3]
-        if mode == "dense_all":
-            for stage in (4, 3, 2, 1):
-                q, m = query[stage - 1], memory[stage - 1]
-                _timed(stage, lambda q=q, m=m: dense_read(q.key, q.value, m.key, m.value))
-        elif mode == "last_stage_only":
-            _timed(4, lambda: dense_read_stage4(q4.key, q4.value, m4.key, m4.value))
-        else:
-            def stage4():
-                _, s4 = dense_read_stage4(q4.key, q4.value, m4.key, m4.value)
-                return TopKIndexSet(select_topk(s4, k), geom)
-
-            omega4 = _timed(4, stage4)
-            for stage in (3, 2, 1):
-                q, m = query[stage - 1], memory[stage - 1]
-
-                def run(stage=stage, q=q, m=m):
-                    omega = omega4.expand(stage)
-                    return topk_read(q.key, q.value, m.key, m.value, omega, stage, geom)
-
-                _timed(stage, run)
+            t0 = time.perf_counter_ns()
         total_ns = sum(r[-1] for r in stage_rows)
         total_fl = sum(r[-2] for r in stage_rows)
         rows.extend(sorted(stage_rows))
@@ -313,36 +309,21 @@ def bench(geom, base_dim, k, modes, seed=0):
     return rows
 
 
-def flops_dense(stage, geom, base_dim):
-    """Analytic flop count of the dense read at one stage (matmuls + softmax;
-    gathers and top-k selection are excluded from the model)."""
-    h, w = geom.stage_hw(stage)
-    nq = h * w
-    nm = geom.t * nq
-    ck = base_dim * 2 ** (stage - 1) // 8
-    cv = base_dim * 2 ** (stage - 1) // 2
-    return 2 * nq * nm * ck + 5 * nq * nm + 2 * nq * nm * cv
-
-
-def flops_topk(stage, geom, base_dim, k):
-    h, w = geom.stage_hw(stage)
-    nq = h * w
-    k_eff = min(k, geom.memory_cells(4))
-    n = 4 ** (4 - stage) * k_eff
-    ck = base_dim * 2 ** (stage - 1) // 8
-    cv = base_dim * 2 ** (stage - 1) // 2
-    return 2 * nq * n * ck + 5 * nq * n + 2 * nq * n * cv
-
-
 def flops_mode(mode, geom, base_dim, k):
-    """Per-stage flop model for a read mode; stage 4 is always dense."""
+    """Per-stage analytic flop count of a read mode: two matmuls and a
+    softmax over the n memory cells one query pixel reads (gathers and
+    top-k selection are excluded). Stage 4 is always dense; a stage the
+    mode skips counts 0."""
     per_stage = {}
-    for stage in (1, 2, 3):
-        if mode == "dense_all":
-            per_stage[stage] = flops_dense(stage, geom, base_dim)
+    for stage in (1, 2, 3, 4):
+        h, w = geom.stage_hw(stage)
+        nq = h * w
+        if stage == 4 or mode == "dense_all":
+            n = geom.memory_cells(stage)
         elif mode == "hierarchical_topk":
-            per_stage[stage] = flops_topk(stage, geom, base_dim, k)
+            n = 4 ** (4 - stage) * min(k, geom.memory_cells(4))
         else:
-            per_stage[stage] = 0
-    per_stage[4] = flops_dense(4, geom, base_dim)
+            n = 0
+        ck, cv = _kv_channels(stage, base_dim)
+        per_stage[stage] = 2 * nq * n * (ck + cv) + 5 * nq * n
     return per_stage

@@ -207,6 +207,8 @@ class MemoryBank:
     def __init__(self, policy="every8", stride=8):
         if policy not in MEMORY_POLICIES:
             raise ConfigError(f"memory policy must be one of {MEMORY_POLICIES}")
+        if stride < 1:
+            raise ConfigError(f"memory stride must be positive, got {stride}")
         self.policy = policy
         self.stride = stride
         self._permanent = {}
@@ -272,16 +274,6 @@ class MemoryBank:
                 self._kv[index] = encode(frame, probs)
             out.append(self._kv[index])
         return out
-
-
-def membership_law(t, policy="every8", stride=8):
-    """Reference predicate: which frame indices are in memory at time t."""
-    members = {0}
-    if t >= 1:
-        members.add(t - 1)
-    if policy == "every8":
-        members.update(i for i in range(0, t, stride))
-    return sorted(members)
 
 
 def _mask_pairs(probs, other_enabled):
@@ -380,7 +372,7 @@ def segment_frame(model, bank, frame, index):
     return labels, object_probs, bank
 
 
-def run_sequence(model, frames, first_mask, policy=None, stride=None):
+def run_sequence(model, frames, first_mask):
     """Propagate the first mask through a sequence.
 
     Frame 0's output is the given mask verbatim; later frames are predicted
@@ -393,8 +385,7 @@ def run_sequence(model, frames, first_mask, policy=None, stride=None):
     if frames[0].shape[:2] != first_mask.shape:
         raise DimensionError(
             f"first frame {frames[0].shape[:2]} vs mask {first_mask.shape}")
-    cfg = model.config
-    bank = MemoryBank(policy or cfg.memory_policy, stride or cfg.memory_stride)
+    bank = MemoryBank(model.config.memory_policy, model.config.memory_stride)
     bank.initialize(frames[0], first_mask)
     labels = [first_mask.astype(np.int64)]
     timings = [0.0]

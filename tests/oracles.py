@@ -13,7 +13,6 @@ import numpy as np
 from swinvos.decoder import predict_labels, soft_aggregate
 from swinvos.engine import Tensor
 from swinvos.memread import ReadGeometry, read_all
-from swinvos.model import membership_law
 
 
 def matmul_loops(a, b):
@@ -76,6 +75,16 @@ def topk_set_for_query(index_set, stage, qx, qy):
     r = 2 ** (4 - stage)
     cell = (qx // r) * index_set.geom.w4 + (qy // r)
     return index_set.expand(stage)[cell]
+
+
+def membership_law(t, policy="every8", stride=8):
+    """Reference predicate: which frame indices are in memory at time t."""
+    members = {0}
+    if t >= 1:
+        members.add(t - 1)
+    if policy == "every8":
+        members.update(i for i in range(0, t, stride))
+    return sorted(members)
 
 
 def joint_reencode_segment(model, frames, first_mask):

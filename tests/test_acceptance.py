@@ -10,7 +10,7 @@ import time
 
 import numpy as np
 import pytest
-from oracles import dense_read_loops, topk_read_loops
+from oracles import dense_read_loops, membership_law, topk_read_loops
 
 from swinvos import engine
 from swinvos.attention import (
@@ -40,7 +40,6 @@ from swinvos.model import (
     MemoryBank,
     ModelConfig,
     init_model,
-    membership_law,
     run_sequence,
     train_toy,
 )

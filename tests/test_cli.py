@@ -195,3 +195,31 @@ class TestBenchCommand:
     def test_bad_extents(self, capsys):
         code, _, _ = run(capsys, "bench-memread", "--height", "60", "--width", "64")
         assert code == 1
+
+    def test_unknown_mode_rejected_before_any_read(self, tmp_path, capsys, monkeypatch):
+        from swinvos import memread
+
+        calls = []
+        real = memread.dense_read
+
+        def counting_dense_read(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(memread, "dense_read", counting_dense_read)
+        out_csv = tmp_path / "bench.csv"
+        code, _, err = run(capsys, "bench-memread", "--height", "64", "--width", "64",
+                           "--t", "2", "--dim", "8", "--k", "4",
+                           "--modes", "dense_all,sparse", "--out", str(out_csv))
+        assert code == 1
+        assert "sparse" in err
+        assert calls == []
+        assert not out_csv.exists()
+
+    @pytest.mark.parametrize("modes", ["", " , "])
+    def test_empty_modes_rejected(self, tmp_path, capsys, modes):
+        out_csv = tmp_path / "bench.csv"
+        code, _, _ = run(capsys, "bench-memread", "--height", "64", "--width", "64",
+                         "--modes", modes, "--out", str(out_csv))
+        assert code == 1
+        assert not out_csv.exists()

@@ -337,3 +337,21 @@ class TestBench:
         assert len(all_rows) == 2
         for r in rows:
             assert r[-1] >= 0 and r[-2] >= 0
+
+    @pytest.mark.parametrize("mode, stages", [
+        ("dense_all", [1, 2, 3, 4]),
+        ("hierarchical_topk", [1, 2, 3, 4]),
+        ("last_stage_only", [4]),
+    ])
+    def test_rows_follow_the_stages_the_mode_runs(self, mode, stages):
+        geom = ReadGeometry(t=2, h4=2, w4=2)
+        rows = bench(geom, 8, 3, [mode], seed=0)
+        *stage_rows, total = rows
+        assert [r[0] for r in stage_rows] == stages
+        model = flops_mode(mode, geom, 8, 3)
+        for r in stage_rows:
+            assert r[1:6] == (mode, 3, 2, 64, 64)
+            assert r[6] == model[r[0]]
+        assert total[:6] == ("all", mode, 3, 2, 64, 64)
+        assert total[6] == sum(r[6] for r in stage_rows)
+        assert total[7] == sum(r[7] for r in stage_rows)

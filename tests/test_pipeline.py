@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import membership_law
 
 from swinvos import engine
 from swinvos.checkpoint import load_checkpoint, read_checkpoint, save_checkpoint
@@ -14,7 +15,6 @@ from swinvos.model import (
     ModelConfig,
     cross_entropy,
     init_model,
-    membership_law,
     run_sequence,
     segment_frame,
     train_step,
@@ -183,6 +183,11 @@ class TestMemoryBank:
         with pytest.raises(UsageError):
             bank.initialize(np.zeros((8, 8, 3), np.float32),
                             np.zeros((8, 8), np.int64))
+
+    @pytest.mark.parametrize("stride", [0, -2])
+    def test_stride_below_one_is_config_error(self, stride):
+        with pytest.raises(ConfigError):
+            MemoryBank("every8", stride)
 
 
 class TestSegmentFrame:
