@@ -18,6 +18,7 @@ from outside interference and is rejected by the checksum/length checks
 before any model state is touched.
 """
 
+import math
 import os
 import struct
 import zlib
@@ -77,6 +78,12 @@ class _Reader:
     def u64(self, what):
         return struct.unpack("<Q", self.take(8, what))[0]
 
+    def text(self, n, what):
+        try:
+            return self.take(n, what).decode("utf-8")
+        except UnicodeDecodeError as err:
+            raise DataError(f"{self.path}: {what} is not UTF-8 text") from err
+
     @property
     def remaining(self):
         return len(self.blob) - self.pos
@@ -101,21 +108,24 @@ def read_checkpoint(path):
         raise DataError(f"{path}: unsupported format version {version}, "
                         f"this build reads version {VERSION}")
     config_len = reader.u32("config length")
-    config_text = reader.take(config_len, "config block").decode("utf-8")
+    config_text = reader.text(config_len, "config block")
     config = ModelConfig.from_canonical(config_text)
     params = {}
     while reader.remaining > 0:
         name_len = reader.u32("parameter name length")
-        name = reader.take(name_len, "parameter name").decode("utf-8")
+        name = reader.text(name_len, "parameter name")
         rank = reader.u32(f"{name} rank")
         shape = tuple(reader.u64(f"{name} extent") for _ in range(rank))
         tag = reader.take(1, f"{name} dtype tag")[0]
         if tag not in _TAG_DTYPES:
             raise DataError(f"{path}: unknown dtype tag {tag} for {name}")
         dtype = _TAG_DTYPES[tag]
-        count = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        payload = reader.take(count * dtype.itemsize, f"{name} payload")
-        params[name] = np.frombuffer(payload, dtype=dtype).reshape(shape).copy()
+        payload = reader.take(math.prod(shape) * dtype.itemsize, f"{name} payload")
+        try:
+            params[name] = np.frombuffer(payload, dtype=dtype).reshape(shape).copy()
+        except ValueError as err:
+            raise DataError(f"{path}: extents {shape} of {name} "
+                            f"cannot form an array: {err}") from err
     return config, params
 
 

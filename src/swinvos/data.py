@@ -279,7 +279,10 @@ def _read_header(blob, magic, path):
         token = blob[start:pos]
         if not token.isdigit():
             raise DataError(f"{path}: non-numeric header field {token!r}")
-        fields.append(int(token))
+        try:
+            fields.append(int(token))
+        except ValueError as err:  # past Python's integer digit limit
+            raise DataError(f"{path}: header field of {len(token)} digits") from err
     pos += 1  # single whitespace after maxval
     width, height, maxval = fields
     if width < 1 or height < 1:

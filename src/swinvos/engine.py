@@ -522,12 +522,21 @@ def tmean(a, axis=None, keepdims=False):
 # linear algebra
 
 def matmul(a, b):
-    """Batched matrix product; leading extents must match or broadcast from 1."""
+    """Batched matrix product; leading extents must match or broadcast from 1.
+
+    A 2-D right operand with a left operand of rank 3 or more (a ``Linear``
+    on a token grid) is folded: the left operand's leading axes become rows
+    of one ``[rows, K] @ [K, N]`` GEMM, whose result is reshaped back. numpy
+    would otherwise run one small GEMM per leading index. The backward folds
+    the same way, so the weight gradient is one GEMM as well.
+    """
     a, b = _binary_operands(a, b)
     if a.ndim < 2 or b.ndim < 2:
         raise DimensionError(f"matmul needs rank >= 2, got {a.shape} @ {b.shape}")
     if a.shape[-1] != b.shape[-2]:
         raise DimensionError(f"matmul inner extents differ: {a.shape} @ {b.shape}")
+    if b.ndim == 2 and a.ndim > 2:
+        return _matmul_folded(a, b)
     try:
         out = np.matmul(a.data, b.data)
     except ValueError as err:
@@ -539,6 +548,24 @@ def matmul(a, b):
             ga = _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.shape)
         if b.watched:
             gb = _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.shape)
+        return ga, gb
+
+    return _record_op(out, (a, b), bwd)
+
+
+def _matmul_folded(a, b):
+    """``[*lead, K] @ [K, N]`` as one ``[rows, K] @ [K, N]`` GEMM."""
+    k, n = b.shape
+    rows = math.prod(a.shape[:-1])
+    out = np.matmul(a.data.reshape(rows, k), b.data).reshape(a.shape[:-1] + (n,))
+
+    def bwd(g):
+        ga = gb = None
+        g2 = g.reshape(rows, n)
+        if a.watched:
+            ga = np.matmul(g2, b.data.T).reshape(a.shape)
+        if b.watched:
+            gb = np.matmul(a.data.reshape(rows, k).T, g2)
         return ga, gb
 
     return _record_op(out, (a, b), bwd)

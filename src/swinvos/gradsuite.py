@@ -35,6 +35,13 @@ def _check_matmul(rng):
         [rng.standard_normal((3, 4)), rng.standard_normal((4, 2))])
 
 
+def _check_matmul_batched(rng):
+    # rank-3 left operand with a 2-D right one: the folded single-GEMM path
+    return engine.gradcheck(
+        _scalarized(engine.matmul, _probe((2, 3, 5), 11)),
+        [rng.standard_normal((2, 3, 4)), rng.standard_normal((4, 5))])
+
+
 def _check_softmax(rng):
     return engine.gradcheck(
         _scalarized(lambda x: engine.softmax(x, axis=-1), _probe((4, 5), 1)),
@@ -157,6 +164,7 @@ def _check_refinement_stage(rng):
 
 SUITE = [
     ("matmul", _check_matmul, PRIMITIVE_TOL),
+    ("matmul_batched", _check_matmul_batched, PRIMITIVE_TOL),
     ("softmax", _check_softmax, PRIMITIVE_TOL),
     ("layer_norm", _check_layer_norm, PRIMITIVE_TOL),
     ("gelu", _check_gelu, PRIMITIVE_TOL),

@@ -166,6 +166,8 @@ class Model(Module):
         self.decoder = Decoder(config.dim, config.decoder_width, rng, dtype=dtype)
         self.config = config
         self.dtype = dtype
+        for name, param in self.named_parameters():
+            param.name = name
 
     @property
     def per_frame_memory(self):
@@ -450,7 +452,9 @@ def train_step(model, frames, masks, lr):
     if not np.isfinite(value):
         raise NumericError(f"training loss diverged: {value}")
     engine.backward(loss, tape)
-    engine.adam_step([p for _, p in model.named_parameters()], lr=lr)
+    # only what the tape touched: a read mode that skips the finer stages
+    # leaves their decoder skip weights out of the forward pass
+    engine.adam_step(tape.parameters, lr=lr)
     return value
 
 

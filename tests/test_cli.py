@@ -88,6 +88,14 @@ class TestTrainToy:
             paths.append(ckpt)
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
+    def test_last_stage_only_trains(self, tmp_path, capsys):
+        seq = tmp_path / "seq"
+        run(capsys, "gen", "--out", str(seq), "--frames", "4", "--size", "64")
+        code, _, err = run(capsys, "train-toy", "--seq", str(seq), "--steps", "2",
+                           "--ckpt", str(tmp_path / "m.hst"), "--k", "8",
+                           "--read-mode", "last_stage_only")
+        assert code == 0, err
+
 
 class TestInferAndEval:
     def test_infer_writes_masks_and_timing(self, trained, capsys):

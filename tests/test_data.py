@@ -127,6 +127,22 @@ class TestTripletSampling:
             sample_training_triplet(2, 1, np.random.default_rng(0))
 
 
+@st.composite
+def _pnm_blobs(draw):
+    """Raw bytes, or a P5/P6-looking header of mixed tokens over a payload."""
+    if draw(st.booleans()):
+        return draw(st.binary(max_size=64))
+    token = st.one_of(
+        st.integers(-3, 300).map(lambda v: str(v).encode()),
+        st.sampled_from([b"255", b"#c\n", b"# x", b"0", b"1", b"2", b"65535"]),
+        st.binary(min_size=1, max_size=4))
+    sep = st.sampled_from([b" ", b"\n", b"\t", b"\r\n", b""])
+    parts = [draw(st.sampled_from([b"P5", b"P6", b"P3", b"P"]))]
+    for _ in range(draw(st.integers(0, 5))):
+        parts += [draw(sep), draw(token)]
+    return b"".join(parts) + draw(sep) + draw(st.binary(max_size=48))
+
+
 class TestPnmIO:
     def test_pgm_format_definition(self, tmp_path):
         path = tmp_path / "t.pgm"
@@ -181,6 +197,29 @@ class TestPnmIO:
         path.write_bytes(header + bytes(64))
         with pytest.raises(DataError, match="header field|extent"):
             read_pgm(path)
+
+    def test_overlong_header_field_is_data_error(self, tmp_path):
+        # past Python's int() digit limit, which raises a bare ValueError
+        path = tmp_path / "h.pgm"
+        path.write_bytes(b"P5 " + b"9" * 5000 + b" 4 255\n" + bytes(64))
+        with pytest.raises(DataError, match="header field"):
+            read_pgm(path)
+
+    @given(_pnm_blobs())
+    @settings(max_examples=300, deadline=None)
+    def test_any_bytes_parse_or_raise_data_error(self, blob):
+        import os
+        import tempfile
+        with tempfile.TemporaryDirectory() as d:
+            path = os.path.join(d, "x.pnm")
+            with open(path, "wb") as fh:
+                fh.write(blob)
+            for reader in (read_ppm, read_pgm):
+                try:
+                    out = reader(path)
+                except DataError:
+                    continue
+                assert out.ndim == (3 if reader is read_ppm else 2)
 
     def test_comment_in_header(self, tmp_path):
         path = tmp_path / "c.pgm"

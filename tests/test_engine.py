@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -71,6 +72,49 @@ class TestMatmul:
         with pytest.raises(DimensionError) as err:
             engine.matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 2))))
         assert "(2, 3)" in str(err.value) and "(4, 2)" in str(err.value)
+
+    @pytest.mark.parametrize("lead", [(6,), (3, 2, 5)])
+    def test_folded_forward_is_one_gemm(self, rng, lead):
+        a = rng.standard_normal(lead + (7, 16)).astype(np.float32)
+        b = rng.standard_normal((16, 9)).astype(np.float32)
+        out = engine.matmul(Tensor(a), Tensor(b))
+        expect = np.matmul(a.reshape(-1, 16), b).reshape(lead + (7, 9))
+        assert out.shape == expect.shape
+        assert out.data.tobytes() == expect.tobytes()
+
+    @pytest.mark.parametrize("watch", ["both", "left", "right"])
+    def test_folded_gradients(self, rng, watch):
+        a = rng.standard_normal((2, 3, 4))
+        b = rng.standard_normal((4, 5))
+        probe = rng.standard_normal((2, 3, 5))
+
+        def loss(x, w):
+            return engine.tsum(engine.mul(engine.matmul(x, w), Tensor(probe)))
+
+        if watch == "both":
+            ok, worst = engine.gradcheck(loss, [a, b])
+        elif watch == "left":
+            ok, worst = engine.gradcheck(lambda x: loss(x, Tensor(b)), [a])
+        else:
+            ok, worst = engine.gradcheck(lambda w: loss(Tensor(a), w), [b])
+        assert ok, f"worst rel err {worst:.2e}"
+
+    def test_folded_backward_memory_is_bounded(self, rng):
+        # the weight gradient must not build a [*lead, K, N] temporary
+        x = Parameter(rng.standard_normal((256, 8, 64)).astype(np.float32))
+        w = Parameter(rng.standard_normal((64, 256)).astype(np.float32))
+        with Tape() as tape:
+            out = engine.matmul(x.tensor(), w.tensor())
+            loss = engine.tsum(out)
+        budget = 2 * (x.value.nbytes + w.value.nbytes + out.data.nbytes)
+        tracemalloc.start()
+        try:
+            engine.backward(loss, tape)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert x.grad.shape == x.shape and w.grad.shape == w.shape
+        assert peak < budget, f"peak {peak / 2**20:.1f} MB, budget {budget / 2**20:.1f} MB"
 
 
 class TestSoftmax:

@@ -1,3 +1,8 @@
+import os
+import struct
+import tempfile
+import zlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -412,10 +417,78 @@ class TestTraining:
                    for _ in range(steps)]
         assert with_curriculum != without
 
+    def test_last_stage_only_trains_without_touching_skips(self):
+        # the finer-stage reads are skipped, so the decoder skip weights never
+        # enter the tape; Adam must update only what the tape touched
+        model = init_model(ModelConfig(variant="nano", k=4,
+                                       read_mode="last_stage_only"), seed=5)
+        skips = {n: p.value.copy() for n, p in model.named_parameters()
+                 if n.startswith("decoder.refine.") and ".skip." in n}
+        assert skips
+        curve = train_toy(model, synth_moving_shapes(8, 4, 64, 1), 2, lr=1e-3)
+        assert len(curve) == 2 and np.all(np.isfinite(curve))
+        params = dict(model.named_parameters())
+        for name, value in skips.items():
+            assert params[name].value.tobytes() == value.tobytes(), name
+
+    def test_missing_gradient_names_the_parameter(self):
+        model = init_model(NANO, seed=0)
+        assert all(p.name == name for name, p in model.named_parameters())
+        param = dict(model.named_parameters())["decoder.refine.0.skip.weight"]
+        with pytest.raises(UsageError, match=r"decoder\.refine\.0\.skip\.weight"):
+            engine.adam_step([param], lr=1e-3)
+
     def test_wrong_triplet_size(self, nano_model):
         with pytest.raises(UsageError):
             train_step(nano_model, [np.zeros((64, 64, 3))] * 2,
                        [np.zeros((64, 64), np.int64)] * 2, lr=1e-3)
+
+
+def _stamped(body):
+    """A checkpoint file image around ``body`` with a valid CRC."""
+    return b"HSTC" + body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF)
+
+
+def _checkpoint_body(config_text, records, version=1):
+    """records: (name bytes, extents, dtype tag, payload bytes)."""
+    body = struct.pack("<II", version, len(config_text)) + config_text
+    for name, extents, tag, payload in records:
+        body += struct.pack("<I", len(name)) + name + struct.pack("<I", len(extents))
+        body += b"".join(struct.pack("<Q", e) for e in extents)
+        body += bytes([tag]) + payload
+    return body
+
+
+@st.composite
+def _checkpoint_bodies(draw):
+    """Checkpoint bodies: mostly well-formed records with fuzzed fields,
+    sometimes cut, extended or given a lying config length; or raw bytes."""
+    def rarely():
+        return draw(st.integers(0, 3)) == 3
+
+    if rarely():
+        return draw(st.binary(max_size=96))
+    config = NANO.canonical().encode()
+    if rarely():
+        config = draw(st.sampled_from([b"variant=nano\n\xff\xfe\n", b""]))
+    extent = st.one_of(st.integers(0, 3), st.sampled_from([2**62, 2**63 + 5, 2**64 - 1]))
+    records = []
+    for _ in range(draw(st.integers(0, 3))):
+        name = draw(st.one_of(st.just(b"w"), st.binary(max_size=6)))
+        extents = draw(st.lists(extent, max_size=3))
+        tag = draw(st.sampled_from([0, 1, 2, 255]))
+        count = int(np.prod(extents)) if all(e < 4 for e in extents) else 0
+        payload = draw(st.one_of(st.just(bytes(count * 8 if tag == 1 else count * 4)),
+                                 st.binary(max_size=16)))
+        records.append((name, extents, tag, payload))
+    body = _checkpoint_body(config, records, 2 if rarely() else 1)
+    if rarely():
+        body = body[:draw(st.integers(0, len(body)))]
+    if rarely():
+        body += draw(st.binary(max_size=12))
+    if rarely() and len(body) >= 8:  # a config length that lies
+        body = body[:4] + struct.pack("<I", draw(st.integers(0, 2**32 - 1))) + body[8:]
+    return body
 
 
 class TestCheckpoint:
@@ -472,6 +545,36 @@ class TestCheckpoint:
         path.write_bytes(bytes(blob))
         with pytest.raises(DataError, match="checksum"):
             read_checkpoint(path)
+
+    @pytest.mark.parametrize("config, name, extents", [
+        (b"variant=nano\n\xff\n", b"w", [1]),
+        (NANO.canonical().encode(), b"\xc3\x28", [1]),
+        (NANO.canonical().encode(), b"w", [2**62, 2**62]),
+        (NANO.canonical().encode(), b"w", [0, 2**63 + 5]),
+        (NANO.canonical().encode(), b"w", [1] * 70),
+    ], ids=["config-not-utf8", "name-not-utf8", "extent-product-overflows",
+            "extent-past-intp", "rank-past-numpy"])
+    def test_malformed_body_with_valid_crc_is_data_error(self, tmp_path, config,
+                                                         name, extents):
+        path = tmp_path / "m.hst"
+        payload = bytes(4 * int(np.prod(extents))) if max(extents) < 2 else b""
+        path.write_bytes(_stamped(_checkpoint_body(config, [(name, extents, 0, payload)])))
+        with pytest.raises(DataError):
+            read_checkpoint(path)
+
+    @given(_checkpoint_bodies())
+    @settings(max_examples=300, deadline=None)
+    def test_any_body_parses_or_raises_taxonomy_error(self, body):
+        with tempfile.TemporaryDirectory() as d:
+            path = os.path.join(d, "m.hst")
+            with open(path, "wb") as fh:
+                fh.write(_stamped(body))
+            try:
+                config, params = read_checkpoint(path)
+            except (DataError, ConfigError):
+                return
+        assert isinstance(config, ModelConfig)
+        assert all(isinstance(v, np.ndarray) for v in params.values())
 
     def test_config_mismatch_refused(self, tmp_path, nano_model):
         path = tmp_path / "m.hst"
