@@ -215,10 +215,15 @@ def cmd_eval(args):
 
 
 def cmd_gradcheck(args):
+    from .engine import set_finite_checks
     from .gradsuite import run_suite
 
     _print_config(args)
-    results = run_suite(seed=args.seed or 1234)
+    previous = set_finite_checks(True)
+    try:
+        results = run_suite(seed=args.seed or 1234)
+    finally:
+        set_finite_checks(previous)
     print(f"{'op':>18}  {'status':>6}  {'worst rel err':>14}  tol")
     failed = False
     for name, ok, worst, tol in results:

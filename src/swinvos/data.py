@@ -21,6 +21,8 @@ _PALETTE = np.array([
     [0.45, 0.85, 0.35],
 ], dtype=np.float32)
 
+_LAYOUTS = 20  # whole-layout placement attempts before giving up
+
 
 @dataclass
 class VideoSample:
@@ -106,22 +108,16 @@ def synth_moving_shapes(seed, n_frames, size, n_objects, object_extent=None,
 
     stamps = [_object_stamp("disk" if m % 2 else "rect",
                             max(6, object_extent - 2 * m)) for m in range(n_objects)]
-    positions = []
-    for stamp in stamps:
-        placed = False
-        for _ in range(200):
-            e = stamp.shape[0]
-            pos = rng.integers(0, size - e, size=2)
-            box = (pos[0], pos[1], e)
-            if all(not _boxes_overlap(box, (q[0], q[1], s.shape[0]))
-                   for q, s in zip(positions, stamps[:len(positions)])):
-                positions.append(pos.astype(np.int64))
-                placed = True
-                break
-        if not placed:
-            raise DataError(
-                f"could not place {n_objects} objects of extent {object_extent} "
-                f"disjointly on a {size} px canvas")
+    # a failed layout restarts from the first object on the same stream, so
+    # every seed whose first layout fits keeps its bytes
+    for _ in range(_LAYOUTS):
+        positions = _place_disjoint(stamps, size, rng)
+        if positions is not None:
+            break
+    else:
+        raise DataError(
+            f"could not place {n_objects} objects of extent {object_extent} "
+            f"disjointly on a {size} px canvas")
     if velocities is None:
         velocities = [rng.integers(-velocity_cap, velocity_cap + 1, size=2)
                       for _ in range(n_objects)]
@@ -157,6 +153,23 @@ def synth_moving_shapes(seed, n_frames, size, n_objects, object_extent=None,
         frames.append(frame)
         masks.append(mask)
     return VideoSample(frames, masks, n_objects)
+
+
+def _place_disjoint(stamps, size, rng):
+    """Top-left corners for the stamps, drawn in order by rejection sampling
+    against the ones already placed; None when a stamp finds no room."""
+    positions = []
+    for stamp in stamps:
+        e = stamp.shape[0]
+        for _ in range(200):
+            pos = rng.integers(0, size - e, size=2)
+            if all(not _boxes_overlap((pos[0], pos[1], e), (q[0], q[1], s.shape[0]))
+                   for q, s in zip(positions, stamps)):
+                positions.append(pos.astype(np.int64))
+                break
+        else:
+            return None
+    return positions
 
 
 def _boxes_overlap(a, b):

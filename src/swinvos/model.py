@@ -2,15 +2,17 @@
 
 A ``Model`` bundles the query encoder, the memory path (video encoder or
 the image-only ablation path), per-path key/value projectors, and the
-decoder. Inference walks a sequence frame by frame: the ``MemoryBank``
-keeps the first frame, the previous frame, and every stride-th frame;
-multi-object segmentation runs one read/decode per object over shared
-query features and merges by soft aggregation. When memory features are
-per-frame (one-frame temporal windows, or the image-only path), each
-retained frame is encoded once and its key/value maps are cached in the
-bank; 3D-window encoders re-encode the retained frames jointly. Training
-follows the three-frame protocol: ground truth seeds the memory, frame 1's
-prediction is both a loss term and the memory for frame 2.
+decoder. ``_forward`` is the one forward pass that inference and training
+share: it encodes the query frame, assembles each object's memory
+key/value maps, reads, decodes per object over the shared query features
+and merges by soft aggregation. When memory features are per-frame
+(one-frame temporal windows, or the image-only path), each memory frame is
+encoded once and its key/value maps are cached by frame key; 3D-window
+encoders encode the memory frames jointly. Inference walks a sequence
+frame by frame: the ``MemoryBank`` keeps the first frame, the previous
+frame, and every stride-th frame, and holds the cache across frames.
+Training follows the three-frame protocol: ground truth seeds the memory,
+frame 1's prediction is both a loss term and the memory for frame 2.
 """
 
 import time
@@ -180,16 +182,6 @@ class Model(Module):
             return self.memory_encoder(frames, targets, others)
         return self.image_only_memory(self.query_encoder, frames, targets, others)
 
-    def parameter_count(self):
-        return sum(p.value.size for _, p in self.named_parameters())
-
-    def encoder_parameter_count(self):
-        """Parameters of the two encoders plus their key/value projectors."""
-        prefixes = ("query_encoder", "memory_encoder", "image_only_memory",
-                    "query_proj", "memory_proj")
-        return sum(p.value.size for name, p in self.named_parameters()
-                   if name.startswith(prefixes))
-
 
 def init_model(config, seed, dtype=engine.DEFAULT_DTYPE):
     """Deterministic initialization: truncated normal sigma 0.02 for weights,
@@ -197,13 +189,20 @@ def init_model(config, seed, dtype=engine.DEFAULT_DTYPE):
     return Model(config, np.random.default_rng(seed), dtype=dtype)
 
 
+def _object_probs(mask, n_objects):
+    """One-hot [M, H, W] float32 maps of labels 1..M of a label map."""
+    mask = np.asarray(mask)
+    return np.stack([(mask == m + 1).astype(np.float32) for m in range(n_objects)])
+
+
 class MemoryBank:
     """Retained past frames and per-object masks under the retention policy.
 
     Membership at time t: frame 0, frame t-1, and (every8 policy) every
-    stride-th frame, deduplicated and sorted by frame index. For per-frame
-    memory encoders the bank also caches each retained frame's per-object
-    memory key/value maps (see ``memory_kv``); a bank serves one model.
+    stride-th frame, deduplicated and sorted by frame index. ``cache`` maps
+    a retained frame index to its per-object memory key/value maps when the
+    memory encoder is per-frame: ``_forward`` fills it and ``admit`` drops
+    frames that leave membership. A bank serves one model.
     """
 
     def __init__(self, policy="every8", stride=8):
@@ -215,7 +214,7 @@ class MemoryBank:
         self.stride = stride
         self._permanent = {}
         self._previous = None
-        self._kv = {}
+        self.cache = {}
         self.n_objects = None
 
     @property
@@ -227,11 +226,9 @@ class MemoryBank:
         n_objects = int(np.max(first_mask))
         if n_objects < 1:
             raise UsageError("first mask labels no objects")
-        probs = np.stack([(np.asarray(first_mask) == m + 1).astype(np.float32)
-                          for m in range(n_objects)])
-        self._permanent = {0: (np.asarray(frame), probs)}
+        self._permanent = {0: (np.asarray(frame), _object_probs(first_mask, n_objects))}
         self._previous = None
-        self._kv = {}
+        self.cache = {}
         self.n_objects = n_objects
 
     def admit(self, index, frame, probs):
@@ -246,7 +243,7 @@ class MemoryBank:
             self._permanent[index] = entry
         # a re-admitted index carries new masks, so its old maps go too
         keep = set(self.frame_indices()) - {index}
-        self._kv = {i: kv for i, kv in self._kv.items() if i in keep}
+        self.cache = {i: kv for i, kv in self.cache.items() if i in keep}
 
     def entries(self):
         """Sorted, deduplicated (index, frame, probs) list."""
@@ -259,23 +256,6 @@ class MemoryBank:
 
     def frame_indices(self):
         return [i for i, _, _ in self.entries()]
-
-    def cached_indices(self):
-        return sorted(self._kv)
-
-    def memory_kv(self, encode):
-        """Per-frame cached memory maps of the retained frames, in frame order.
-
-        ``encode(frame, probs)`` runs once per frame, the first time the
-        frame is seen here, and its result is kept until the frame leaves
-        membership.
-        """
-        out = []
-        for index, frame, probs in self.entries():
-            if index not in self._kv:
-                self._kv[index] = encode(frame, probs)
-            out.append(self._kv[index])
-        return out
 
 
 def _mask_pairs(probs, other_enabled):
@@ -300,10 +280,16 @@ def _mask_pairs(probs, other_enabled):
     return pairs
 
 
-def _encode_memory_kv(model, frames, probs):
+def _joined(tensors, axis):
+    """Concatenate; a single tensor passes through uncopied and unrecorded."""
+    return engine.concat(tensors, axis=axis) if len(tensors) > 1 else tensors[0]
+
+
+def _encode_memory_kv(model, memory):
     """Per-object memory k/v maps of stages 1..4 from one joint encoder call
-    per object over frames [T, H, W, 3] and mask probabilities
-    [T, M, H, W] (both Tensors)."""
+    per object over the (key, frame, probs) entries of ``memory``."""
+    frames = Tensor(np.stack([f for _, f, _ in memory]).astype(model.dtype))
+    probs = _joined([engine.reshape(p, (1,) + p.shape) for _, _, p in memory], axis=0)
     kv = []
     for target, other in _mask_pairs(probs, model.config.other_mask_enabled):
         feats = model.encode_memory(frames, target, other)
@@ -311,31 +297,42 @@ def _encode_memory_kv(model, frames, probs):
     return kv
 
 
-def _concat_frames_kv(per_frame):
-    """Join per-frame [per-object [4 stages]] maps along the position axis,
-    giving each object's time-major maps over all the frames."""
-    return [[KeyValueMaps(engine.concat([f[m][s].key for f in per_frame], axis=1),
-                          engine.concat([f[m][s].value for f in per_frame], axis=1))
-             for s in range(4)]
-            for m in range(len(per_frame[0]))]
+def _forward(model, frame, memory, cache):
+    """The forward pass shared by inference and training.
 
-
-def _read_decode(model, query_feats, memory_kv, t, out_hw):
-    """Shared forward: read + decode per object, soft aggregation.
-
-    ``memory_kv`` holds each object's stage 1..4 memory maps over ``t``
-    frames. Returns (class_dist, per_object_probs list).
+    ``frame`` is the query [H, W, 3]; ``memory`` is a frame-ordered list of
+    (key, frame [H, W, 3], probs [M, H, W] Tensor). Per-frame memory
+    encoders encode a memory frame only when its key is missing from the
+    dict ``cache``, and store the result there; 3D-window encoders encode
+    the memory frames jointly. Reads and decodes each object over the shared
+    query features and returns the soft-aggregated class distribution
+    [M+1, H, W].
     """
-    cfg = model.config
+    hw = frame.shape[:2]
+    for _, f, _ in memory:
+        if f.shape[:2] != hw:
+            raise DimensionError(f"frame extents {hw} differ from memory {f.shape[:2]}")
+    query_feats = model.query_encoder(Tensor(frame.astype(model.dtype)))
+    if model.per_frame_memory:
+        for key, f, p in memory:
+            if key not in cache:
+                cache[key] = _encode_memory_kv(model, [(key, f, p)])
+        per_frame = [cache[key] for key, _, _ in memory]
+        # each object's time-major maps over all the frames
+        memory_kv = [[KeyValueMaps(_joined([f[m][s].key for f in per_frame], axis=1),
+                                   _joined([f[m][s].value for f in per_frame], axis=1))
+                      for s in range(4)]
+                     for m in range(len(per_frame[0]))]
+    else:
+        memory_kv = _encode_memory_kv(model, memory)
     query_kv = [model.query_proj(query_feats, s) for s in (1, 2, 3, 4)]
     h4, w4 = query_feats.stage(4).shape[:2]
-    geom = ReadGeometry(t, h4, w4)
+    geom = ReadGeometry(len(memory), h4, w4)
     per_object = []
     for kv in memory_kv:
-        ys, _ = read_all(query_kv, kv, geom, cfg.k, cfg.read_mode)
-        per_object.append(model.decoder(ys, (h4, w4), out_hw))
-    dist = soft_aggregate(per_object)
-    return dist, per_object
+        ys, _ = read_all(query_kv, kv, geom, model.config.k, model.config.read_mode)
+        per_object.append(model.decoder(ys, (h4, w4), hw))
+    return soft_aggregate(per_object)
 
 
 def segment_frame(model, bank, frame, index):
@@ -350,22 +347,8 @@ def segment_frame(model, bank, frame, index):
     if not bank.initialized:
         raise UsageError("memory bank must be initialized with frame 0 first")
     frame = np.asarray(frame)
-    entries = bank.entries()
-    for _, f, _ in entries:
-        if f.shape[:2] != frame.shape[:2]:
-            raise DimensionError(
-                f"frame extents {frame.shape[:2]} differ from memory {f.shape[:2]}")
-    dtype = model.dtype
-    query_feats = model.query_encoder(Tensor(frame.astype(dtype)))
-    if model.per_frame_memory:
-        per_frame = bank.memory_kv(lambda f, p: _encode_memory_kv(
-            model, Tensor(f[None].astype(dtype)), Tensor(p[None].astype(dtype))))
-        memory_kv = _concat_frames_kv(per_frame)
-    else:
-        mem_frames = np.stack([f for _, f, _ in entries]).astype(dtype)
-        mem_probs = np.stack([p for _, _, p in entries]).astype(dtype)  # [T, M, H, W]
-        memory_kv = _encode_memory_kv(model, Tensor(mem_frames), Tensor(mem_probs))
-    dist, _ = _read_decode(model, query_feats, memory_kv, len(entries), frame.shape[:2])
+    memory = [(i, f, Tensor(p, dtype=model.dtype)) for i, f, p in bank.entries()]
+    dist = _forward(model, frame, memory, bank.cache)
     if not np.isfinite(dist.data).all():
         raise NumericError(f"non-finite class distribution at frame {index}")
     labels = predict_labels(dist)
@@ -419,34 +402,24 @@ def train_step(model, frames, masks, lr):
 
     Frame 0's ground truth seeds the memory; frames 1 and 2 are predicted
     in turn, with frame 1's prediction entering the memory (gradients flow
-    through it). Returns the scalar loss.
+    through it). Per-frame memory encoders encode frame 0 once for both
+    predictions. Returns the scalar loss.
     """
     if len(frames) != 3 or len(masks) != 3:
         raise UsageError("training consumes exactly three frames and masks")
     n_objects = int(max(np.max(m) for m in masks))
     if n_objects < 1:
         raise UsageError("triplet labels no objects")
-    hw = frames[0].shape[:2]
-    first_probs = np.stack([(masks[0] == m + 1).astype(model.dtype)
-                            for m in range(n_objects)])
-
+    memory = [(0, frames[0], Tensor(_object_probs(masks[0], n_objects), dtype=model.dtype))]
+    cache = {}
     with Tape() as tape:
         losses = []
-        mem_frames = [frames[0].astype(model.dtype)]
-        # per memory frame: [1, M, H, W] mask probabilities
-        mem_probs = [Tensor(first_probs[None])]
         for step in (1, 2):
-            frame = frames[step].astype(model.dtype)
-            query_feats = model.query_encoder(Tensor(frame))
-            probs = (engine.concat(mem_probs, axis=0) if len(mem_probs) > 1
-                     else mem_probs[0])
-            memory_kv = _encode_memory_kv(model, Tensor(np.stack(mem_frames)), probs)
-            dist, _ = _read_decode(model, query_feats, memory_kv, len(mem_frames), hw)
+            dist = _forward(model, frames[step], memory, cache)
             losses.append(cross_entropy(dist, masks[step]))
             if step == 1:
                 # feed the aggregated per-object maps back, as inference does
-                mem_frames.append(frame)
-                mem_probs.append(engine.reshape(dist[1:], (1, n_objects) + hw))
+                memory.append((step, frames[step], dist[1:]))
         loss = engine.mul(engine.add(losses[0], losses[1]), 0.5)
     value = float(loss.data)
     if not np.isfinite(value):

@@ -87,6 +87,18 @@ def membership_law(t, policy="every8", stride=8):
     return sorted(members)
 
 
+def parameter_count(model):
+    return sum(p.value.size for _, p in model.named_parameters())
+
+
+def encoder_parameter_count(model):
+    """Parameters of the two encoders plus their key/value projectors."""
+    prefixes = ("query_encoder", "memory_encoder", "image_only_memory",
+                "query_proj", "memory_proj")
+    return sum(p.value.size for name, p in model.named_parameters()
+               if name.startswith(prefixes))
+
+
 def joint_reencode_segment(model, frames, first_mask):
     """Reference inference: on every frame, each object's memory is the
     whole retained set re-encoded in one joint encoder call.

@@ -96,6 +96,19 @@ class TestTrainToy:
                            "--read-mode", "last_stage_only")
         assert code == 0, err
 
+    def test_mixed_frame_sizes_name_the_sizes(self, tmp_path, capsys):
+        from swinvos.data import synth_moving_shapes, write_pgm, write_ppm
+
+        seq = tmp_path / "seq"
+        run(capsys, "gen", "--out", str(seq), "--frames", "4", "--size", "64")
+        large = synth_moving_shapes(0, 2, 96, 1)
+        write_ppm(large.frames[1], seq / "frames" / "00001.ppm")
+        write_pgm(large.masks[1], seq / "masks" / "00001.pgm")
+        code, _, err = run(capsys, "train-toy", "--seq", str(seq), "--steps", "2",
+                           "--ckpt", str(tmp_path / "m.hst"))
+        assert code == 2
+        assert "frame extents (64, 64) differ from memory (96, 96)" in err
+
 
 class TestInferAndEval:
     def test_infer_writes_masks_and_timing(self, trained, capsys):
@@ -187,6 +200,24 @@ class TestGradcheckCommand:
         code, out, _ = run(capsys, "gradcheck")
         assert code == 0
         assert "matmul" in out and "FAIL" not in out
+
+    def test_turns_finite_checks_on_for_the_run(self, capsys, monkeypatch):
+        from swinvos import engine, gradsuite
+
+        seen = []
+
+        def recording(seed):
+            seen.append(engine._FINITE_CHECKS)
+            return []
+
+        monkeypatch.setattr(gradsuite, "run_suite", recording)
+        previous = engine.set_finite_checks(False)
+        try:
+            code, _, _ = run(capsys, "gradcheck")
+            after = engine._FINITE_CHECKS
+        finally:
+            engine.set_finite_checks(previous)
+        assert code == 0 and seen == [True] and after is False
 
 
 class TestBenchCommand:

@@ -56,6 +56,29 @@ class TestMovingShapes:
         with pytest.raises(UsageError):
             synth_moving_shapes(0, 2, 64, 5)
 
+    def test_crowded_first_layout_is_retried(self):
+        # seed 32's first layout leaves the second object no room on 128 px
+        from swinvos.data import _object_stamp
+
+        mask = synth_moving_shapes(32, 1, 128, 2).masks[0]
+        assert (mask == 1).sum() == 48 * 48
+        assert (mask == 2).sum() == _object_stamp("disk", 46).sum()
+
+    @pytest.mark.parametrize("seed, size, n_objects, digest", [
+        (0, 128, 2, "71aadd520575b6cfa3eca3dbcf4988dc68466c46c1db450da5b642b9de285985"),
+        (5, 64, 3, "cf259c5b6dee8dd2be795bbb75c5201610968a407cf68256c6aa51f03b4f98f5"),
+        (7, 96, 1, "afef26f6ad2b293f5930977f9aa57ac59b76e7b4aa2ed858945d3efcadd0f56b"),
+    ])
+    def test_first_layout_bytes_are_stable(self, seed, size, n_objects, digest):
+        import hashlib
+
+        sample = synth_moving_shapes(seed, 4, size, n_objects)
+        h = hashlib.sha256()
+        for f, m in zip(sample.frames, sample.masks):
+            h.update(f.tobytes())
+            h.update(m.tobytes())
+        assert h.hexdigest() == digest
+
 
 class TestAffine:
     def test_identity_params_reproduce_image(self, rng):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import membership_law
+from oracles import encoder_parameter_count, membership_law, parameter_count
 
 from swinvos import engine
 from swinvos.checkpoint import load_checkpoint, read_checkpoint, save_checkpoint
@@ -128,13 +128,13 @@ class TestInitModel:
                    if pa.value.size and pa.value.std() > 0)
 
     def test_nano_parameter_count_under_1e6(self, nano_model):
-        assert nano_model.parameter_count() < 1_000_000
+        assert parameter_count(nano_model) < 1_000_000
 
     def test_base_variant_encoder_budget(self):
         # the two B-scale encoders together carry 193.6M parameters; our
         # randomly initialized build must land within 10% of that budget
         model = init_model(ModelConfig(variant="B"), seed=0)
-        count = model.encoder_parameter_count()
+        count = encoder_parameter_count(model)
         assert abs(count - 193.6e6) / 193.6e6 < 0.10, f"{count / 1e6:.1f}M"
         del model
 
@@ -272,6 +272,19 @@ def _trained_nano(n_objects, size, **overrides):
     return model
 
 
+def _count_memory_frames(monkeypatch):
+    """Patch ``Model.encode_memory`` to record each call's frame count."""
+    encoded = []
+    original = Model.encode_memory
+
+    def counting(self, frames, targets, others):
+        encoded.append(frames.shape[0])
+        return original(self, frames, targets, others)
+
+    monkeypatch.setattr(Model, "encode_memory", counting)
+    return encoded
+
+
 class TestMemoryCache:
     """Per-frame memory encoders encode each retained frame once."""
 
@@ -308,14 +321,7 @@ class TestMemoryCache:
     def test_each_frame_encodes_one_memory_frame_per_object(self, monkeypatch):
         model = init_model(ModelConfig(variant="nano", k=4), seed=0)
         sample = synth_moving_shapes(1, 18, 64, 2)
-        encoded = []
-        original = Model.encode_memory
-
-        def counting(self, frames, targets, others):
-            encoded.append(frames.shape[0])
-            return original(self, frames, targets, others)
-
-        monkeypatch.setattr(Model, "encode_memory", counting)
+        encoded = _count_memory_frames(monkeypatch)
         bank = MemoryBank()
         bank.initialize(sample.frames[0], sample.masks[0])
         for t in range(1, 18):
@@ -323,28 +329,27 @@ class TestMemoryCache:
             segment_frame(model, bank, sample.frames[t], t)
             assert encoded == [1, 1], f"frame {t}: {encoded}"
 
-    def test_cache_tracks_membership(self):
+    def test_cache_tracks_membership(self, monkeypatch):
+        model = init_model(ModelConfig(variant="nano", k=4), seed=0)
+        encoded = _count_memory_frames(monkeypatch)
+        frame = np.zeros((8, 8, 3), np.float32)
         for policy in ("every8", "firstprev"):
             bank = MemoryBank(policy=policy)
             mask = np.zeros((8, 8), np.int64)
             mask[0, 0] = 1
-            bank.initialize(np.zeros((8, 8, 3), np.float32), mask)
+            bank.initialize(frame, mask)
             probs = np.zeros((1, 8, 8), np.float32)
-            encoded = []
-
-            def encode(frame, frame_probs):
-                encoded.append(frame)
-                return len(encoded)
-
             for t in range(1, 101):
                 before = len(encoded)
-                bank.memory_kv(encode)
-                bank.memory_kv(encode)  # the second read is served from the cache
+                memory = [(i, f, engine.Tensor(p)) for i, f, p in bank.entries()]
+                model_module._forward(model, frame, memory, bank.cache)
+                # the second pass is served from the cache
+                model_module._forward(model, frame, memory, bank.cache)
                 assert len(encoded) - before == 1, f"t={t}"
-                assert bank.cached_indices() == bank.frame_indices()
-                bank.admit(t, np.zeros((8, 8, 3), np.float32), probs)
-                assert bank.cached_indices() == [i for i in bank.frame_indices()
-                                                 if i != t], f"t={t}"
+                assert sorted(bank.cache) == bank.frame_indices()
+                bank.admit(t, frame, probs)
+                assert sorted(bank.cache) == [i for i in bank.frame_indices()
+                                              if i != t], f"t={t}"
 
     def test_segment_frame_cache_bounded_by_membership(self):
         model = init_model(ModelConfig(variant="nano", k=4), seed=0)
@@ -356,7 +361,41 @@ class TestMemoryCache:
             members = membership_law(t + 1)
             assert bank.frame_indices() == members
             # frame t is encoded when the next frame first reads it
-            assert bank.cached_indices() == [i for i in members if i != t]
+            assert sorted(bank.cache) == [i for i in members if i != t]
+
+    @pytest.mark.parametrize("variant, n_objects, expected", [
+        ("nano", 1, [1, 1]),
+        ("nano", 2, [1, 1, 1, 1]),
+        ("T", 1, [1, 2]),
+    ])
+    def test_train_step_encodes_each_memory_frame_once(self, monkeypatch, variant,
+                                                       n_objects, expected):
+        # per-frame encoders cache frame 0's maps across both steps; the
+        # 3D-window encoder re-encodes the memory jointly at step 2
+        model = init_model(ModelConfig(variant=variant, k=4), seed=0)
+        sample = synth_moving_shapes(1, 3, 32, n_objects, 8)
+        encoded = _count_memory_frames(monkeypatch)
+        train_step(model, sample.frames, sample.masks, lr=1e-4)
+        assert encoded == expected
+
+    @pytest.mark.parametrize("overrides", [{}, {"encoder_mode": "image_only"}])
+    def test_training_step_one_matches_segment_frame(self, monkeypatch, overrides):
+        model = init_model(ModelConfig(variant="nano", k=4, **overrides), seed=0)
+        sample = synth_moving_shapes(1, 3, 64, 2)
+        dists = []
+        original = model_module.soft_aggregate
+
+        def recording(per_object):
+            dists.append(original(per_object).data.copy())
+            return original(per_object)
+
+        monkeypatch.setattr(model_module, "soft_aggregate", recording)
+        bank = MemoryBank()
+        bank.initialize(sample.frames[0], sample.masks[0])
+        segment_frame(model, bank, sample.frames[1], 1)
+        train_step(model, sample.frames, sample.masks, lr=1e-4)
+        assert len(dists) == 3
+        assert dists[1].tobytes() == dists[0].tobytes()
 
     def test_per_frame_decision_follows_config(self):
         from types import SimpleNamespace
@@ -437,6 +476,14 @@ class TestTraining:
         param = dict(model.named_parameters())["decoder.refine.0.skip.weight"]
         with pytest.raises(UsageError, match=r"decoder\.refine\.0\.skip\.weight"):
             engine.adam_step([param], lr=1e-3)
+
+    def test_mixed_frame_extents_name_the_sizes(self, nano_model):
+        small, large = synth_moving_shapes(0, 3, 64, 1), synth_moving_shapes(0, 3, 96, 1)
+        frames = [small.frames[0], large.frames[1], small.frames[2]]
+        masks = [small.masks[0], large.masks[1], small.masks[2]]
+        with pytest.raises(DimensionError,
+                           match=r"frame extents \(96, 96\) differ from memory \(64, 64\)"):
+            train_step(nano_model, frames, masks, lr=1e-3)
 
     def test_wrong_triplet_size(self, nano_model):
         with pytest.raises(UsageError):
