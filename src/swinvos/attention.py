@@ -3,9 +3,15 @@
 Token grids are [*spatial_dims, C] tensors (a leading T axis makes a block
 3D). Windows tile the spatial axes; the shifted variant rolls the grid by
 half a window first and suppresses attention between tokens that originate
-from different pre-shift windows via an additive -1e9 mask. Inputs whose
-extents are not window multiples are zero-padded on the right/bottom and
-the padded tokens are masked out of attention.
+from different pre-shift windows via an additive -1e9 mask. Grids whose
+extents are not window multiples are padded on the right/bottom, and the
+padded tokens are masked out of attention as keys.
+
+A block projects only in-grid tokens: qkv runs on the unpadded grid, the
+padding is added to its output, and only then is the qkv bias added, so a
+padded position holds exactly the bias (a window whose keys are all
+masked averages its values over every position, padding included). The
+output projection runs after the padding is cropped away.
 """
 
 import functools
@@ -14,7 +20,7 @@ import math
 import numpy as np
 
 from . import engine
-from .engine import Linear, Module, Parameter, Tensor
+from .engine import Linear, Module, Parameter
 from .errors import ConfigError, DimensionError
 
 MASK_VALUE = -1e9  # finite so gradients stay finite
@@ -165,16 +171,22 @@ def _partition_flat(arr, window):
     return y.transpose(perm).reshape(-1, _prod(window))
 
 
-def attention_mask(dims, window, shift, valid=None):
-    """Additive mask [nW, L, L]: exactly -1e9 on forbidden pairs, else 0.
+@functools.lru_cache(maxsize=16)
+def attention_mask(dims, window, shift, extents=None):
+    """Additive mask [nW, 1, L, L]: exactly -1e9 on forbidden pairs, else 0.
 
     A pair is forbidden when the tokens come from different pre-shift
-    windows, or when the key token is padding (``valid`` False). ``valid``
-    is a boolean grid over ``dims`` in pre-shift layout. Returns None when
-    nothing is masked.
+    windows, or when the key token lies outside ``extents``, the valid
+    token extents (a box at the origin of the pre-shift grid ``dims``;
+    None means all of it). Returns None when nothing is masked. Masks are
+    cached per geometry as read-only float32 arrays. A T frame at one bank
+    size uses 14 geometries (7 in each encoder); a small cache keeps the
+    masks of earlier bank sizes from staying resident.
     """
     need_shift = any(s > 0 for s in shift)
-    need_valid = valid is not None and not valid.all()
+    valid = np.zeros(dims, dtype=bool)
+    valid[tuple(slice(0, int(e)) for e in (extents or dims))] = True
+    need_valid = not valid.all()
     if not need_shift and not need_valid:
         return None
     regions = _origin_map(tuple(dims), tuple(window), tuple(shift))
@@ -187,38 +199,66 @@ def attention_mask(dims, window, shift, valid=None):
         forbidden = forbidden | ~win_valid[:, None, :]
     if not forbidden.any():
         return None
-    return np.where(forbidden, MASK_VALUE, 0.0)
+    mask = np.where(forbidden[:, None], np.float32(MASK_VALUE), np.float32(0.0))
+    mask.flags.writeable = False
+    return mask
 
 
-def window_msa(tokens, qkv, proj, heads, bias=None, mask=None):
-    """Multi-head self-attention within each window.
+def window_msa(qkv, heads, bias=None, mask=None):
+    """Multi-head self-attention within each window, over projected tokens.
 
-    tokens: [nW, L, C]; ``qkv``/``proj`` are Linear modules; ``bias`` is a
-    [heads, L, L] tensor, ``mask`` a [nW, L, L] additive array or None.
+    qkv: [nW, L, 3C] (queries, keys and values side by side, each split
+    into ``heads`` slices of C/heads); ``bias`` is a [heads, L, L] tensor,
+    ``mask`` a [nW, 1, L, L] additive array or None. Returns [nW, L, C].
     Logits are scaled by 1/sqrt(C/heads).
+
+    One op and one tape node: q, k and v are views of ``qkv``; the scale,
+    bias, mask and softmax run in place on one logits buffer, and the
+    value product writes straight into the [nW, L, C] layout. The backward
+    is written out for ``qkv`` and ``bias``.
     """
-    n_windows, length, c = tokens.shape
-    if c % heads:
-        raise ConfigError(f"channels {c} not divisible by heads {heads}")
+    qkv = engine.as_tensor(qkv)
+    n_windows, length, width = qkv.shape
+    if width % (3 * heads):
+        raise ConfigError(f"qkv width {width} is not 3 x a multiple of heads {heads}")
+    c = width // 3
     head_dim = c // heads
-    three = engine.reshape(qkv(tokens), (n_windows, length, 3, heads, head_dim))
-    three = engine.transpose(three, (2, 0, 3, 1, 4))  # [3, nW, heads, L, hd]
-    q, k, v = three[0], three[1], three[2]
-    logits = engine.matmul(q, engine.transpose(k, (0, 1, 3, 2)))
-    logits = engine.mul(logits, 1.0 / math.sqrt(head_dim))
+    scale = qkv.dtype.type(1.0 / math.sqrt(head_dim))
+    split = (n_windows, length, 3, heads, head_dim)
+    q, k, v = qkv.data.reshape(split).transpose(2, 0, 3, 1, 4)  # [nW, heads, L, hd]
+    weights = np.matmul(q, k.swapaxes(-1, -2))
+    weights *= scale
     if bias is not None:
-        logits = engine.add(logits, bias)  # broadcast over nW
+        weights += bias.data  # broadcast over nW
     if mask is not None:
-        logits = engine.add(logits, Tensor(mask.reshape(n_windows, 1, length, length),
-                                           dtype=tokens.dtype))
-    weights = engine.softmax(logits, axis=-1)
-    out = engine.matmul(weights, v)  # [nW, heads, L, hd]
-    out = engine.transpose(out, (0, 2, 1, 3))
-    out = engine.reshape(out, (n_windows, length, c))
-    return proj(out)
+        weights += mask
+    weights -= weights.max(axis=-1, keepdims=True)
+    np.exp(weights, out=weights)
+    weights /= weights.sum(axis=-1, keepdims=True)
+    out = np.empty((n_windows, length, heads, head_dim), dtype=qkv.dtype)
+    np.matmul(weights, v, out=out.transpose(0, 2, 1, 3))
+
+    def bwd(g):
+        g_out = g.reshape(n_windows, length, heads, head_dim).transpose(0, 2, 1, 3)
+        g_qkv = np.empty(split, dtype=g.dtype)
+        g_q, g_k, g_v = g_qkv.transpose(2, 0, 3, 1, 4)
+        np.matmul(weights.swapaxes(-1, -2), g_out, out=g_v)
+        g_logits = np.matmul(g_out, v.swapaxes(-1, -2))
+        g_logits -= (g_logits * weights).sum(axis=-1, keepdims=True)
+        g_logits *= weights
+        g_bias = g_logits.sum(axis=0) if bias is not None and bias.watched else None
+        g_logits *= scale
+        np.matmul(g_logits, k, out=g_q)
+        np.matmul(g_logits.swapaxes(-1, -2), q, out=g_k)
+        return g_qkv.reshape(qkv.shape), g_bias
+
+    inputs = (qkv,) if bias is None else (qkv, bias)
+    return engine.record_op(out.reshape(n_windows, length, c), inputs, bwd)
 
 
 class WindowAttention(Module):
+    """Holder of a block's attention weights; ``SwinBlock`` applies them."""
+
     def __init__(self, dim, heads, table_window, rng, dtype=engine.DEFAULT_DTYPE):
         if dim % heads:
             raise ConfigError(f"channels {dim} not divisible by heads {heads}")
@@ -226,10 +266,6 @@ class WindowAttention(Module):
         self.proj = Linear(dim, dim, rng, dtype=dtype)
         self.bias = RelativePositionBias(table_window, heads, rng, dtype=dtype)
         self.heads = heads
-
-    def __call__(self, tokens, window, mask=None):
-        return window_msa(tokens, self.qkv, self.proj, self.heads,
-                          bias=self.bias(window), mask=mask)
 
 
 class Mlp(Module):
@@ -257,32 +293,28 @@ class SwinBlock(Module):
         self.shifted = shifted
 
     def __call__(self, x, valid=None):
-        dims = x.shape[:-1]
-        c = x.shape[-1]
+        dims = tuple(x.shape[:-1])
         win, shift = effective_window(dims, self.window)
         if not self.shifted:
             shift = tuple(0 for _ in shift)
+        pad_to = tuple(-(-d // w) * w for d, w in zip(dims, win))
+        extents = dims if valid is None else tuple(int(e) for e in valid)
+        attn = self.attn
 
         h = self.norm1(x)
-        pad_to = tuple(-(-d // w) * w for d, w in zip(dims, win))
-        padded = pad_to != tuple(dims)
-        valid_grid = None
-        if padded or valid is not None:
-            valid_grid = np.zeros(pad_to, dtype=bool)
-            extents = valid if valid is not None else dims
-            valid_grid[tuple(slice(0, int(e)) for e in extents)] = True
-        if padded:
+        if pad_to != dims:
             widths = tuple((0, p - d) for p, d in zip(pad_to, dims)) + ((0, 0),)
-            h = engine.pad(h, widths)
+            h = engine.pad(engine.matmul(h, attn.qkv.weight.tensor()), widths)
+            h = engine.add(h, attn.qkv.bias.tensor())
+        else:
+            h = attn.qkv(h)
         h = cyclic_shift(h, shift)
-        mask = attention_mask(pad_to, win, shift, valid=valid_grid)
-        windows = window_partition(h, win)
-        windows = self.attn(windows, win, mask=mask)
-        h = window_reverse(windows, win, pad_to)
-        h = inverse_cyclic_shift(h, shift)
-        if padded:
+        mask = attention_mask(pad_to, win, shift, extents)
+        h = window_msa(window_partition(h, win), attn.heads, bias=attn.bias(win), mask=mask)
+        h = inverse_cyclic_shift(window_reverse(h, win, pad_to), shift)
+        if pad_to != dims:
             h = h[tuple(slice(0, d) for d in dims) + (slice(None),)]
-        x = engine.add(x, h)
+        x = engine.add(x, attn.proj(h))
         x = engine.add(x, self.mlp(self.norm2(x)))
         return x
 

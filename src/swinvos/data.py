@@ -261,12 +261,33 @@ def sample_training_triplet(n_frames, max_interval, rng):
     if n_frames < 3:
         raise UsageError(f"triplet sampling needs >= 3 frames, got {n_frames}")
     cap = max(1, int(max_interval))
-    triples = [(a, b, c)
-               for a in range(n_frames - 2)
-               for b in range(a + 1, min(a + cap, n_frames - 1) + 1)
-               for c in range(b + 1, min(b + cap, n_frames - 1) + 1)
-               if b - a <= cap and c - b <= cap]
-    return triples[int(rng.integers(0, len(triples)))]
+    last = n_frames - 1
+
+    def thirds(b):
+        """Valid c for a given b."""
+        return min(cap, last - b)
+
+    def pairs(a):
+        """Valid (b, c) for a given a: cap choices of c while b <= last - cap,
+        then last - b."""
+        hi = min(a + cap, last)
+        full = max(0, min(hi, last - cap) - a)
+        lo = max(a + 1, last - cap + 1)
+        tail = (2 * last - lo - hi) * (hi - lo + 1) // 2 if hi >= lo else 0
+        return full * cap + tail
+
+    # unrank one draw over the triples in lexicographic order
+    counts = [pairs(a) for a in range(n_frames - 2)]
+    index = int(rng.integers(0, sum(counts)))
+    a = 0
+    while index >= counts[a]:
+        index -= counts[a]
+        a += 1
+    b = a + 1
+    while index >= thirds(b):
+        index -= thirds(b)
+        b += 1
+    return a, b, b + 1 + index
 
 
 # ---------------------------------------------------------------------------

@@ -172,8 +172,12 @@ class Tape:
         return node
 
 
-def _record_op(out_data, inputs, backward_fn):
-    """Wrap ``out_data`` and record the op if any input is watched."""
+def record_op(out_data, inputs, backward_fn):
+    """Wrap ``out_data`` and record the op if any input is watched.
+
+    ``backward_fn`` maps the output gradient to one gradient (or None) per
+    input. Fused ops outside this module record themselves through it.
+    """
     out = Tensor(_checked(out_data))
     tape = _active_tape()
     if tape is not None and any(t.watched for t in inputs):
@@ -261,7 +265,7 @@ def add(a, b):
         return (_unbroadcast(g, a.shape) if a.watched else None,
                 _unbroadcast(g, b.shape) if b.watched else None)
 
-    return _record_op(out, (a, b), bwd)
+    return record_op(out, (a, b), bwd)
 
 
 def sub(a, b):
@@ -272,7 +276,7 @@ def sub(a, b):
         return (_unbroadcast(g, a.shape) if a.watched else None,
                 _unbroadcast(-g, b.shape) if b.watched else None)
 
-    return _record_op(out, (a, b), bwd)
+    return record_op(out, (a, b), bwd)
 
 
 def mul(a, b):
@@ -283,7 +287,7 @@ def mul(a, b):
         return (_unbroadcast(g * b.data, a.shape) if a.watched else None,
                 _unbroadcast(g * a.data, b.shape) if b.watched else None)
 
-    return _record_op(out, (a, b), bwd)
+    return record_op(out, (a, b), bwd)
 
 
 def div(a, b):
@@ -295,12 +299,12 @@ def div(a, b):
         gb = _unbroadcast(-g * a.data / (b.data * b.data), b.shape) if b.watched else None
         return ga, gb
 
-    return _record_op(out, (a, b), bwd)
+    return record_op(out, (a, b), bwd)
 
 
 def neg(a):
     a = as_tensor(a)
-    return _record_op(-a.data, (a,), lambda g: (-g,))
+    return record_op(-a.data, (a,), lambda g: (-g,))
 
 
 def maximum(a, b):
@@ -314,44 +318,53 @@ def maximum(a, b):
         gb = _unbroadcast(g * ~first, b.shape) if b.watched else None
         return ga, gb
 
-    return _record_op(out, (a, b), bwd)
+    return record_op(out, (a, b), bwd)
 
 
 def exp(a):
     a = as_tensor(a)
     out = np.exp(a.data)
-    return _record_op(out, (a,), lambda g: (g * out,))
+    return record_op(out, (a,), lambda g: (g * out,))
 
 
 def log(a):
     a = as_tensor(a)
-    return _record_op(np.log(a.data), (a,), lambda g: (g / a.data,))
+    return record_op(np.log(a.data), (a,), lambda g: (g / a.data,))
 
 
 def clamp(a, lo, hi):
     a = as_tensor(a)
     out = np.clip(a.data, lo, hi)
     inside = (a.data >= lo) & (a.data <= hi)
-    return _record_op(out, (a,), lambda g: (g * inside,))
+    return record_op(out, (a,), lambda g: (g * inside,))
 
 
 _GELU_C = math.sqrt(2.0 / math.pi)
 
 
 def gelu(a):
-    """Tanh-approximation GELU, applied elementwise."""
+    """Tanh-approximation GELU, applied elementwise.
+
+    The forward reuses one temporary for the tanh argument and one for the
+    output; the operations and their order are those of the formula.
+    """
     a = as_tensor(a)
     x = a.data
-    inner = _GELU_C * (x + 0.044715 * (x * x * x))
-    t = np.tanh(inner)
-    out = 0.5 * x * (1.0 + t)
+    t = np.multiply(x, x, out=np.empty_like(x))  # 0-d arrays stay arrays
+    t *= x
+    t *= 0.044715
+    t += x
+    t *= _GELU_C
+    np.tanh(t, out=t)
+    out = np.multiply(x, 0.5)
+    out *= 1.0 + t
 
     def bwd(g):
         d_inner = _GELU_C * (1.0 + 3 * 0.044715 * x ** 2)
         d = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * d_inner
         return (g * d,)
 
-    return _record_op(out, (a,), bwd)
+    return record_op(out, (a,), bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -360,7 +373,7 @@ def gelu(a):
 def reshape(a, shape):
     a = as_tensor(a)
     out = a.data.reshape(shape)
-    return _record_op(out, (a,), lambda g: (g.reshape(a.shape),))
+    return record_op(out, (a,), lambda g: (g.reshape(a.shape),))
 
 
 def transpose(a, axes):
@@ -368,7 +381,7 @@ def transpose(a, axes):
     axes = tuple(axes)
     inverse = tuple(np.argsort(axes))
     out = np.transpose(a.data, axes)
-    return _record_op(out, (a,), lambda g: (np.transpose(g, inverse),))
+    return record_op(out, (a,), lambda g: (np.transpose(g, inverse),))
 
 
 def concat(tensors, axis):
@@ -388,7 +401,7 @@ def concat(tensors, axis):
                 pieces.append(None)
         return pieces
 
-    return _record_op(out, tuple(tensors), bwd)
+    return record_op(out, tuple(tensors), bwd)
 
 
 def getitem(a, key):
@@ -401,7 +414,7 @@ def getitem(a, key):
         full[key] = g
         return (full,)
 
-    return _record_op(np.ascontiguousarray(out), (a,), bwd)
+    return record_op(np.ascontiguousarray(out), (a,), bwd)
 
 
 def pad(a, widths):
@@ -409,7 +422,7 @@ def pad(a, widths):
     a = as_tensor(a)
     out = np.pad(a.data, widths)
     slices = tuple(slice(b, b + n) for (b, _), n in zip(widths, a.shape))
-    return _record_op(out, (a,), lambda g: (np.ascontiguousarray(g[slices]),))
+    return record_op(out, (a,), lambda g: (np.ascontiguousarray(g[slices]),))
 
 
 def roll(a, shifts, axes):
@@ -419,7 +432,7 @@ def roll(a, shifts, axes):
     axes = tuple(axes)
     out = np.roll(a.data, shifts, axis=axes)
     inv = tuple(-s for s in shifts)
-    return _record_op(out, (a,), lambda g: (np.roll(g, inv, axis=axes),))
+    return record_op(out, (a,), lambda g: (np.roll(g, inv, axis=axes),))
 
 
 def take(a, indices, axis):
@@ -441,7 +454,7 @@ def take(a, indices, axis):
         np.add.at(full, key, g)
         return (full,)
 
-    return _record_op(out, (a,), bwd)
+    return record_op(out, (a,), bwd)
 
 
 def take_along(a, indices, axis):
@@ -457,7 +470,7 @@ def take_along(a, indices, axis):
         np.add.at(full, tuple(grids), g)
         return (full,)
 
-    return _record_op(out, (a,), bwd)
+    return record_op(out, (a,), bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -474,7 +487,7 @@ def tsum(a, axis=None, keepdims=False):
             g = np.expand_dims(g, axis)
         return (np.broadcast_to(g, a.shape).astype(g.dtype, copy=True),)
 
-    return _record_op(out, (a,), bwd)
+    return record_op(out, (a,), bwd)
 
 
 def tmean(a, axis=None, keepdims=False):
@@ -491,7 +504,7 @@ def tmean(a, axis=None, keepdims=False):
 # ---------------------------------------------------------------------------
 # linear algebra
 
-def matmul(a, b):
+def matmul(a, b, bias=None):
     """Batched matrix product; leading extents must match or broadcast from 1.
 
     A 2-D right operand with a left operand of rank 3 or more (a ``Linear``
@@ -499,46 +512,54 @@ def matmul(a, b):
     of one ``[rows, K] @ [K, N]`` GEMM, whose result is reshaped back. numpy
     would otherwise run one small GEMM per leading index. The backward folds
     the same way, so the weight gradient is one GEMM as well.
+
+    ``bias`` (a tensor over the last output axis, optional) is added in
+    place into the product, so an affine map is one op and one tape node.
     """
     a, b = _binary_operands(a, b)
+    if bias is not None:
+        bias = as_tensor(bias)
+        if bias.dtype != a.dtype:
+            raise DimensionError(f"dtype mismatch: {a.dtype} vs bias {bias.dtype}")
     if a.ndim < 2 or b.ndim < 2:
         raise DimensionError(f"matmul needs rank >= 2, got {a.shape} @ {b.shape}")
     if a.shape[-1] != b.shape[-2]:
         raise DimensionError(f"matmul inner extents differ: {a.shape} @ {b.shape}")
-    if b.ndim == 2 and a.ndim > 2:
-        return _matmul_folded(a, b)
-    try:
-        out = np.matmul(a.data, b.data)
-    except ValueError as err:
-        raise DimensionError(f"matmul batch extents differ: {a.shape} @ {b.shape}") from err
+    folded = b.ndim == 2 and a.ndim > 2
+    if folded:
+        k, n = b.shape
+        rows = math.prod(a.shape[:-1])
+        out = np.matmul(a.data.reshape(rows, k), b.data).reshape(a.shape[:-1] + (n,))
+    else:
+        try:
+            out = np.matmul(a.data, b.data)
+        except ValueError as err:
+            raise DimensionError(
+                f"matmul batch extents differ: {a.shape} @ {b.shape}") from err
+    if bias is not None:
+        out += bias.data
 
     def bwd(g):
-        ga = gb = None
-        if a.watched:
-            ga = _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.shape)
-        if b.watched:
-            gb = _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.shape)
-        return ga, gb
+        ga = gb = gbias = None
+        if folded:
+            g2 = g.reshape(rows, n)
+            if a.watched:
+                ga = np.matmul(g2, b.data.T).reshape(a.shape)
+            if b.watched:
+                gb = np.matmul(a.data.reshape(rows, k).T, g2)
+        else:
+            if a.watched:
+                ga = _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.shape)
+            if b.watched:
+                gb = _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.shape)
+        if bias is None:
+            return ga, gb
+        if bias.watched:
+            gbias = _unbroadcast(g, bias.shape)
+        return ga, gb, gbias
 
-    return _record_op(out, (a, b), bwd)
-
-
-def _matmul_folded(a, b):
-    """``[*lead, K] @ [K, N]`` as one ``[rows, K] @ [K, N]`` GEMM."""
-    k, n = b.shape
-    rows = math.prod(a.shape[:-1])
-    out = np.matmul(a.data.reshape(rows, k), b.data).reshape(a.shape[:-1] + (n,))
-
-    def bwd(g):
-        ga = gb = None
-        g2 = g.reshape(rows, n)
-        if a.watched:
-            ga = np.matmul(g2, b.data.T).reshape(a.shape)
-        if b.watched:
-            gb = np.matmul(a.data.reshape(rows, k).T, g2)
-        return ga, gb
-
-    return _record_op(out, (a, b), bwd)
+    inputs = (a, b) if bias is None else (a, b, bias)
+    return record_op(out, inputs, bwd)
 
 
 def softmax(a, axis):
@@ -554,7 +575,7 @@ def softmax(a, axis):
         dot = (g * out).sum(axis=axis, keepdims=True)
         return ((g - dot) * out,)
 
-    return _record_op(out, (a,), bwd)
+    return record_op(out, (a,), bwd)
 
 
 def layer_norm(x, gamma, beta, eps=1e-5):
@@ -587,13 +608,23 @@ def layer_norm(x, gamma, beta, eps=1e-5):
                         - xhat * (gy * xhat).mean(axis=-1, keepdims=True))
         return gx, ggamma, gbeta
 
-    return _record_op(out, (x, gamma, beta), bwd)
+    return record_op(out, (x, gamma, beta), bwd)
+
+
+def _im2col(xp, h, w):
+    """[C, H+2, W+2] padded input -> [C*9, H*W] columns, rows in (c, dy, dx) order."""
+    taps = np.lib.stride_tricks.sliding_window_view(xp, (h, w), axis=(1, 2))
+    return taps.reshape(xp.shape[0] * 9, h * w)
 
 
 def conv2d(x, w, b=None):
     """3x3 cross-correlation, stride 1, zero padding 1 (the decoder shape).
 
     x: [C_in, H, W]; w: [C_out, C_in, 3, 3]; b: [C_out] or None.
+    One im2col GEMM, ``[C_out, 9*C_in] @ [9*C_in, H*W]``, with the bias
+    added in place. The backward rebuilds the columns from the input rather
+    than keeping them: ``gw = g @ col^T``, and ``gx`` adds the nine tap
+    slices of ``w^T @ g`` back into the padded grid (col2im).
     """
     x = as_tensor(x)
     w = w.tensor() if isinstance(w, Parameter) else as_tensor(w)
@@ -605,12 +636,9 @@ def conv2d(x, w, b=None):
     cout = w.shape[0]
     if w.shape[1] != cin:
         raise DimensionError(f"conv2d channel mismatch: input {cin} vs kernel {w.shape[1]}")
-    xp = np.pad(x.data, ((0, 0), (1, 1), (1, 1)))
-    out = np.zeros((cout, h * wd), dtype=x.dtype)
-    for dy in range(3):
-        for dx in range(3):
-            patch = xp[:, dy:dy + h, dx:dx + wd].reshape(cin, h * wd)
-            out += w.data[:, :, dy, dx] @ patch
+    widths = ((0, 0), (1, 1), (1, 1))
+    w2 = w.data.reshape(cout, cin * 9)
+    out = w2 @ _im2col(np.pad(x.data, widths), h, wd)
     if b is not None:
         out += b.data[:, None]
     out = out.reshape(cout, h, wd)
@@ -621,24 +649,20 @@ def conv2d(x, w, b=None):
         if b is not None and b.watched:
             gb = g2.sum(axis=1)
         if w.watched:
-            gw = np.zeros_like(w.data)
+            gw = (g2 @ _im2col(np.pad(x.data, widths), h, wd).T).reshape(w.shape)
         if x.watched:
-            gxp = np.zeros_like(xp)
-        for dy in range(3):
-            for dx in range(3):
-                patch = xp[:, dy:dy + h, dx:dx + wd].reshape(cin, h * wd)
-                if w.watched:
-                    gw[:, :, dy, dx] = g2 @ patch.T
-                if x.watched:
-                    gxp[:, dy:dy + h, dx:dx + wd] += (w.data[:, :, dy, dx].T @ g2).reshape(cin, h, wd)
-        if x.watched:
+            gcol = (w2.T @ g2).reshape(cin, 3, 3, h, wd)
+            gxp = np.zeros((cin, h + 2, wd + 2), dtype=g.dtype)
+            for dy in range(3):
+                for dx in range(3):
+                    gxp[:, dy:dy + h, dx:dx + wd] += gcol[:, dy, dx]
             gx = np.ascontiguousarray(gxp[:, 1:-1, 1:-1])
         if b is None:
             return gx, gw
         return gx, gw, gb
 
     inputs = (x, w) if b is None else (x, w, b)
-    return _record_op(out, inputs, bwd)
+    return record_op(out, inputs, bwd)
 
 
 def _interp_matrix(n_src, n_dst, dtype):
@@ -742,17 +766,18 @@ def _collect(name, val):
 
 
 class Linear(Module):
-    """Affine map on the last axis: y = x W + b."""
+    """Affine map on the last axis: y = x W + b.
+
+    One ``matmul`` op: the bias is added in place into the GEMM output.
+    """
 
     def __init__(self, in_dim, out_dim, rng, bias=True, dtype=DEFAULT_DTYPE):
         self.weight = Parameter(trunc_normal(rng, (in_dim, out_dim), dtype=dtype))
         self.bias = Parameter(np.zeros(out_dim, dtype=dtype)) if bias else None
 
     def __call__(self, x):
-        y = matmul(x, self.weight.tensor())
-        if self.bias is not None:
-            y = add(y, self.bias.tensor())
-        return y
+        return matmul(x, self.weight.tensor(),
+                      None if self.bias is None else self.bias.tensor())
 
 
 class LayerNorm(Module):

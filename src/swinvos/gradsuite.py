@@ -9,6 +9,7 @@ central differences (h = 1e-5), and reports the worst relative error
 import numpy as np
 
 from . import engine
+from .attention import SwinBlock, window_msa
 from .decoder import RefinementStage, soft_aggregate
 from .engine import Tensor
 from .memread import ReadGeometry, dense_read, map_indices, topk_read
@@ -36,10 +37,11 @@ def _check_matmul(rng):
 
 
 def _check_matmul_batched(rng):
-    # rank-3 left operand with a 2-D right one: the folded single-GEMM path
+    # rank-3 left operand with a 2-D right one and a bias: a Linear on a grid
     return engine.gradcheck(
         _scalarized(engine.matmul, _probe((2, 3, 5), 11)),
-        [rng.standard_normal((2, 3, 4)), rng.standard_normal((4, 5))])
+        [rng.standard_normal((2, 3, 4)), rng.standard_normal((4, 5)),
+         rng.standard_normal(5)])
 
 
 def _check_softmax(rng):
@@ -61,9 +63,10 @@ def _check_gelu(rng):
 
 
 def _check_conv2d(rng):
+    # non-square extents, so an h/w mix-up in the column layout shows
     return engine.gradcheck(
-        _scalarized(engine.conv2d, _probe((3, 4, 4), 4)),
-        [rng.standard_normal((2, 4, 4)), rng.standard_normal((3, 2, 3, 3)),
+        _scalarized(engine.conv2d, _probe((3, 3, 5), 4)),
+        [rng.standard_normal((2, 3, 5)), rng.standard_normal((3, 2, 3, 3)),
          rng.standard_normal(3)])
 
 
@@ -74,31 +77,49 @@ def _check_bilinear_upsample(rng):
 
 
 def _check_window_msa(rng):
-    from .attention import window_msa
+    heads, length, dim = 2, 4, 4
+    mask = np.zeros((2, 1, length, length))
+    mask[0, 0, :, 3] = -1e9  # key 3 of window 0 is blocked for every query
+    mask[1, 0, 0, 1] = -1e9
 
-    dim, heads, length = 4, 2, 4
-    probe = _probe((2, length, dim), 6)
-    mask = np.zeros((2, length, length))
-    mask[0, 0, 3] = -1e9
+    def fn(qkv, bias):
+        return engine.tsum(engine.mul(window_msa(qkv, heads, bias=bias, mask=mask),
+                                      Tensor(_probe((2, length, dim), 6))))
 
-    def fn(tokens, wq, bq, wp, bp, bias):
-        class _Lin:
-            def __init__(self, w, b):
-                self.w, self.b = w, b
+    return engine.gradcheck(fn, [rng.standard_normal((2, length, 3 * dim)),
+                                 rng.standard_normal((heads, length, length)) * 0.1])
 
-            def __call__(self, x):
-                return engine.add(engine.matmul(x, self.w), self.b)
 
-        out = window_msa(tokens, _Lin(wq, bq), _Lin(wp, bp), heads,
-                         bias=bias, mask=mask)
+class _Bound:
+    """Stands in for a Parameter, handing the block a gradcheck input."""
+
+    def __init__(self, tensor):
+        self._tensor = tensor
+
+    def tensor(self):
+        return self._tensor
+
+
+def _check_swin_block(rng):
+    # shifted 2-D block on a 5x6 grid that pads to 6x6 for 3x3 windows, with
+    # valid extents (2, 4), so some windows hold padding and invalid tokens
+    # only; their all-masked logits sit near -1e9, where central differences
+    # resolve about 1e-4 (2e-4 at the default seed)
+    block = SwinBlock(4, 2, (3, 3), shifted=True, rng=np.random.default_rng(13),
+                      dtype=np.float64)
+    bound = [(block.attn.qkv, "weight"), (block.attn.qkv, "bias"),
+             (block.attn.bias, "table")]
+    probe = _probe((5, 6, 4), 14)
+
+    def fn(x, *params):
+        for (owner, attr), value in zip(bound, params):
+            setattr(owner, attr, _Bound(value))
+        out = block(x, valid=(2, 4))
         return engine.tsum(engine.mul(out, Tensor(probe)))
 
-    return engine.gradcheck(fn, [
-        rng.standard_normal((2, length, dim)),
-        rng.standard_normal((dim, 3 * dim)), rng.standard_normal(3 * dim),
-        rng.standard_normal((dim, dim)), rng.standard_normal(dim),
-        rng.standard_normal((heads, length, length)) * 0.1,
-    ])
+    return engine.gradcheck(fn, [rng.standard_normal((5, 6, 4))]
+                            + [rng.standard_normal(getattr(owner, attr).shape) * 0.5
+                               for owner, attr in bound], tol=COMPOSED_TOL)
 
 
 _GEOM = ReadGeometry(t=2, h4=2, w4=2)
@@ -171,6 +192,7 @@ SUITE = [
     ("conv2d", _check_conv2d, PRIMITIVE_TOL),
     ("bilinear_upsample", _check_bilinear_upsample, PRIMITIVE_TOL),
     ("window_msa", _check_window_msa, COMPOSED_TOL),
+    ("swin_block", _check_swin_block, COMPOSED_TOL),
     ("dense_read", _check_dense_read, PRIMITIVE_TOL),
     ("topk_read", _check_topk_read, PRIMITIVE_TOL),
     ("soft_aggregate", _check_soft_aggregate, PRIMITIVE_TOL),

@@ -10,6 +10,14 @@ import math
 
 import numpy as np
 
+from swinvos import engine
+from swinvos.attention import (
+    cyclic_shift,
+    effective_window,
+    inverse_cyclic_shift,
+    window_partition,
+    window_reverse,
+)
 from swinvos.decoder import predict_labels, soft_aggregate
 from swinvos.engine import Tensor
 from swinvos.memread import ReadGeometry, read_all
@@ -138,3 +146,107 @@ def joint_reencode_segment(model, frames, first_mask):
         probs[t] = dist.data[1:]
         object_probs.append(dist.data[1:])
     return labels, object_probs
+
+
+def listed_training_triplet(n_frames, max_interval, rng):
+    """Reference triplet draw: list every valid (a, b, c) in lexicographic
+    order, then index it with one ``rng.integers(0, count)`` draw."""
+    cap = max(1, int(max_interval))
+    triples = [(a, b, c)
+               for a in range(n_frames - 2)
+               for b in range(a + 1, min(a + cap, n_frames - 1) + 1)
+               for c in range(b + 1, min(b + cap, n_frames - 1) + 1)
+               if b - a <= cap and c - b <= cap]
+    return triples[int(rng.integers(0, len(triples)))]
+
+
+def conv2d_taps(x, w, b=None):
+    """Reference 3x3 conv as nine tap GEMMs, each on its own patch copy,
+    accumulated in (dy, dx) order; forward only."""
+    x = engine.as_tensor(x)
+    w = w.tensor() if isinstance(w, engine.Parameter) else engine.as_tensor(w)
+    cin, h, wd = x.shape
+    cout = w.shape[0]
+    xp = np.pad(x.data, ((0, 0), (1, 1), (1, 1)))
+    out = np.zeros((cout, h * wd), dtype=x.dtype)
+    for dy in range(3):
+        for dx in range(3):
+            patch = xp[:, dy:dy + h, dx:dx + wd].reshape(cin, h * wd)
+            out += w.data[:, :, dy, dx] @ patch
+    if b is not None:
+        b = b.tensor() if isinstance(b, engine.Parameter) else engine.as_tensor(b)
+        out += b.data[:, None]
+    return Tensor(out.reshape(cout, h, wd))
+
+
+def unfused_window_msa(qkv, heads, bias=None, mask=None):
+    """Window attention as separate taped ops on copied q/k/v slices."""
+    n_windows, length, width = qkv.shape
+    c = width // 3
+    head_dim = c // heads
+    three = engine.reshape(qkv, (n_windows, length, 3, heads, head_dim))
+    three = engine.transpose(three, (2, 0, 3, 1, 4))  # [3, nW, heads, L, hd]
+    q, k, v = three[0], three[1], three[2]
+    logits = engine.matmul(q, engine.transpose(k, (0, 1, 3, 2)))
+    logits = engine.mul(logits, 1.0 / math.sqrt(head_dim))
+    if bias is not None:
+        logits = engine.add(logits, bias)
+    if mask is not None:
+        logits = engine.add(logits, Tensor(mask, dtype=qkv.dtype))
+    weights = engine.softmax(logits, axis=-1)
+    out = engine.transpose(engine.matmul(weights, v), (0, 2, 1, 3))
+    return engine.reshape(out, (n_windows, length, c))
+
+
+def padded_swin_block(block, x, valid=None):
+    """Reference SwinBlock: zero-pad the normed grid to window multiples,
+    then run qkv, attention and proj on every padded token, and crop.
+
+    The mask is rebuilt from scratch (float64, from a boolean valid grid)
+    rather than taken from the cached one.
+    """
+    dims = x.shape[:-1]
+    win, shift = effective_window(dims, block.window)
+    if not block.shifted:
+        shift = tuple(0 for _ in shift)
+    pad_to = tuple(-(-d // w) * w for d, w in zip(dims, win))
+    valid_grid = np.zeros(pad_to, dtype=bool)
+    valid_grid[tuple(slice(0, int(e)) for e in (valid or dims))] = True
+    h = block.norm1(x)
+    if pad_to != tuple(dims):
+        h = engine.pad(h, tuple((0, p - d) for p, d in zip(pad_to, dims)) + ((0, 0),))
+    h = cyclic_shift(h, shift)
+    mask = _mask_from_grid(pad_to, win, shift, valid_grid)
+    windows = block.attn.qkv(window_partition(h, win))
+    windows = unfused_window_msa(windows, block.attn.heads, bias=block.attn.bias(win),
+                                 mask=mask)
+    windows = block.attn.proj(windows)
+    h = inverse_cyclic_shift(window_reverse(windows, win, pad_to), shift)
+    h = h[tuple(slice(0, d) for d in dims) + (slice(None),)]
+    x = engine.add(x, h)
+    return engine.add(x, block.mlp(block.norm2(x)))
+
+
+def _mask_from_grid(dims, window, shift, valid):
+    """[nW, 1, L, L] additive mask walked pair by pair over window slots.
+
+    On a shifted axis the post-shift grid holds three regions, as in Swin:
+    [0, d - w), [d - w, d - s) and the wrapped-around [d - s, d). Tokens of
+    different regions, or a key outside ``valid``, are a forbidden pair.
+    """
+    def region(pos):
+        return tuple(0 if s == 0 or p < d - w else (1 if p < d - s else 2)
+                     for p, d, w, s in zip(pos, dims, window, shift))
+
+    key_ok = np.roll(valid, tuple(-s for s in shift), axis=tuple(range(len(dims))))
+    blocks = [d // w for d, w in zip(dims, window)]
+    length = math.prod(window)
+    mask = np.zeros((math.prod(blocks), 1, length, length))
+    for wi, block in enumerate(np.ndindex(*blocks)):
+        slots = [tuple(b * w + o for b, w, o in zip(block, window, offs))
+                 for offs in np.ndindex(*window)]
+        for i, pi in enumerate(slots):
+            for j, pj in enumerate(slots):
+                if region(pi) != region(pj) or not key_ok[pj]:
+                    mask[wi, 0, i, j] = -1e9
+    return mask if (mask != 0).any() else None

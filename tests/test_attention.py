@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import padded_swin_block, unfused_window_msa
 
 from swinvos import attention, engine
 from swinvos.attention import (
@@ -20,7 +21,7 @@ from swinvos.attention import (
     window_partition,
     window_reverse,
 )
-from swinvos.engine import Tensor
+from swinvos.engine import Tape, Tensor
 from swinvos.errors import ConfigError, DimensionError
 
 
@@ -111,7 +112,7 @@ class TestAttentionMask:
 
     def test_shifted_2d_blocks_cross_origin(self):
         mask = attention_mask((4, 4), (2, 2), (1, 1))
-        assert mask.shape == (4, 4, 4)
+        assert mask.shape == (4, 1, 4, 4) and mask.dtype == np.float32
         vals = np.unique(mask)
         assert set(vals.tolist()) <= {MASK_VALUE, 0.0}
         assert (mask == MASK_VALUE).any()
@@ -128,7 +129,7 @@ class TestAttentionMask:
         origin_id = origin[..., 0] * 100 + origin[..., 1] * 10 + origin[..., 2]
         win_ids = attention._partition_flat(origin_id, window)
         expect = np.where(win_ids[:, :, None] != win_ids[:, None, :], MASK_VALUE, 0.0)
-        np.testing.assert_array_equal(mask, expect)
+        np.testing.assert_array_equal(mask[:, 0], expect)
 
     def test_2d_mask_matches_bruteforce_origins(self):
         dims, window, shift = (8, 6), (4, 2), (2, 1)
@@ -139,7 +140,22 @@ class TestAttentionMask:
         origin_id = origin[..., 0] * 10 + origin[..., 1]
         win_ids = attention._partition_flat(origin_id, window)
         expect = np.where(win_ids[:, :, None] != win_ids[:, None, :], MASK_VALUE, 0.0)
-        np.testing.assert_array_equal(mask, expect)
+        np.testing.assert_array_equal(mask[:, 0], expect)
+
+    def test_cached_read_only_per_geometry(self):
+        mask = attention_mask((6, 6), (3, 3), (1, 1), (4, 5))
+        assert attention_mask((6, 6), (3, 3), (1, 1), (4, 5)) is mask
+        assert not mask.flags.writeable
+        with pytest.raises(ValueError):
+            mask[0, 0, 0, 0] = 0.0
+        # the valid extents are part of the key
+        assert not np.array_equal(attention_mask((6, 6), (3, 3), (1, 1), (4, 4)), mask)
+
+    def test_keys_outside_valid_extents_blocked(self):
+        mask = attention_mask((4, 4), (4, 4), (0, 0), (3, 4))
+        keys_blocked = (mask[0, 0] == MASK_VALUE).all(axis=0)
+        np.testing.assert_array_equal(keys_blocked, np.arange(16) >= 12)
+        assert attention_mask((4, 4), (4, 4), (0, 0), (4, 4)) is None
 
     def test_masked_pair_weight_tiny(self, rng):
         qkv = engine.Linear(4, 12, rng)
@@ -162,27 +178,15 @@ class TestAttentionMask:
 class TestWindowMsa:
     def test_single_token_is_projected_value(self, rng):
         dim, heads = 6, 2
-        qkv = engine.Linear(dim, 3 * dim, rng)
-        proj = engine.Linear(dim, dim, rng)
-        tokens = Tensor(rng.standard_normal((3, 1, dim)).astype(np.float32))
+        qkv = rng.standard_normal((3, 1, 3 * dim)).astype(np.float32)
         bias = Tensor(rng.standard_normal((heads, 1, 1)).astype(np.float32))
-        out = window_msa(tokens, qkv, proj, heads, bias=bias)
-        v = qkv(tokens).data[:, :, 2 * dim:]
-        expect = v @ proj.weight.value + proj.bias.value
-        np.testing.assert_allclose(out.data, expect, atol=1e-5)
+        out = window_msa(Tensor(qkv), heads, bias=bias)
+        np.testing.assert_allclose(out.data, qkv[:, :, 2 * dim:], atol=1e-6)
 
     def test_hand_two_token_attention(self):
-        # identity projections, zero bias, one window of two 2-dim tokens
-        dim, heads = 2, 1
-        rng = np.random.default_rng(0)
-        qkv = engine.Linear(dim, 3 * dim, rng)
-        qkv.weight.value[:] = np.concatenate([np.eye(2)] * 3, axis=1).astype(np.float32)
-        qkv.bias.value[:] = 0
-        proj = engine.Linear(dim, dim, rng)
-        proj.weight.value[:] = np.eye(2, dtype=np.float32)
-        proj.bias.value[:] = 0
+        # q = k = v = x, one window of two 2-dim tokens, one head
         x = np.array([[[1.0, 0.0], [0.0, 1.0]]], dtype=np.float32)
-        out = window_msa(Tensor(x), qkv, proj, heads)
+        out = window_msa(Tensor(np.concatenate([x, x, x], axis=-1)), 1)
         # logits row 0: [1,0]/sqrt(2) -> softmax; value rows are x
         s = np.array([1.0, 0.0]) / np.sqrt(2)
         w = np.exp(s - s.max())
@@ -190,10 +194,61 @@ class TestWindowMsa:
         expect0 = w[0] * x[0, 0] + w[1] * x[0, 1]
         np.testing.assert_allclose(out.data[0, 0], expect0, atol=1e-6)
 
-    def test_heads_must_divide(self, rng):
+    def test_heads_must_divide(self):
         with pytest.raises(ConfigError):
-            window_msa(Tensor(np.zeros((1, 2, 5))), engine.Linear(5, 15, rng),
-                       engine.Linear(5, 5, rng), heads=2)
+            window_msa(Tensor(np.zeros((1, 2, 15))), heads=2)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_fused_equals_unfused_composition(self, dtype):
+        rng = np.random.default_rng(3)
+        heads, length, dim = 3, 9, 12
+        mask = attention_mask((6, 6), (3, 3), (1, 1), (4, 5))
+        qkv = rng.standard_normal((4, length, 3 * dim)).astype(dtype)
+        bias = rng.standard_normal((heads, length, length)).astype(dtype)
+        probe = Tensor(rng.standard_normal((4, length, dim)).astype(dtype))
+        outs, grads = [], []
+        for op in (window_msa, unfused_window_msa):
+            params = [engine.Parameter(qkv.copy()), engine.Parameter(bias.copy())]
+            with Tape() as tape:
+                out = op(params[0].tensor(), heads, bias=params[1].tensor(), mask=mask)
+                loss = engine.tsum(engine.mul(out, probe))
+            engine.backward(loss, tape)
+            outs.append(out.data)
+            grads.append([p.grad for p in params])
+        np.testing.assert_array_equal(outs[0], outs[1])
+        for fused, unfused in zip(*grads):
+            np.testing.assert_allclose(fused, unfused, rtol=1e-5, atol=1e-5)
+
+    def test_one_tape_node(self, rng):
+        qkv = engine.Parameter(rng.standard_normal((2, 4, 12)).astype(np.float32))
+        with Tape() as tape:
+            window_msa(qkv.tensor(), 2)
+        assert len(tape.nodes) == 1
+
+
+def _random_biases(block, rng):
+    for name, p in block.named_parameters():
+        if name.endswith((".bias", ".beta")):
+            p.value[...] = rng.normal(0.0, 0.05, p.shape)
+
+
+# (grid, window, valid extents): a 2-D grid that pads 32 -> 35, a 3-D grid
+# whose window clamps on T, and a grid with invalid in-grid tokens that pads
+# 24 -> 28, where whole windows hold only padding and invalid tokens
+_ORACLE_CASES = [((32, 32), (7, 7), None), ((2, 8, 8), (8, 7, 7), None),
+                 ((24, 24), (7, 7), (20, 20))]
+
+
+class TestSwinBlockOracle:
+    @pytest.mark.parametrize("dims, window, valid", _ORACLE_CASES)
+    @pytest.mark.parametrize("shifted", [False, True])
+    def test_equals_pad_then_project_block(self, dims, window, valid, shifted):
+        rng = np.random.default_rng(17)
+        block = SwinBlock(12, 3, window, shifted=shifted, rng=rng)
+        _random_biases(block, rng)
+        x = Tensor(rng.standard_normal(dims + (12,)).astype(np.float32))
+        out = block(x, valid=valid)
+        np.testing.assert_array_equal(out.data, padded_swin_block(block, x, valid).data)
 
 
 class TestSwinBlock:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import listed_training_triplet
 
 from swinvos.data import (
     AffineParams,
@@ -148,6 +149,19 @@ class TestTripletSampling:
     def test_too_short_video(self):
         with pytest.raises(UsageError):
             sample_training_triplet(2, 1, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("n", [3, 4, 7, 12, 32])
+    @pytest.mark.parametrize("cap", [0, 1, 2, 5, 25, 40])
+    def test_draws_equal_the_listed_triples(self, n, cap):
+        # unranking draws the same triple as indexing the full list, from
+        # the same single rng.integers call
+        for seed in range(3):
+            rng_a = np.random.default_rng(seed)
+            rng_b = np.random.default_rng(seed)
+            for _ in range(20):
+                assert sample_training_triplet(n, cap, rng_a) == \
+                    listed_training_triplet(n, cap, rng_b)
+            assert rng_a.random() == rng_b.random()
 
 
 @st.composite

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import conv2d_taps
 
 from swinvos import engine
 from swinvos.engine import Parameter, Tape, Tensor
@@ -189,6 +190,23 @@ class TestGelu:
         assert abs(engine.gelu(Tensor(1.0)).item() - 0.8412) < 1e-3
 
 
+class TestLinear:
+    def test_bias_added_in_the_gemm_op(self, rng):
+        lin = engine.Linear(4, 3, rng)
+        lin.bias.value[:] = rng.standard_normal(3)
+        x = rng.standard_normal((2, 5, 4)).astype(np.float32)
+        with Tape() as tape:
+            out = lin(Tensor(x))
+        assert len(tape.nodes) == 1
+        expect = (x.reshape(10, 4) @ lin.weight.value).reshape(2, 5, 3) + lin.bias.value
+        np.testing.assert_array_equal(out.data, expect)
+
+    def test_bias_dtype_must_match(self):
+        a = Tensor(np.ones((2, 2), dtype=np.float32))
+        with pytest.raises(DimensionError):
+            engine.matmul(a, a, Tensor(np.ones(2)))
+
+
 class TestConv2d:
     def test_identity_kernel(self, rng):
         x = rng.standard_normal((2, 4, 5)).astype(np.float32)
@@ -211,6 +229,20 @@ class TestConv2d:
         b = rng.standard_normal(3)
         out = engine.conv2d(Tensor(x), Tensor(w), Tensor(b))
         np.testing.assert_allclose(out.data, conv2d_loops(x, w, b), atol=1e-6)
+
+    def test_non_square_matches_loop_oracle(self, rng):
+        x = rng.standard_normal((2, 3, 5))
+        w = rng.standard_normal((3, 2, 3, 3))
+        b = rng.standard_normal(3)
+        out = engine.conv2d(Tensor(x), Tensor(w), Tensor(b))
+        np.testing.assert_allclose(out.data, conv2d_loops(x, w, b), atol=1e-12)
+
+    def test_one_gemm_matches_tap_gemms(self, rng):
+        # only the summation order differs from nine per-tap GEMMs
+        x = rng.standard_normal((16, 6, 9)).astype(np.float32)
+        w = (rng.standard_normal((5, 16, 3, 3)) * 0.1).astype(np.float32)
+        out = engine.conv2d(Tensor(x), Tensor(w))
+        np.testing.assert_allclose(out.data, conv2d_taps(x, w).data, rtol=1e-5, atol=1e-5)
 
     def test_channel_mismatch(self):
         with pytest.raises(DimensionError):

@@ -1,3 +1,4 @@
+import json
 import os
 import struct
 import tempfile
@@ -126,6 +127,15 @@ class TestInitModel:
                    for (_, pa), (_, pb) in zip(a.named_parameters(),
                                                b.named_parameters())
                    if pa.value.size and pa.value.std() > 0)
+
+    @pytest.mark.parametrize("variant", ["nano", "T"])
+    def test_parameter_names_frozen(self, variant):
+        # checkpoints store parameters by dotted name and extents; the
+        # frozen list is what every earlier checkpoint was written with
+        with open(os.path.join(os.path.dirname(__file__), "parameter_names.json")) as fh:
+            frozen = json.load(fh)[variant]
+        model = init_model(ModelConfig(variant=variant), seed=0)
+        assert [[name, list(p.shape)] for name, p in model.named_parameters()] == frozen
 
     def test_nano_parameter_count_under_1e6(self, nano_model):
         assert parameter_count(nano_model) < 1_000_000
