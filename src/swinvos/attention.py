@@ -7,15 +7,18 @@ from different pre-shift windows via an additive -1e9 mask. Grids whose
 extents are not window multiples are padded on the right/bottom, and the
 padded tokens are masked out of attention as keys.
 
-A block projects only in-grid tokens: qkv runs on the unpadded grid, the
-padding is added to its output, and only then is the qkv bias added, so a
-padded position holds exactly the bias (a window whose keys are all
-masked averages its values over every position, padding included). The
-output projection runs after the padding is cropped away.
+Padding, roll and tiling are one cached index map per geometry
+(``window_layout``): the grid token at each window slot, and the slot of
+each grid token. A block runs qkv on the grid, enters the windows with one
+row gather (a padded slot holds exactly the qkv bias, so a window whose
+keys are all masked averages its values over every slot, padding
+included), attends, and leaves them with the inverse gather before the
+output projection, so both projections touch only in-grid tokens.
 """
 
 import functools
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,80 +27,6 @@ from .engine import Linear, Module, Parameter
 from .errors import ConfigError, DimensionError
 
 MASK_VALUE = -1e9  # finite so gradients stay finite
-
-
-def _prod(xs):
-    out = 1
-    for x in xs:
-        out *= int(x)
-    return out
-
-
-def window_partition(x, window):
-    """Tile [*dims, C] into non-overlapping windows: [nW, prod(window), C]."""
-    if any(w <= 0 for w in window):
-        raise ConfigError(f"window extents must be positive, got {window}")
-    dims = x.shape[:-1]
-    if len(dims) != len(window):
-        raise DimensionError(f"window rank {len(window)} does not match grid {x.shape}")
-    if any(d % w for d, w in zip(dims, window)):
-        raise DimensionError(f"grid {dims} not divisible by window {window}")
-    c = x.shape[-1]
-    split = []
-    for d, w in zip(dims, window):
-        split += [d // w, w]
-    y = engine.reshape(x, tuple(split) + (c,))
-    n = len(window)
-    perm = tuple(2 * i for i in range(n)) + tuple(2 * i + 1 for i in range(n)) + (2 * n,)
-    y = engine.transpose(y, perm)
-    n_windows = _prod(d // w for d, w in zip(dims, window))
-    return engine.reshape(y, (n_windows, _prod(window), c))
-
-
-def window_reverse(windows, window, dims):
-    """Invert window_partition back to [*dims, C]."""
-    c = windows.shape[-1]
-    blocks = tuple(d // w for d, w in zip(dims, window))
-    y = engine.reshape(windows, blocks + tuple(window) + (c,))
-    n = len(window)
-    perm = []
-    for i in range(n):
-        perm += [i, n + i]
-    perm.append(2 * n)
-    y = engine.transpose(y, tuple(perm))
-    return engine.reshape(y, tuple(dims) + (c,))
-
-
-def cyclic_shift(x, offsets):
-    """Toroidal roll by -offset along the first len(offsets) axes."""
-    if all(o == 0 for o in offsets):
-        return x
-    axes = tuple(range(len(offsets)))
-    return engine.roll(x, tuple(-o for o in offsets), axes)
-
-
-def inverse_cyclic_shift(x, offsets):
-    if all(o == 0 for o in offsets):
-        return x
-    axes = tuple(range(len(offsets)))
-    return engine.roll(x, tuple(offsets), axes)
-
-
-def effective_window(dims, window):
-    """Clamp window extents to the grid and zero the shift on clamped axes.
-
-    Returns (window, shift) actually used; matches the usual Swin handling
-    of grids smaller than the configured window.
-    """
-    win, shift = [], []
-    for d, w in zip(dims, window):
-        if d <= w:
-            win.append(int(d))
-            shift.append(0)
-        else:
-            win.append(int(w))
-            shift.append(w // 2)
-    return tuple(win), tuple(shift)
 
 
 @functools.lru_cache(maxsize=64)
@@ -123,7 +52,7 @@ class RelativePositionBias(Module):
     """Learned per-head bias over relative token displacements in a window."""
 
     def __init__(self, table_window, heads, rng, dtype=engine.DEFAULT_DTYPE):
-        rows = _prod(2 * w - 1 for w in table_window)
+        rows = math.prod(2 * w - 1 for w in table_window)
         self.table = Parameter(engine.trunc_normal(rng, (rows, heads), dtype=dtype))
         self.table_window = tuple(table_window)
         self.heads = heads
@@ -168,7 +97,44 @@ def _partition_flat(arr, window):
     y = arr.reshape(split)
     n = len(window)
     perm = tuple(2 * i for i in range(n)) + tuple(2 * i + 1 for i in range(n))
-    return y.transpose(perm).reshape(-1, _prod(window))
+    return y.transpose(perm).reshape(-1, math.prod(window))
+
+
+class WindowLayout(NamedTuple):
+    window: tuple  # effective window per axis
+    shift: tuple  # roll per axis (0 when unshifted or clamped)
+    padded: tuple  # grid extents padded to window multiples
+    slots: np.ndarray  # [nW * L] grid token (row-major) at each slot, -1 on padding
+    tokens: np.ndarray  # [prod(dims)] slot of each grid token
+
+
+@functools.lru_cache(maxsize=64)
+def window_layout(dims, window, shifted):
+    """Where each token of a [*dims] grid sits in the (shifted) windows.
+
+    Windows clamp to the grid, and a clamped axis does not shift (the usual
+    Swin handling of grids smaller than the window); ``shifted`` rolls the
+    other axes by half a window. The grid is padded on the right/bottom to
+    window multiples, rolled by -shift and tiled into windows, slots in
+    row-major order within each window. Cached per geometry; the index
+    arrays are read-only.
+    """
+    if len(dims) != len(window):
+        raise DimensionError(f"window rank {len(window)} does not match grid {dims}")
+    if any(w <= 0 for w in window):
+        raise ConfigError(f"window extents must be positive, got {window}")
+    win = tuple(int(min(d, w)) for d, w in zip(dims, window))
+    shift = tuple(w // 2 if shifted and d > w else 0 for d, w in zip(dims, window))
+    padded = tuple(-(-d // w) * w for d, w in zip(dims, win))
+    grid = np.arange(math.prod(dims)).reshape(dims)
+    grid = np.pad(grid, [(0, p - d) for p, d in zip(padded, dims)], constant_values=-1)
+    grid = np.roll(grid, tuple(-s for s in shift), axis=tuple(range(len(dims))))
+    slots = _partition_flat(grid, win).reshape(-1)
+    # slots ordered by token: the padding (-1) first, then tokens 0, 1, ...
+    tokens = np.argsort(slots)[slots.size - math.prod(dims):]
+    slots.flags.writeable = False
+    tokens.flags.writeable = False
+    return WindowLayout(win, shift, padded, slots, tokens)
 
 
 @functools.lru_cache(maxsize=16)
@@ -294,26 +260,17 @@ class SwinBlock(Module):
 
     def __call__(self, x, valid=None):
         dims = tuple(x.shape[:-1])
-        win, shift = effective_window(dims, self.window)
-        if not self.shifted:
-            shift = tuple(0 for _ in shift)
-        pad_to = tuple(-(-d // w) * w for d, w in zip(dims, win))
+        c = x.shape[-1]
+        layout = window_layout(dims, self.window, self.shifted)
+        length = math.prod(layout.window)
         extents = dims if valid is None else tuple(int(e) for e in valid)
+        mask = attention_mask(layout.padded, layout.window, layout.shift, extents)
         attn = self.attn
-
-        h = self.norm1(x)
-        if pad_to != dims:
-            widths = tuple((0, p - d) for p, d in zip(pad_to, dims)) + ((0, 0),)
-            h = engine.pad(engine.matmul(h, attn.qkv.weight.tensor()), widths)
-            h = engine.add(h, attn.qkv.bias.tensor())
-        else:
-            h = attn.qkv(h)
-        h = cyclic_shift(h, shift)
-        mask = attention_mask(pad_to, win, shift, extents)
-        h = window_msa(window_partition(h, win), attn.heads, bias=attn.bias(win), mask=mask)
-        h = inverse_cyclic_shift(window_reverse(h, win, pad_to), shift)
-        if pad_to != dims:
-            h = h[tuple(slice(0, d) for d in dims) + (slice(None),)]
+        h = engine.gather_rows(attn.qkv(self.norm1(x)), layout.slots, layout.tokens,
+                               (layout.slots.size // length, length, 3 * c),
+                               fill=attn.qkv.bias.tensor())
+        h = window_msa(h, attn.heads, bias=attn.bias(layout.window), mask=mask)
+        h = engine.gather_rows(h, layout.tokens, layout.slots, dims + (c,))
         x = engine.add(x, attn.proj(h))
         x = engine.add(x, self.mlp(self.norm2(x)))
         return x

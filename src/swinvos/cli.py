@@ -241,8 +241,13 @@ def cmd_bench_memread(args):
     from .memread import READ_MODES, ReadGeometry, bench
 
     _print_config(args, ("modes", "k", "height", "width", "t", "dim"))
-    if args.height % 32 or args.width % 32:
-        raise UsageError("bench extents must be multiples of 32")
+    if min(args.height, args.width) < 32 or args.height % 32 or args.width % 32:
+        raise UsageError("bench extents must be positive multiples of 32, "
+                         f"got {args.height}x{args.width}")
+    if args.t < 1:
+        raise UsageError(f"--t must be at least 1, got {args.t}")
+    if args.dim < 8 or args.dim % 8:
+        raise UsageError(f"--dim must be a positive multiple of 8, got {args.dim}")
     modes = [m.strip() for m in args.modes.split(",") if m.strip()]
     if not modes or not set(modes) <= set(READ_MODES):
         raise UsageError(f"--modes takes a comma list of {READ_MODES}, got {args.modes!r}")

@@ -94,6 +94,8 @@ def synth_moving_shapes(seed, n_frames, size, n_objects, object_extent=None,
     exact by construction. ``velocities`` overrides the sampled per-object
     (dy, dx) steps; (0, 0) produces a static object.
     """
+    if n_frames < 1:
+        raise UsageError(f"a sequence needs at least 1 frame, got {n_frames}")
     if n_objects < 1 or n_objects > 4:
         raise UsageError(f"supported object counts are 1..4, got {n_objects}")
     if size < 32:

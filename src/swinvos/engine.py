@@ -425,14 +425,35 @@ def pad(a, widths):
     return record_op(out, (a,), lambda g: (np.ascontiguousarray(g[slices]),))
 
 
-def roll(a, shifts, axes):
-    """Toroidal roll; exact inverse is roll with negated shifts."""
+def _gather_rows(src, rows, fill=0):
+    out = src[rows]
+    out[rows < 0] = fill
+    return out
+
+
+def gather_rows(a, rows, inverse, shape, fill=None):
+    """One-to-one row gather: output row i is row ``rows[i]`` of ``a``.
+
+    Rows are the [..., C] vectors of ``a`` in row-major order. A -1 in
+    ``rows`` takes ``fill`` (a [C] tensor; zero when None). ``inverse``
+    maps each row of ``a`` to its output row (-1 if it has none), so the
+    backward is the inverse gather, with no scatter-add; ``fill`` receives
+    the sum of the gradients of its rows. Returns the rows as ``shape``.
+    """
     a = as_tensor(a)
-    shifts = tuple(int(s) for s in shifts)
-    axes = tuple(axes)
-    out = np.roll(a.data, shifts, axis=axes)
-    inv = tuple(-s for s in shifts)
-    return record_op(out, (a,), lambda g: (np.roll(g, inv, axis=axes),))
+    c = a.shape[-1]
+    fill = None if fill is None else as_tensor(fill)
+    out = _gather_rows(a.data.reshape(-1, c), rows, 0 if fill is None else fill.data)
+
+    def bwd(g):
+        g2 = g.reshape(-1, c)
+        ga = _gather_rows(g2, inverse).reshape(a.shape)
+        if fill is None:
+            return (ga,)
+        return ga, g2[rows < 0].sum(axis=0)
+
+    inputs = (a,) if fill is None else (a, fill)
+    return record_op(out.reshape(shape), inputs, bwd)
 
 
 def take(a, indices, axis):
@@ -583,8 +604,8 @@ def layer_norm(x, gamma, beta, eps=1e-5):
     if eps <= 0:
         raise ConfigError(f"layer_norm eps must be positive, got {eps}")
     x = as_tensor(x)
-    gamma = gamma.tensor() if isinstance(gamma, Parameter) else as_tensor(gamma)
-    beta = beta.tensor() if isinstance(beta, Parameter) else as_tensor(beta)
+    gamma = as_tensor(gamma)
+    beta = as_tensor(beta)
     dim = x.shape[-1]
     if gamma.shape != (dim,) or beta.shape != (dim,):
         raise DimensionError(
@@ -627,9 +648,9 @@ def conv2d(x, w, b=None):
     slices of ``w^T @ g`` back into the padded grid (col2im).
     """
     x = as_tensor(x)
-    w = w.tensor() if isinstance(w, Parameter) else as_tensor(w)
+    w = as_tensor(w)
     if b is not None:
-        b = b.tensor() if isinstance(b, Parameter) else as_tensor(b)
+        b = as_tensor(b)
     if x.ndim != 3 or w.ndim != 4 or w.shape[2:] != (3, 3):
         raise DimensionError(f"conv2d expects [C,H,W] x and [Co,Ci,3,3] kernel, got {x.shape}, {w.shape}")
     cin, h, wd = x.shape
@@ -787,7 +808,7 @@ class LayerNorm(Module):
         self.eps = eps
 
     def __call__(self, x):
-        return layer_norm(x, self.gamma, self.beta, eps=self.eps)
+        return layer_norm(x, self.gamma.tensor(), self.beta.tensor(), eps=self.eps)
 
 
 class Conv3x3(Module):
@@ -796,7 +817,7 @@ class Conv3x3(Module):
         self.bias = Parameter(np.zeros(out_ch, dtype=dtype))
 
     def __call__(self, x):
-        return conv2d(x, self.weight, self.bias)
+        return conv2d(x, self.weight.tensor(), self.bias.tensor())
 
 
 # ---------------------------------------------------------------------------

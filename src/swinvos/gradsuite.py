@@ -76,6 +76,16 @@ def _check_bilinear_upsample(rng):
         [rng.standard_normal((2, 3, 3))])
 
 
+def _check_gather_rows(rng):
+    # a 2x3 grid into two windows of four slots, two of them fill
+    rows = np.array([4, -1, 0, 2, 1, 3, -1, 5])
+    inverse = np.array([2, 4, 3, 5, 0, 7])
+    return engine.gradcheck(
+        _scalarized(lambda x, fill: engine.gather_rows(x, rows, inverse, (2, 4, 3), fill),
+                    _probe((2, 4, 3), 15)),
+        [rng.standard_normal((2, 3, 3)), rng.standard_normal(3)])
+
+
 def _check_window_msa(rng):
     heads, length, dim = 2, 4, 4
     mask = np.zeros((2, 1, length, length))
@@ -191,6 +201,7 @@ SUITE = [
     ("gelu", _check_gelu, PRIMITIVE_TOL),
     ("conv2d", _check_conv2d, PRIMITIVE_TOL),
     ("bilinear_upsample", _check_bilinear_upsample, PRIMITIVE_TOL),
+    ("gather_rows", _check_gather_rows, PRIMITIVE_TOL),
     ("window_msa", _check_window_msa, COMPOSED_TOL),
     ("swin_block", _check_swin_block, COMPOSED_TOL),
     ("dense_read", _check_dense_read, PRIMITIVE_TOL),

@@ -438,6 +438,8 @@ def train_toy(model, sample, steps, lr, seed=0, curriculum=True, max_interval=25
     ``max_interval`` (clamped to the sequence length) over the schedule;
     with ``curriculum`` off the cap is fixed at its final value.
     """
+    if steps < 0:
+        raise UsageError(f"step count must not be negative, got {steps}")
     if steps == 0:
         return []
     rng = np.random.default_rng(seed)

@@ -11,13 +11,6 @@ import math
 import numpy as np
 
 from swinvos import engine
-from swinvos.attention import (
-    cyclic_shift,
-    effective_window,
-    inverse_cyclic_shift,
-    window_partition,
-    window_reverse,
-)
 from swinvos.decoder import predict_labels, soft_aggregate
 from swinvos.engine import Tensor
 from swinvos.memread import ReadGeometry, read_all
@@ -164,7 +157,7 @@ def conv2d_taps(x, w, b=None):
     """Reference 3x3 conv as nine tap GEMMs, each on its own patch copy,
     accumulated in (dy, dx) order; forward only."""
     x = engine.as_tensor(x)
-    w = w.tensor() if isinstance(w, engine.Parameter) else engine.as_tensor(w)
+    w = engine.as_tensor(w)
     cin, h, wd = x.shape
     cout = w.shape[0]
     xp = np.pad(x.data, ((0, 0), (1, 1), (1, 1)))
@@ -174,7 +167,7 @@ def conv2d_taps(x, w, b=None):
             patch = xp[:, dy:dy + h, dx:dx + wd].reshape(cin, h * wd)
             out += w.data[:, :, dy, dx] @ patch
     if b is not None:
-        b = b.tensor() if isinstance(b, engine.Parameter) else engine.as_tensor(b)
+        b = engine.as_tensor(b)
         out += b.data[:, None]
     return Tensor(out.reshape(cout, h, wd))
 
@@ -198,32 +191,52 @@ def unfused_window_msa(qkv, heads, bias=None, mask=None):
     return engine.reshape(out, (n_windows, length, c))
 
 
+def swin_geometry(dims, window, shifted):
+    """(window, shift, padded extents) of a Swin block on a [*dims] grid:
+    windows clamp to the grid, and clamped axes do not shift."""
+    win = tuple(min(d, w) for d, w in zip(dims, window))
+    shift = tuple(w // 2 if shifted and d > w else 0 for d, w in zip(dims, window))
+    return win, shift, tuple(-(-d // w) * w for d, w in zip(dims, win))
+
+
+def pad_roll_partition(a, win, shift, pad_to, fill=0):
+    """Pad [*dims, ...] on the right/bottom to ``pad_to`` with ``fill``,
+    roll by -shift and tile into windows: [nW, L, ...], row-major slots."""
+    rank = len(win)
+    a = np.pad(a, [(0, p - d) for p, d in zip(pad_to, a.shape)] + [(0, 0)] * (a.ndim - rank),
+               constant_values=fill)
+    a = np.roll(a, tuple(-s for s in shift), axis=tuple(range(rank)))
+    blocks = tuple(p // w for p, w in zip(pad_to, win))
+    order = tuple(range(0, 2 * rank, 2)) + tuple(range(1, 2 * rank, 2))
+    order += tuple(range(2 * rank, 2 * rank + a.ndim - rank))
+    a = a.reshape(sum(zip(blocks, win), ()) + a.shape[rank:]).transpose(order)
+    return a.reshape((math.prod(blocks), math.prod(win)) + a.shape[2 * rank:])
+
+
 def padded_swin_block(block, x, valid=None):
     """Reference SwinBlock: zero-pad the normed grid to window multiples,
     then run qkv, attention and proj on every padded token, and crop.
 
-    The mask is rebuilt from scratch (float64, from a boolean valid grid)
-    rather than taken from the cached one.
+    The windows are cut and reassembled with plain numpy (pad, roll,
+    reshape/transpose), and the mask is rebuilt from scratch (float64, from
+    a boolean valid grid) rather than taken from the cached one.
     """
-    dims = x.shape[:-1]
-    win, shift = effective_window(dims, block.window)
-    if not block.shifted:
-        shift = tuple(0 for _ in shift)
-    pad_to = tuple(-(-d // w) * w for d, w in zip(dims, win))
+    dims = tuple(x.shape[:-1])
+    rank, c = len(dims), x.shape[-1]
+    win, shift, pad_to = swin_geometry(dims, block.window, block.shifted)
     valid_grid = np.zeros(pad_to, dtype=bool)
     valid_grid[tuple(slice(0, int(e)) for e in (valid or dims))] = True
-    h = block.norm1(x)
-    if pad_to != tuple(dims):
-        h = engine.pad(h, tuple((0, p - d) for p, d in zip(pad_to, dims)) + ((0, 0),))
-    h = cyclic_shift(h, shift)
     mask = _mask_from_grid(pad_to, win, shift, valid_grid)
-    windows = block.attn.qkv(window_partition(h, win))
+    windows = pad_roll_partition(block.norm1(x).data, win, shift, pad_to)
+    windows = block.attn.qkv(Tensor(windows))
     windows = unfused_window_msa(windows, block.attn.heads, bias=block.attn.bias(win),
                                  mask=mask)
-    windows = block.attn.proj(windows)
-    h = inverse_cyclic_shift(window_reverse(windows, win, pad_to), shift)
-    h = h[tuple(slice(0, d) for d in dims) + (slice(None),)]
-    x = engine.add(x, h)
+    windows = block.attn.proj(windows).data
+    blocks = tuple(p // w for p, w in zip(pad_to, win))
+    order = tuple(range(0, 2 * rank, 2)) + tuple(range(1, 2 * rank, 2)) + (2 * rank,)
+    h = windows.reshape(blocks + win + (c,)).transpose(np.argsort(order))
+    h = np.roll(h.reshape(pad_to + (c,)), shift, axis=tuple(range(rank)))
+    x = engine.add(x, Tensor(np.ascontiguousarray(h[tuple(slice(0, d) for d in dims)])))
     return engine.add(x, block.mlp(block.norm2(x)))
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import padded_swin_block, unfused_window_msa
+from oracles import pad_roll_partition, padded_swin_block, swin_geometry, unfused_window_msa
 
 from swinvos import attention, engine
 from swinvos.attention import (
@@ -13,13 +13,9 @@ from swinvos.attention import (
     RelativePositionBias,
     SwinBlock,
     attention_mask,
-    cyclic_shift,
-    effective_window,
-    inverse_cyclic_shift,
     relative_position_index,
+    window_layout,
     window_msa,
-    window_partition,
-    window_reverse,
 )
 from swinvos.engine import Tape, Tensor
 from swinvos.errors import ConfigError, DimensionError
@@ -32,54 +28,110 @@ def zero_output_projections(block):
     block.mlp.fc2.bias.value[:] = 0
 
 
+def to_windows(x, layout, fill=None):
+    length = int(np.prod(layout.window))
+    return engine.gather_rows(x, layout.slots, layout.tokens,
+                              (layout.slots.size // length, length, x.shape[-1]), fill=fill)
+
+
+def to_grid(windows, layout, dims):
+    return engine.gather_rows(windows, layout.tokens, layout.slots,
+                              tuple(dims) + (windows.shape[-1],))
+
+
 class TestWindowPartition:
+    """An unshifted layout tiles the grid into row-major windows."""
+
     def test_4x4_window2_counts_and_roundtrip(self, rng):
         x = Tensor(rng.standard_normal((4, 4, 1)).astype(np.float32))
-        wins = window_partition(x, (2, 2))
+        layout = window_layout((4, 4), (2, 2), False)
+        wins = to_windows(x, layout)
         assert wins.shape == (4, 4, 1)
-        back = window_reverse(wins, (2, 2), (4, 4))
-        np.testing.assert_array_equal(back.data, x.data)
+        np.testing.assert_array_equal(to_grid(wins, layout, (4, 4)).data, x.data)
 
     def test_single_window_row_major(self):
         x = Tensor(np.arange(4, dtype=np.float32).reshape(2, 2, 1))
-        wins = window_partition(x, (2, 2))
+        wins = to_windows(x, window_layout((2, 2), (2, 2), False))
         assert wins.shape == (1, 4, 1)
         np.testing.assert_array_equal(wins.data[0, :, 0], [0, 1, 2, 3])
 
     def test_3d_window_count(self, rng):
         x = Tensor(rng.standard_normal((2, 4, 4, 3)).astype(np.float32))
-        wins = window_partition(x, (2, 2, 2))
+        layout = window_layout((2, 4, 4), (2, 2, 2), False)
+        wins = to_windows(x, layout)
         # T/P * H/M * W/M = 1 * 2 * 2
         assert wins.shape == (4, 8, 3)
-        back = window_reverse(wins, (2, 2, 2), (2, 4, 4))
-        np.testing.assert_array_equal(back.data, x.data)
+        np.testing.assert_array_equal(to_grid(wins, layout, (2, 4, 4)).data, x.data)
 
     def test_bad_window(self):
         with pytest.raises(ConfigError):
-            window_partition(Tensor(np.zeros((4, 4, 1))), (0, 2))
+            window_layout((4, 4), (0, 2), False)
+        with pytest.raises(DimensionError):
+            window_layout((4, 4), (2, 2, 2), False)
 
     @given(st.integers(1, 3), st.integers(1, 3))
     @settings(max_examples=20, deadline=None)
     def test_roundtrip_bitwise(self, bh, bw):
         rng = np.random.default_rng(bh * 7 + bw)
         x = Tensor(rng.standard_normal((bh * 3, bw * 2, 2)).astype(np.float32))
-        back = window_reverse(window_partition(x, (3, 2)), (3, 2), x.shape[:-1])
-        np.testing.assert_array_equal(back.data, x.data)
+        layout = window_layout(x.shape[:-1], (3, 2), False)
+        np.testing.assert_array_equal(to_grid(to_windows(x, layout), layout, x.shape[:-1]).data,
+                                      x.data)
 
 
 class TestCyclicShift:
-    def test_zero_offsets_identity(self, rng):
-        x = Tensor(rng.standard_normal((3, 3, 1)))
-        assert cyclic_shift(x, (0, 0)) is x
+    """A shifted layout rolls the grid by -shift before tiling it."""
+
+    def test_zero_offsets_identity(self):
+        # a grid no larger than its window does not shift
+        layout = window_layout((3, 3), (3, 3), True)
+        assert layout.shift == (0, 0)
+        np.testing.assert_array_equal(layout.slots, np.arange(9))
 
     def test_1d_roll(self):
-        out = cyclic_shift(Tensor([1.0, 2.0, 3.0, 4.0]), (2,))
-        np.testing.assert_array_equal(out.data, [3, 4, 1, 2])
+        layout = window_layout((4,), (2,), True)
+        assert layout.shift == (1,)
+        np.testing.assert_array_equal(layout.slots, [1, 2, 3, 0])
 
     def test_inverse_restores(self, rng):
         x = Tensor(rng.standard_normal((4, 6, 2)).astype(np.float32))
-        out = inverse_cyclic_shift(cyclic_shift(x, (1, 3)), (1, 3))
-        np.testing.assert_array_equal(out.data, x.data)
+        layout = window_layout((4, 6), (2, 3), True)
+        assert layout.shift == (1, 1)
+        np.testing.assert_array_equal(to_grid(to_windows(x, layout), layout, (4, 6)).data,
+                                      x.data)
+
+
+# (grid, window, shifted): padded on both axes, a 3-D grid padded and
+# shifted on T, and one whose window clamps on T
+_LAYOUT_CASES = [((6, 10), (4, 4), True), ((9, 8, 8), (8, 7, 7), True),
+                 ((2, 8, 8), (8, 7, 7), True)]
+
+
+class TestWindowLayout:
+    @pytest.mark.parametrize("dims, window, shifted", _LAYOUT_CASES)
+    def test_slots_are_padded_rolled_windows_and_round_trip(self, dims, window, shifted):
+        layout = window_layout(dims, window, shifted)
+        win, shift, pad_to = swin_geometry(dims, window, shifted)
+        assert (layout.window, layout.shift, layout.padded) == (win, shift, pad_to)
+        grid = np.arange(np.prod(dims)).reshape(dims)
+        expect = pad_roll_partition(grid, win, shift, pad_to, fill=-1).reshape(-1)
+        np.testing.assert_array_equal(layout.slots, expect)
+
+        rng = np.random.default_rng(len(dims) + sum(dims))
+        x = Tensor(rng.standard_normal(dims + (3,)).astype(np.float32))
+        fill = Tensor(rng.standard_normal(3).astype(np.float32))
+        wins = to_windows(x, layout, fill)
+        padded = np.array(pad_roll_partition(x.data, win, shift, pad_to))
+        padded[(expect < 0).reshape(padded.shape[:2])] = fill.data
+        np.testing.assert_array_equal(wins.data, padded)
+        np.testing.assert_array_equal(to_grid(wins, layout, dims).data, x.data)
+
+    def test_cached_read_only(self):
+        layout = window_layout((6, 10), (4, 4), True)
+        assert window_layout((6, 10), (4, 4), True) is layout
+        for arr in (layout.slots, layout.tokens):
+            with pytest.raises(ValueError):
+                arr[0] = 0
 
 
 class TestRelativePositionBias:
@@ -233,10 +285,13 @@ def _random_biases(block, rng):
 
 
 # (grid, window, valid extents): a 2-D grid that pads 32 -> 35, a 3-D grid
-# whose window clamps on T, and a grid with invalid in-grid tokens that pads
-# 24 -> 28, where whole windows hold only padding and invalid tokens
+# whose window clamps on T, a grid with invalid in-grid tokens that pads
+# 24 -> 28, where whole windows hold only padding and invalid tokens, a 3-D
+# grid that pads and shifts T (9 -> 16), and a small grid whose valid
+# extents leave windows with every key masked
 _ORACLE_CASES = [((32, 32), (7, 7), None), ((2, 8, 8), (8, 7, 7), None),
-                 ((24, 24), (7, 7), (20, 20))]
+                 ((24, 24), (7, 7), (20, 20)), ((9, 8, 8), (8, 7, 7), None),
+                 ((5, 6), (3, 3), (2, 4))]
 
 
 class TestSwinBlockOracle:
@@ -412,6 +467,6 @@ class TestPatchMerge:
 
 
 def test_effective_window_clamps_and_zeroes_shift():
-    win, shift = effective_window((2, 9), (4, 4))
-    assert win == (2, 4)
-    assert shift == (0, 2)
+    layout = window_layout((2, 9), (4, 4), True)
+    assert layout.window == (2, 4)
+    assert layout.shift == (0, 2)

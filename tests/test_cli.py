@@ -262,3 +262,36 @@ class TestBenchCommand:
                          "--modes", modes, "--out", str(out_csv))
         assert code == 1
         assert not out_csv.exists()
+
+
+# counts and extents out of range: each is a usage error (exit 1) that
+# writes nothing
+_BAD_COUNTS = [
+    ("bench-memread", "--t", "-1"),
+    ("bench-memread", "--t", "0"),
+    ("bench-memread", "--height", "-32"),
+    ("bench-memread", "--height", "0"),
+    ("bench-memread", "--width", "-32"),
+    ("bench-memread", "--dim", "4"),
+    ("bench-memread", "--dim", "0"),
+    ("gen", "--frames", "0"),
+    ("gen", "--frames", "-3"),
+    ("train-toy", "--steps", "-5"),
+]
+
+
+@pytest.mark.parametrize("argv", _BAD_COUNTS, ids=" ".join)
+def test_bad_count_or_extent_is_usage_error(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    target = {"gen": "--out", "train-toy": "--ckpt", "bench-memread": "--out"}[argv[0]]
+    code, _, err = run(capsys, *argv, target, str(out))
+    assert code == 1
+    assert err.startswith("error: ")
+    assert not out.exists()
+
+
+def test_train_zero_steps_stays_valid(tmp_path, capsys):
+    ckpt = tmp_path / "m.npz"
+    code, out, _ = run(capsys, "train-toy", "--steps", "0", "--ckpt", str(ckpt))
+    assert code == 0 and "trained 0 steps" in out
+    assert ckpt.exists()

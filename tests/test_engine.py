@@ -346,11 +346,6 @@ class TestAdam:
 
 
 class TestStructuralOps:
-    def test_roll_matches_numpy(self, rng):
-        x = rng.standard_normal((4, 5))
-        out = engine.roll(Tensor(x), (2,), (0,))
-        np.testing.assert_array_equal(out.data, np.roll(x, 2, axis=0))
-
     def test_take_scatter_grad(self):
         p = Parameter(np.array([1.0, 2.0, 3.0]))
         with Tape() as tape:
