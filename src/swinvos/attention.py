@@ -27,6 +27,7 @@ from .engine import Linear, Module, Parameter
 from .errors import ConfigError, DimensionError
 
 MASK_VALUE = -1e9  # finite so gradients stay finite
+PATCH = 4  # spatial patch extent of the embeddings; temporal extent is 1
 
 
 @functools.lru_cache(maxsize=64)
@@ -279,19 +280,17 @@ class SwinBlock(Module):
 class PatchEmbedImage(Module):
     """Flatten 4x4x3 patches, linearly embed to C, layer-norm."""
 
-    PATCH = 4
-
     def __init__(self, dim, rng, dtype=engine.DEFAULT_DTYPE):
-        self.embed = Linear(self.PATCH * self.PATCH * 3, dim, rng, dtype=dtype)
+        self.embed = Linear(PATCH * PATCH * 3, dim, rng, dtype=dtype)
         self.norm = engine.LayerNorm(dim, dtype=dtype)
 
     def __call__(self, frame):
         h, w, c = frame.shape
         if c != 3:
             raise DimensionError(f"expected RGB frame, got {frame.shape}")
-        if h % self.PATCH or w % self.PATCH:
-            raise DimensionError(f"frame extents {h}x{w} not divisible by {self.PATCH}")
-        tokens = _patchify(frame, self.PATCH)
+        if h % PATCH or w % PATCH:
+            raise DimensionError(f"frame extents {h}x{w} not divisible by {PATCH}")
+        tokens = _patchify(frame, PATCH)
         return self.norm(self.embed(tokens))
 
 
@@ -302,10 +301,8 @@ class PatchEmbedVideo(Module):
     are summed before the norm; the other-mask stream can be disabled.
     """
 
-    PATCH = 4
-
     def __init__(self, dim, rng, use_other_mask=True, dtype=engine.DEFAULT_DTYPE):
-        p2 = self.PATCH * self.PATCH
+        p2 = PATCH * PATCH
         self.embed_rgb = Linear(p2 * 3, dim, rng, dtype=dtype)
         self.embed_target = Linear(p2, dim, rng, dtype=dtype)
         self.embed_other = Linear(p2, dim, rng, dtype=dtype) if use_other_mask else None
@@ -319,12 +316,12 @@ class PatchEmbedVideo(Module):
                 f"frame/mask extents differ: {frames.shape} vs {target_masks.shape}"
                 f" vs {other_masks.shape}")
         t, h, w, _ = frames.shape
-        if h % self.PATCH or w % self.PATCH:
-            raise DimensionError(f"frame extents {h}x{w} not divisible by {self.PATCH}")
-        tokens = self.embed_rgb(_patchify(frames, self.PATCH))
-        tokens = engine.add(tokens, self.embed_target(_patchify(target_masks, self.PATCH)))
+        if h % PATCH or w % PATCH:
+            raise DimensionError(f"frame extents {h}x{w} not divisible by {PATCH}")
+        tokens = self.embed_rgb(_patchify(frames, PATCH))
+        tokens = engine.add(tokens, self.embed_target(_patchify(target_masks, PATCH)))
         if self.use_other_mask:
-            tokens = engine.add(tokens, self.embed_other(_patchify(other_masks, self.PATCH)))
+            tokens = engine.add(tokens, self.embed_other(_patchify(other_masks, PATCH)))
         return self.norm(tokens)
 
 

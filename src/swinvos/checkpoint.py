@@ -25,7 +25,7 @@ import zlib
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import DataError
 from .model import ModelConfig, init_model
 
 MAGIC = b"HSTC"
@@ -129,17 +129,9 @@ def read_checkpoint(path):
     return config, params
 
 
-def load_checkpoint(path, expected_config=None):
-    """Rebuild a model from a checkpoint.
-
-    When ``expected_config`` is given, a differing stored config is refused
-    rather than silently reinterpreted.
-    """
+def load_checkpoint(path):
+    """Rebuild a model from a checkpoint."""
     config, params = read_checkpoint(path)
-    if expected_config is not None and expected_config.canonical() != config.canonical():
-        raise ConfigError(
-            f"{path}: checkpoint config does not match the requested one:\n"
-            f"stored:\n{config.canonical()}requested:\n{expected_config.canonical()}")
     dtype = next(iter(params.values())).dtype if params else np.float32
     model = init_model(config, seed=0, dtype=np.dtype(dtype).type)
     names = dict(model.named_parameters())

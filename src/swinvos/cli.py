@@ -29,7 +29,7 @@ def build_parser():
     gen.add_argument("--size", type=int, default=64)
     gen.add_argument("--objects", type=int, default=1)
 
-    def add_model_flags(p, trainable):
+    def add_model_flags(p):
         p.add_argument("--variant", default="nano",
                        choices=["nano", "T", "S", "B", "L"])
         p.add_argument("--k", type=int, default=128)
@@ -46,7 +46,7 @@ def build_parser():
                        help="print the canonical resolved config and exit")
 
     train = sub.add_parser("train-toy", help="overfit on one synthetic sequence")
-    add_model_flags(train, trainable=True)
+    add_model_flags(train)
     train.add_argument("--seq", help="sequence directory (default: generated)")
     train.add_argument("--data-seed", type=int, default=0)
     train.add_argument("--steps", type=int, default=500)
@@ -56,7 +56,7 @@ def build_parser():
     train.add_argument("--loss-csv", help="loss curve output (default: <ckpt>.loss.csv)")
 
     infer = sub.add_parser("infer", help="propagate the first mask through a sequence")
-    add_model_flags(infer, trainable=False)
+    add_model_flags(infer)
     infer.add_argument("--ckpt", required=True)
     infer.add_argument("--seq", required=True)
     infer.add_argument("--out", required=True, help="directory for predicted masks")
@@ -197,17 +197,19 @@ def cmd_infer(args):
 
 def cmd_eval(args):
     from .data import load_sequence, read_pgm
+    from .errors import UsageError
     from .metrics import evaluate_sequence
 
     _print_config(args, ("pred", "gt"))
+    if args.tolerance < 0:
+        raise UsageError(f"--tolerance must be at least 0, got {args.tolerance}")
     _, gt_masks, n_objects = load_sequence(args.gt, need_all_masks=True)
     preds = [gt_masks[0]]
     for i in range(1, len(gt_masks)):
         path = os.path.join(args.pred, f"{i:05d}.pgm")
         preds.append(read_pgm(path))
-    tolerance = args.tolerance if args.tolerance > 0 else None
     report = evaluate_sequence(preds, gt_masks, n_objects=n_objects,
-                               tolerance_px=tolerance)
+                               tolerance_px=args.tolerance or None)
     lines = ["object\tframe\tJ\tF"]
     lines += ["\t".join(row) for row in report.rows()]
     _write_lines(args.out, lines)
@@ -277,13 +279,15 @@ def main(argv=None):
     except SystemExit as exc:
         # argparse uses exit code 2 for bad flags; usage errors are 1 here
         return 0 if exc.code == 0 else 1
-    if args.threads > 0:
-        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, str(args.threads))
     from .errors import (ConfigError, DataError, DimensionError, NumericError,
                          UsageError)
 
     try:
+        if args.threads < 0:
+            raise UsageError(f"--threads must be at least 0, got {args.threads}")
+        if args.threads:
+            for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+                os.environ.setdefault(var, str(args.threads))
         return COMMANDS[args.command](args)
     except (UsageError, ConfigError) as err:
         print(f"error: {err}", file=sys.stderr)

@@ -1,4 +1,4 @@
-"""Synthetic video generation, affine augmentation, and frame/mask I/O.
+"""Synthetic video generation, training-triplet sampling and frame/mask I/O.
 
 Frames are [H, W, 3] float arrays in [0, 1]; masks are [H, W] integer label
 maps with 0 = background. Sequences live on disk as binary PPM (P6) frames
@@ -6,7 +6,6 @@ and PGM (P5) masks under ``<seq>/frames/%05d.ppm`` and
 ``<seq>/masks/%05d.pgm``. All generators are deterministic under a seed.
 """
 
-import math
 import os
 from dataclasses import dataclass
 
@@ -39,28 +38,6 @@ class VideoSample:
                 raise DimensionError(f"frame {f.shape} vs mask {m.shape}")
             if m.max(initial=0) > self.n_objects:
                 raise DataError(f"mask label {m.max()} exceeds object count")
-
-
-@dataclass
-class AffineParams:
-    """Joint image/mask warp: rotate, shear, scale, translate, then crop."""
-    rotation: float = 0.0          # radians
-    shear: tuple = (0.0, 0.0)
-    scale: float = 1.0
-    translation: tuple = (0.0, 0.0)  # pixels (dy, dx)
-    crop: tuple = None               # (y0, x0, h, w); None = full canvas
-
-    def __post_init__(self):
-        if self.scale <= 0:
-            raise DataError(f"affine scale must be positive, got {self.scale}")
-
-    def validate_crop(self, shape):
-        if self.crop is None:
-            return (0, 0, shape[0], shape[1])
-        y0, x0, h, w = self.crop
-        if h <= 1 or w <= 1 or y0 < 0 or x0 < 0 or y0 + h > shape[0] or x0 + w > shape[1]:
-            raise DataError(f"degenerate crop {self.crop} for canvas {shape}")
-        return self.crop
 
 
 def _smooth_noise(rng, size, cells=8):
@@ -177,84 +154,6 @@ def _place_disjoint(stamps, size, rng):
 def _boxes_overlap(a, b):
     return not (a[0] + a[2] <= b[0] or b[0] + b[2] <= a[0]
                 or a[1] + a[2] <= b[1] or b[1] + b[2] <= a[1])
-
-
-def sample_affine(rng, shape):
-    """Moderate augmentation ranges: rotation +-15 deg, shear +-0.1,
-    scale [0.9, 1.1], translation +-10% of extent, crop >= 90%."""
-    h, w = shape
-    ch = int(h * rng.uniform(0.9, 1.0))
-    cw = int(w * rng.uniform(0.9, 1.0))
-    y0 = int(rng.integers(0, h - ch + 1))
-    x0 = int(rng.integers(0, w - cw + 1))
-    return AffineParams(
-        rotation=math.radians(rng.uniform(-15, 15)),
-        shear=(rng.uniform(-0.1, 0.1), rng.uniform(-0.1, 0.1)),
-        scale=rng.uniform(0.9, 1.1),
-        translation=(rng.uniform(-0.1, 0.1) * h, rng.uniform(-0.1, 0.1) * w),
-        crop=(y0, x0, ch, cw),
-    )
-
-
-def _affine_matrix(params):
-    c, s = math.cos(params.rotation), math.sin(params.rotation)
-    rot = np.array([[c, -s], [s, c]])
-    shear = np.array([[1.0, params.shear[0]], [params.shear[1], 1.0]])
-    return params.scale * (rot @ shear)
-
-
-def apply_affine(image, mask, params):
-    """Warp an image (bilinear) and its mask (nearest) by the same params.
-
-    The output grid is the crop window resized back to the input extents;
-    samples falling outside the canvas become background/black.
-    """
-    h, w = mask.shape
-    y0, x0, ch, cw = params.validate_crop((h, w))
-    a_inv = np.linalg.inv(_affine_matrix(params))
-    center = np.array([(h - 1) / 2.0, (w - 1) / 2.0])
-    t = np.array(params.translation, dtype=np.float64)
-
-    oy = y0 + (np.arange(h) + 0.5) * ch / h - 0.5
-    ox = x0 + (np.arange(w) + 0.5) * cw / w - 0.5
-    grid = np.stack(np.meshgrid(oy, ox, indexing="ij"), axis=-1)  # [H, W, 2]
-    src = (grid - center - t) @ a_inv.T + center
-
-    sy, sx = src[..., 0], src[..., 1]
-    ny = np.rint(sy).astype(np.int64)
-    nx = np.rint(sx).astype(np.int64)
-    inside = (ny >= 0) & (ny < h) & (nx >= 0) & (nx < w)
-    warped_mask = np.zeros_like(mask)
-    warped_mask[inside] = mask[ny[inside], nx[inside]]
-
-    fy = np.clip(np.floor(sy).astype(np.int64), 0, h - 2)
-    fx = np.clip(np.floor(sx).astype(np.int64), 0, w - 2)
-    wy = np.clip(sy - fy, 0.0, 1.0)[..., None]
-    wx = np.clip(sx - fx, 0.0, 1.0)[..., None]
-    img = (image[fy, fx] * (1 - wy) * (1 - wx)
-           + image[fy + 1, fx] * wy * (1 - wx)
-           + image[fy, fx + 1] * (1 - wy) * wx
-           + image[fy + 1, fx + 1] * wy * wx)
-    in_canvas = (sy >= -0.5) & (sy <= h - 0.5) & (sx >= -0.5) & (sx <= w - 0.5)
-    img = np.where(in_canvas[..., None], img, 0.0)
-    return np.clip(img, 0.0, 1.0).astype(np.float32), warped_mask
-
-
-def synth_from_image(image, mask, seed, params=None):
-    """Three pseudo-video frames from one annotated image via affine warps."""
-    if image.shape[:2] != mask.shape:
-        raise DimensionError(f"image {image.shape} vs mask {mask.shape}")
-    rng = np.random.default_rng(seed)
-    if params is None:
-        params = [sample_affine(rng, mask.shape) for _ in range(3)]
-    if len(params) != 3:
-        raise UsageError(f"need exactly 3 affine parameter sets, got {len(params)}")
-    frames, masks = [], []
-    for p in params:
-        f, m = apply_affine(image, mask, p)
-        frames.append(f)
-        masks.append(m)
-    return VideoSample(frames, masks, int(max(m.max() for m in masks)))
 
 
 def sample_training_triplet(n_frames, max_interval, rng):

@@ -3,20 +3,20 @@
 Both encoders are four-stage pyramids of windowed-attention blocks joined
 by patch merging. Stage i halves the spatial resolution of stage i-1 and
 doubles its channels; the memory encoder keeps the temporal extent fixed
-across stages. Inputs are zero-padded to a multiple of 32 on the right and
-bottom; padded tokens are masked out of attention and the per-stage valid
-extents travel with the features.
+across stages. An encoder returns its four stage feature maps as a list.
+Inputs are zero-padded to a multiple of 32 on the right and bottom, and
+every block masks the padded tokens out of attention using the valid
+extents of its stage.
 """
 
 from dataclasses import dataclass
 
 from . import engine
-from .attention import PatchEmbedImage, PatchEmbedVideo, PatchMerge, SwinBlock, _patchify
+from .attention import PATCH, PatchEmbedImage, PatchEmbedVideo, PatchMerge, SwinBlock, _patchify
 from .engine import Linear, Module, Tensor
 from .errors import ConfigError, DimensionError, UsageError
 
 N_STAGES = 4
-PATCH = 4  # spatial patch extent; temporal patch extent is 1
 
 
 @dataclass(frozen=True)
@@ -46,31 +46,33 @@ class EncoderConfig:
         return self.dim * 2 ** (stage - 1)
 
 
-@dataclass
-class StageFeatures:
-    """Per-stage feature maps: [(T,) H_i, W_i, C_i], with H_i = H/2^(i+1)."""
-    features: list
-    valid: list          # (vh, vw) per stage, valid token extents before padding
-    orig_size: tuple     # input (H, W) in pixels
-    temporal: int | None = None  # T for memory features, None for query
+def _pad_inputs(*inputs):
+    """Right/bottom zero-pad [.., H, W, C] inputs to a multiple of 32 (a
+    patch, then three 2x merges). Returns the valid token extents of the
+    unpadded H, W and the padded inputs."""
+    multiple = PATCH * 2 ** (N_STAGES - 1)
+    padded = []
+    for x in inputs:
+        ph, pw = (-e % multiple for e in x.shape[-3:-1])
+        padded.append(engine.pad(x, ((0, 0),) * (x.ndim - 3) + ((0, ph), (0, pw), (0, 0)))
+                      if ph or pw else x)
+    h, w = inputs[0].shape[-3:-1]
+    return (-(-h // PATCH), -(-w // PATCH)), padded
 
-    def stage(self, i):
-        return self.features[i - 1]
 
-
-def _pad_frame(x, multiple):
-    """Right/bottom zero-pad the two leading spatial axes to a multiple."""
-    *lead, h, w, c = x.shape
-    ph = -(-h // multiple) * multiple
-    pw = -(-w // multiple) * multiple
-    if (ph, pw) == (h, w):
-        return x
-    widths = tuple((0, 0) for _ in lead) + ((0, ph - h), (0, pw - w), (0, 0))
-    return engine.pad(x, widths)
+def _memory_inputs(frames, target_masks, other_masks):
+    """Check and pad a memory clip: (T, valid token extents, padded inputs)."""
+    if frames.ndim != 4 or frames.shape[0] == 0:
+        raise UsageError(f"need at least one memory frame, got shape {frames.shape}")
+    return (frames.shape[0],) + _pad_inputs(frames, target_masks, other_masks)
 
 
 class _StageStack(Module):
-    """The shared four-stage pyramid over embedded tokens."""
+    """The shared four-stage pyramid over embedded tokens.
+
+    Returns the stage maps [(T,) H_i, W_i, C_i], H_i = H/2^(i+1) of the
+    padded input, as a list of four.
+    """
 
     def __init__(self, config, window, rng, dtype):
         self.stages = []
@@ -86,7 +88,6 @@ class _StageStack(Module):
 
     def __call__(self, tokens, valid, temporal=None):
         features = []
-        valids = []
         vh, vw = valid
         x = tokens
         for i in range(N_STAGES):
@@ -94,12 +95,11 @@ class _StageStack(Module):
             for block in self.stages[i]:
                 x = block(x, valid=extents)
             features.append(x)
-            valids.append((vh, vw))
             if i < N_STAGES - 1:
                 x = self.merges[i](x)
                 vh = -(-vh // 2)
                 vw = -(-vw // 2)
-        return features, valids
+        return features
 
 
 class ImageEncoder(Module):
@@ -110,14 +110,11 @@ class ImageEncoder(Module):
         self.stack = _StageStack(config, (config.window, config.window), rng, dtype)
 
     def __call__(self, frame):
-        h, w, c = frame.shape
+        _, _, c = frame.shape
         if c != 3:
             raise DimensionError(f"expected an RGB frame, got shape {frame.shape}")
-        padded = _pad_frame(frame, PATCH * 2 ** (N_STAGES - 1))
-        tokens = self.patch_embed(padded)
-        valid = (-(-h // PATCH), -(-w // PATCH))
-        features, valids = self.stack(tokens, valid)
-        return StageFeatures(features, valids, (h, w))
+        valid, (frame,) = _pad_inputs(frame)
+        return self.stack(self.patch_embed(frame), valid)
 
 
 class VideoEncoder(Module):
@@ -131,17 +128,8 @@ class VideoEncoder(Module):
         self.stack = _StageStack(config, window, rng, dtype)
 
     def __call__(self, frames, target_masks, other_masks):
-        if frames.ndim != 4 or frames.shape[0] == 0:
-            raise UsageError(f"need at least one memory frame, got shape {frames.shape}")
-        t, h, w, _ = frames.shape
-        multiple = PATCH * 2 ** (N_STAGES - 1)
-        frames = _pad_frame(frames, multiple)
-        target_masks = _pad_frame(target_masks, multiple)
-        other_masks = _pad_frame(other_masks, multiple)
-        tokens = self.patch_embed(frames, target_masks, other_masks)
-        valid = (-(-h // PATCH), -(-w // PATCH))
-        features, valids = self.stack(tokens, valid, temporal=t)
-        return StageFeatures(features, valids, (h, w), temporal=t)
+        t, valid, padded = _memory_inputs(frames, target_masks, other_masks)
+        return self.stack(self.patch_embed(*padded), valid, temporal=t)
 
 
 class ImageOnlyMemoryEncoder(Module):
@@ -160,16 +148,9 @@ class ImageOnlyMemoryEncoder(Module):
         self.use_other_mask = config.use_other_mask
 
     def __call__(self, image_encoder, frames, target_masks, other_masks):
-        if frames.ndim != 4 or frames.shape[0] == 0:
-            raise UsageError(f"need at least one memory frame, got shape {frames.shape}")
-        t, h, w, _ = frames.shape
-        multiple = PATCH * 2 ** (N_STAGES - 1)
-        frames = _pad_frame(frames, multiple)
-        target_masks = _pad_frame(target_masks, multiple)
-        other_masks = _pad_frame(other_masks, multiple)
-        valid = (-(-h // PATCH), -(-w // PATCH))
+        t, valid, (frames, target_masks, other_masks) = _memory_inputs(
+            frames, target_masks, other_masks)
         per_stage = [[] for _ in range(N_STAGES)]
-        valids = None
         embed = image_encoder.patch_embed
         for ti in range(t):
             tokens = engine.add(embed.embed(_patchify(frames[ti], PATCH)),
@@ -178,12 +159,9 @@ class ImageOnlyMemoryEncoder(Module):
                 tokens = engine.add(tokens,
                                     self.embed_other(_patchify(other_masks[ti], PATCH)))
             tokens = embed.norm(tokens)
-            features, valids = image_encoder.stack(tokens, valid)
-            for i, f in enumerate(features):
+            for i, f in enumerate(image_encoder.stack(tokens, valid)):
                 per_stage[i].append(engine.reshape(f, (1,) + f.shape))
-        stacked = [engine.concat(fs, axis=0) if len(fs) > 1 else fs[0]
-                   for fs in per_stage]
-        return StageFeatures(stacked, valids, (h, w), temporal=t)
+        return [engine.concat(fs, axis=0) if len(fs) > 1 else fs[0] for fs in per_stage]
 
 
 @dataclass
@@ -208,10 +186,10 @@ class KeyValueProjector(Module):
             self.values.append(Linear(dim, dim // 2, rng, bias=False, dtype=dtype))
 
     def __call__(self, features, stage):
-        """Project stage ``stage`` (1..4) of a StageFeatures to KeyValueMaps."""
+        """Project stage ``stage`` (1..4) of an encoder's stage list to KeyValueMaps."""
         if not 1 <= stage <= N_STAGES:
             raise UsageError(f"stage must be 1..4, got {stage}")
-        f = features.stage(stage)
+        f = features[stage - 1]
         c = f.shape[-1]
         flat = engine.reshape(f, (-1, c))
         key = engine.transpose(self.keys[stage - 1](flat), (1, 0))

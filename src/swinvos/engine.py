@@ -321,12 +321,6 @@ def maximum(a, b):
     return record_op(out, (a, b), bwd)
 
 
-def exp(a):
-    a = as_tensor(a)
-    out = np.exp(a.data)
-    return record_op(out, (a,), lambda g: (g * out,))
-
-
 def log(a):
     a = as_tensor(a)
     return record_op(np.log(a.data), (a,), lambda g: (g / a.data,))

@@ -215,7 +215,6 @@ class MemoryBank:
         self._permanent = {}
         self._previous = None
         self.cache = {}
-        self.n_objects = None
 
     @property
     def initialized(self):
@@ -229,7 +228,6 @@ class MemoryBank:
         self._permanent = {0: (np.asarray(frame), _object_probs(first_mask, n_objects))}
         self._previous = None
         self.cache = {}
-        self.n_objects = n_objects
 
     def admit(self, index, frame, probs):
         """Record a segmented frame: becomes the previous frame, and is
@@ -326,7 +324,7 @@ def _forward(model, frame, memory, cache):
     else:
         memory_kv = _encode_memory_kv(model, memory)
     query_kv = [model.query_proj(query_feats, s) for s in (1, 2, 3, 4)]
-    h4, w4 = query_feats.stage(4).shape[:2]
+    h4, w4 = query_feats[3].shape[:2]
     geom = ReadGeometry(len(memory), h4, w4)
     per_object = []
     for kv in memory_kv:

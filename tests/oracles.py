@@ -119,7 +119,7 @@ def joint_reencode_segment(model, frames, first_mask):
         mem_probs = np.stack([probs[i] for i in members]).astype(dtype)
         query = model.query_encoder(Tensor(frames[t].astype(dtype)))
         query_kv = [model.query_proj(query, s) for s in (1, 2, 3, 4)]
-        h4, w4 = query.stage(4).shape[:2]
+        h4, w4 = query[3].shape[:2]
         geom = ReadGeometry(len(members), h4, w4)
         per_object = []
         for m in range(n_objects):

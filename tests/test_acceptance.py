@@ -163,8 +163,8 @@ def test_criterion_4_structural_invariants():
                    Tensor(np.zeros((t, h, w, 1), np.float32)))
         for i in range(1, 5):
             hi, wi, ci = h // 2 ** (i + 1), w // 2 ** (i + 1), 8 * 2 ** (i - 1)
-            ok &= fi.stage(i).shape == (hi, wi, ci)
-            ok &= fv.stage(i).shape == (t, hi, wi, ci)
+            ok &= fi[i - 1].shape == (hi, wi, ci)
+            ok &= fv[i - 1].shape == (t, hi, wi, ci)
     notes.append("extent laws H/2^(i+1), C*2^(i-1), T_i=T")
 
     # softmax rows sum to 1 +- 1e-6

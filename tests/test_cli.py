@@ -38,15 +38,20 @@ class TestGen:
         assert code == 1
 
 
-def test_cli_import_leaves_numpy_unloaded():
-    # --threads must reach the BLAS environment before numpy loads
+def test_cli_import_leaves_numpy_unloaded(tmp_path):
+    # --threads must reach the BLAS environment before numpy loads, and a
+    # negative count is refused before then
     src = os.path.dirname(os.path.dirname(swinvos.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run(
         [sys.executable, "-c",
-         "import sys, swinvos.cli; print('numpy' in sys.modules)"],
+         "import sys, swinvos.cli; print('numpy' in sys.modules); "
+         "code = swinvos.cli.main(['--threads', '-4', 'gen', '--out', sys.argv[1]]); "
+         "print(code, 'numpy' in sys.modules)", str(tmp_path / "s")],
         env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.split() == ["False", "1", "False"]
+    assert out.stderr.startswith("error: ")
+    assert not (tmp_path / "s").exists()
 
 
 @pytest.fixture(scope="module")
@@ -277,14 +282,28 @@ _BAD_COUNTS = [
     ("gen", "--frames", "0"),
     ("gen", "--frames", "-3"),
     ("train-toy", "--steps", "-5"),
+    ("eval", "--tolerance", "-3"),
+    ("--threads", "-4", "gen"),
 ]
+
+# the flag each command writes its output to
+_OUTPUT_FLAG = {"gen": "--out", "train-toy": "--ckpt", "bench-memread": "--out",
+                "eval": "--out"}
+
+
+def _eval_inputs(tmp_path, capsys):
+    """A generated sequence scored against its own masks."""
+    seq = tmp_path / "seq"
+    run(capsys, "gen", "--out", str(seq), "--frames", "2")
+    return "--pred", str(seq / "masks"), "--gt", str(seq)
 
 
 @pytest.mark.parametrize("argv", _BAD_COUNTS, ids=" ".join)
 def test_bad_count_or_extent_is_usage_error(tmp_path, capsys, argv):
     out = tmp_path / "out"
-    target = {"gen": "--out", "train-toy": "--ckpt", "bench-memread": "--out"}[argv[0]]
-    code, _, err = run(capsys, *argv, target, str(out))
+    command = next(a for a in argv if a in _OUTPUT_FLAG)
+    inputs = _eval_inputs(tmp_path, capsys) if command == "eval" else ()
+    code, _, err = run(capsys, *argv, *inputs, _OUTPUT_FLAG[command], str(out))
     assert code == 1
     assert err.startswith("error: ")
     assert not out.exists()
@@ -295,3 +314,15 @@ def test_train_zero_steps_stays_valid(tmp_path, capsys):
     code, out, _ = run(capsys, "train-toy", "--steps", "0", "--ckpt", str(ckpt))
     assert code == 0 and "trained 0 steps" in out
     assert ckpt.exists()
+
+
+def test_zero_tolerance_and_threads_stay_valid(tmp_path, capsys):
+    report = tmp_path / "report.tsv"
+    code, _, _ = run(capsys, "eval", *_eval_inputs(tmp_path, capsys),
+                     "--tolerance", "0", "--out", str(report))
+    assert code == 0
+    assert report.read_text().splitlines()[-1].split() == ["J&F", "-", "1.000000"]
+    code, _, _ = run(capsys, "--threads", "0", "gen", "--out", str(tmp_path / "s"),
+                     "--frames", "1")
+    assert code == 0 and (tmp_path / "s" / "frames" / "00000.ppm").exists()
+

@@ -5,14 +5,11 @@ from hypothesis import strategies as st
 from oracles import listed_training_triplet
 
 from swinvos.data import (
-    AffineParams,
     VideoSample,
-    apply_affine,
     load_sequence,
     read_pgm,
     read_ppm,
     sample_training_triplet,
-    synth_from_image,
     synth_moving_shapes,
     write_pgm,
     write_sequence,
@@ -79,45 +76,6 @@ class TestMovingShapes:
             h.update(f.tobytes())
             h.update(m.tobytes())
         assert h.hexdigest() == digest
-
-
-class TestAffine:
-    def test_identity_params_reproduce_image(self, rng):
-        image = rng.random((32, 32, 3)).astype(np.float32)
-        mask = (rng.random((32, 32)) > 0.5).astype(np.int64)
-        sample = synth_from_image(image, mask, 0, params=[AffineParams()] * 3)
-        for f, m in zip(sample.frames, sample.masks):
-            np.testing.assert_allclose(f, image, atol=1e-6)
-            np.testing.assert_array_equal(m, mask)
-
-    def test_label_set_preserved(self, rng):
-        image = rng.random((48, 48, 3)).astype(np.float32)
-        mask = np.zeros((48, 48), dtype=np.int64)
-        mask[10:20, 12:30] = 2
-        sample = synth_from_image(image, mask, 3)
-        for m in sample.masks:
-            assert set(np.unique(m)) <= {0, 2}
-
-    def test_quarter_turn_preserves_area(self, rng):
-        image = rng.random((33, 33, 3)).astype(np.float32)
-        mask = np.zeros((33, 33), dtype=np.int64)
-        mask[8:20, 10:25] = 1
-        params = AffineParams(rotation=np.pi / 2)
-        _, warped = apply_affine(image, mask, params)
-        assert int((warped == 1).sum()) == int((mask == 1).sum())
-
-    def test_degenerate_crop_rejected(self, rng):
-        image = rng.random((16, 16, 3)).astype(np.float32)
-        mask = np.zeros((16, 16), dtype=np.int64)
-        with pytest.raises(DataError):
-            apply_affine(image, mask, AffineParams(crop=(10, 10, 12, 12)))
-
-    def test_output_stays_in_unit_range(self, rng):
-        image = rng.random((24, 24, 3)).astype(np.float32)
-        mask = np.zeros((24, 24), dtype=np.int64)
-        sample = synth_from_image(image, mask, 9)
-        for f in sample.frames:
-            assert f.min() >= 0.0 and f.max() <= 1.0
 
 
 class TestTripletSampling:

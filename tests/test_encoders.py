@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from swinvos.attention import SwinBlock
 from swinvos.encoders import (
     EncoderConfig,
     ImageEncoder,
@@ -32,11 +33,24 @@ def tie_video_to_image(video, image):
             p.value[:] = 0
 
 
+def record_block_extents(monkeypatch):
+    """Record (grid dims, valid extents) of every SwinBlock call."""
+    seen = []
+    call = SwinBlock.__call__
+
+    def recording(block, x, valid=None):
+        seen.append((tuple(x.shape[:-1]), valid))
+        return call(block, x, valid=valid)
+
+    monkeypatch.setattr(SwinBlock, "__call__", recording)
+    return seen
+
+
 class TestImageEncoder:
     def test_nano_extent_laws(self, rng):
         enc = ImageEncoder(NANO, rng)
         out = enc(Tensor(rng.random((64, 64, 3)).astype(np.float32)))
-        shapes = [f.shape for f in out.features]
+        shapes = [f.shape for f in out]
         assert shapes == [(16, 16, 8), (8, 8, 16), (4, 4, 32), (2, 2, 64)]
 
     @given(st.integers(1, 3), st.integers(1, 3))
@@ -46,7 +60,7 @@ class TestImageEncoder:
         h, w = 32 * mh, 32 * mw
         enc = ImageEncoder(NANO, rng)
         out = enc(Tensor(rng.random((h, w, 3)).astype(np.float32)))
-        for i, f in enumerate(out.features, start=1):
+        for i, f in enumerate(out, start=1):
             assert f.shape == (h // 2 ** (i + 1), w // 2 ** (i + 1), 8 * 2 ** (i - 1))
 
     def test_deterministic(self, rng):
@@ -54,15 +68,17 @@ class TestImageEncoder:
         frame = Tensor(rng.random((32, 32, 3)).astype(np.float32))
         a = enc(frame)
         b = enc(frame)
-        for fa, fb in zip(a.features, b.features):
+        for fa, fb in zip(a, b):
             np.testing.assert_array_equal(fa.data, fb.data)
 
-    def test_indivisible_input_padded(self, rng):
+    def test_indivisible_input_padded(self, rng, monkeypatch):
         enc = ImageEncoder(NANO, rng)
+        seen = record_block_extents(monkeypatch)
         out = enc(Tensor(rng.random((40, 72, 3)).astype(np.float32)))
-        assert out.features[0].shape == (16, 24, 8)  # padded to 64 x 96
-        assert out.valid[0] == (10, 18)
-        assert out.orig_size == (40, 72)
+        assert out[0].shape == (16, 24, 8)  # padded to 64 x 96
+        # every block masks to its stage's valid extents, rounded up
+        assert seen == [((16, 24), (10, 18)), ((8, 12), (5, 9)),
+                        ((4, 6), (3, 5)), ((4, 6), (3, 5)), ((2, 3), (2, 3))]
 
 
 class TestVideoEncoder:
@@ -72,9 +88,18 @@ class TestVideoEncoder:
         out = enc(Tensor(rng.random((t, 64, 64, 3)).astype(np.float32)),
                   Tensor(np.zeros((t, 64, 64, 1), np.float32)),
                   Tensor(np.zeros((t, 64, 64, 1), np.float32)))
-        assert out.features[3].shape == (3, 2, 2, 64)
-        for i, f in enumerate(out.features, start=1):
+        assert out[3].shape == (3, 2, 2, 64)
+        for i, f in enumerate(out, start=1):
             assert f.shape[0] == t
+
+    def test_indivisible_clip_padded(self, rng, monkeypatch):
+        enc = VideoEncoder(NANO, rng)
+        seen = record_block_extents(monkeypatch)
+        masks = Tensor(np.zeros((2, 40, 72, 1), np.float32))
+        enc(Tensor(rng.random((2, 40, 72, 3)).astype(np.float32)), masks, masks)
+        assert seen == [((2, 16, 24), (2, 10, 18)), ((2, 8, 12), (2, 5, 9)),
+                        ((2, 4, 6), (2, 3, 5)), ((2, 4, 6), (2, 3, 5)),
+                        ((2, 2, 3), (2, 2, 3))]
 
     def test_empty_memory_rejected(self, rng):
         enc = VideoEncoder(NANO, rng)
@@ -91,7 +116,7 @@ class TestVideoEncoder:
         zeros = np.zeros((1, 32, 32, 1), np.float32)
         out_v = video(Tensor(frame[None]), Tensor(zeros), Tensor(zeros))
         out_i = image(Tensor(frame))
-        for fv, fi in zip(out_v.features, out_i.features):
+        for fv, fi in zip(out_v, out_i):
             np.testing.assert_allclose(fv.data[0], fi.data, atol=1e-6)
 
     def test_other_mask_disabled_independence(self, rng):
@@ -102,7 +127,7 @@ class TestVideoEncoder:
         target = Tensor(np.zeros((2, 32, 32, 1), np.float32))
         a = enc(frames, target, Tensor(np.zeros((2, 32, 32, 1), np.float32)))
         b = enc(frames, target, Tensor(np.ones((2, 32, 32, 1), np.float32)))
-        for fa, fb in zip(a.features, b.features):
+        for fa, fb in zip(a, b):
             np.testing.assert_array_equal(fa.data, fb.data)
 
     def test_encoder_weights_independent(self, rng):
@@ -114,7 +139,7 @@ class TestVideoEncoder:
         for _, p in image.named_parameters():
             p.value += 1.0
         after = video(frames, zeros, zeros)
-        for fa, fb in zip(before.features, after.features):
+        for fa, fb in zip(before, after):
             np.testing.assert_array_equal(fa.data, fb.data)
 
 
@@ -126,8 +151,7 @@ class TestImageOnlyMemoryEncoder:
         out = mem(image, Tensor(rng.random((t, 32, 32, 3)).astype(np.float32)),
                   Tensor(np.zeros((t, 32, 32, 1), np.float32)),
                   Tensor(np.zeros((t, 32, 32, 1), np.float32)))
-        assert out.temporal == t
-        assert [f.shape for f in out.features] == [
+        assert [f.shape for f in out] == [
             (2, 8, 8, 8), (2, 4, 4, 16), (2, 2, 2, 32), (2, 1, 1, 64)]
 
     def test_masks_change_features(self, rng):
@@ -138,7 +162,7 @@ class TestImageOnlyMemoryEncoder:
         ones = np.ones((1, 32, 32, 1), np.float32)
         a = mem(image, frames, Tensor(zeros), Tensor(zeros))
         b = mem(image, frames, Tensor(ones), Tensor(zeros))
-        assert np.abs(a.features[0].data - b.features[0].data).max() > 0
+        assert np.abs(a[0].data - b[0].data).max() > 0
 
 
 class TestKeyValueProjector:
@@ -153,22 +177,18 @@ class TestKeyValueProjector:
     def test_full_scale_stage4_rows(self, rng):
         # C=128 pyramid has C4=1024: key rows 128, value rows 512
         proj = KeyValueProjector(128, rng)
-        from swinvos.encoders import StageFeatures
         f4 = Tensor(rng.standard_normal((2, 2, 1024)).astype(np.float32))
-        feats = StageFeatures([None, None, None, f4], [(2, 2)] * 4, (256, 256))
-        kv = proj(feats, 4)
+        kv = proj([None, None, None, f4], 4)
         assert kv.key.shape == (128, 4)
         assert kv.value.shape == (512, 4)
 
     def test_memory_flatten_order_delta_probe(self, rng):
         # delta at (t, x, y) must land at column t*H*W + x*W + y
         proj = KeyValueProjector(8, rng)
-        from swinvos.encoders import StageFeatures
         t, h, w, c = 2, 3, 4, 8
         feat = np.zeros((t, h, w, c), dtype=np.float32)
         feat[1, 2, 3, :] = 1.0
-        feats = StageFeatures([Tensor(feat)], [(h, w)], (h * 8, w * 8), temporal=t)
-        kv = proj(feats, 1)
+        kv = proj([Tensor(feat)], 1)
         nonzero = np.nonzero(np.abs(kv.key.data).sum(axis=0))[0]
         assert nonzero.tolist() == [1 * h * w + 2 * w + 3]
 
@@ -185,7 +205,7 @@ def test_full_scale_stage4_extent():
     rng = np.random.default_rng(0)
     enc = ImageEncoder(cfg, rng)
     feats = enc(Tensor(rng.random((384, 384, 3)).astype(np.float32)))
-    assert feats.stage(4).shape == (12, 12, 1024)
+    assert feats[3].shape == (12, 12, 1024)
 
 
 def test_heads_for_patterns():

@@ -633,12 +633,6 @@ class TestCheckpoint:
         assert isinstance(config, ModelConfig)
         assert all(isinstance(v, np.ndarray) for v in params.values())
 
-    def test_config_mismatch_refused(self, tmp_path, nano_model):
-        path = tmp_path / "m.hst"
-        save_checkpoint(nano_model, path)
-        with pytest.raises(ConfigError, match="does not match"):
-            load_checkpoint(path, expected_config=ModelConfig(variant="nano", k=9))
-
 
 class TestAblationModes:
     def test_image_only_model_runs(self):
