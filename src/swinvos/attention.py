@@ -66,29 +66,6 @@ class RelativePositionBias(Module):
         return engine.transpose(bias, (2, 0, 1))  # [heads, L, L]
 
 
-@functools.lru_cache(maxsize=128)
-def _origin_map(dims, window, shift):
-    """Region ids marking pre-shift window origins on the post-shift grid."""
-    region = np.zeros(dims, dtype=np.int64)
-    axis_slices = []
-    for d, w, s in zip(dims, window, shift):
-        if s > 0:
-            axis_slices.append((slice(0, d - w), slice(d - w, d - s), slice(d - s, d)))
-        else:
-            axis_slices.append((slice(0, d),))
-    count = 0
-    def fill(prefix, rest):
-        nonlocal count
-        if not rest:
-            region[tuple(prefix)] = count
-            count += 1
-            return
-        for sl in rest[0]:
-            fill(prefix + [sl], rest[1:])
-    fill([], axis_slices)
-    return region
-
-
 def _partition_flat(arr, window):
     """numpy window partition of [*dims] -> [nW, L]."""
     dims = arr.shape
@@ -142,28 +119,24 @@ def window_layout(dims, window, shifted):
 def attention_mask(dims, window, shift, extents=None):
     """Additive mask [nW, 1, L, L]: exactly -1e9 on forbidden pairs, else 0.
 
-    A pair is forbidden when the tokens come from different pre-shift
-    windows, or when the key token lies outside ``extents``, the valid
-    token extents (a box at the origin of the pre-shift grid ``dims``;
-    None means all of it). Returns None when nothing is masked. Masks are
-    cached per geometry as read-only float32 arrays. A T frame at one bank
-    size uses 14 geometries (7 in each encoder); a small cache keeps the
-    masks of earlier bank sizes from staying resident.
+    ``dims`` is the padded grid, rolled by -``shift``, so the token at slot
+    position p came from pre-roll coordinate o = (p + s) % d on each axis.
+    A pair is forbidden when the two tokens disagree on any axis about
+    o < s (they come from different pre-shift windows), or when the key's
+    o lies outside ``extents``, the valid token extents (None means all of
+    ``dims``). One bit per axis is enough: windows start at multiples of w,
+    so on a shifted axis only the last window mixes regions, the wrapped
+    tokens (o < s) and those from [d - w + s, d); every other window holds
+    one region. Returns None when nothing is masked. Masks are cached per
+    geometry as read-only float32 arrays. A T frame at one bank size uses
+    14 geometries (7 in each encoder); a small cache keeps the masks of
+    earlier bank sizes from staying resident.
     """
-    need_shift = any(s > 0 for s in shift)
-    valid = np.zeros(dims, dtype=bool)
-    valid[tuple(slice(0, int(e)) for e in (extents or dims))] = True
-    need_valid = not valid.all()
-    if not need_shift and not need_valid:
-        return None
-    regions = _origin_map(tuple(dims), tuple(window), tuple(shift))
-    win_regions = _partition_flat(regions, window)  # [nW, L]
-    forbidden = win_regions[:, :, None] != win_regions[:, None, :]
-    if need_valid:
-        if need_shift:
-            valid = np.roll(valid, tuple(-s for s in shift), axis=tuple(range(len(shift))))
-        win_valid = _partition_flat(valid, window)
-        forbidden = forbidden | ~win_valid[:, None, :]
+    origin = np.stack(np.meshgrid(*[(np.arange(d) + s) % d for d, s in zip(dims, shift)],
+                                  indexing="ij"), axis=-1)  # [*dims, rank]
+    wrapped = _partition_flat((origin < shift) @ (1 << np.arange(len(dims))), window)
+    inside = _partition_flat((origin < (extents or dims)).all(axis=-1), window)
+    forbidden = (wrapped[:, :, None] != wrapped[:, None, :]) | ~inside[:, None, :]
     if not forbidden.any():
         return None
     mask = np.where(forbidden[:, None], np.float32(MASK_VALUE), np.float32(0.0))

@@ -12,7 +12,7 @@ from . import engine
 from .attention import SwinBlock, window_msa
 from .decoder import RefinementStage, soft_aggregate
 from .engine import Tensor
-from .memread import ReadGeometry, dense_read, map_indices, topk_read
+from .memread import ReadGeometry, TopKIndexSet, dense_read, topk_read
 from .model import cross_entropy
 
 PRIMITIVE_TOL = 1e-5
@@ -148,7 +148,7 @@ def _check_dense_read(rng):
 
 def _check_topk_read(rng):
     stage = 3
-    omega = map_indices(np.array([[0, 5], [1, 4], [2, 3], [6, 7]]), stage, _GEOM)
+    omega = TopKIndexSet(np.array([[0, 5], [1, 4], [2, 3], [6, 7]]), _GEOM).expand(stage)
     hi, wi = _GEOM.stage_hw(stage)
     probe = _probe((16, hi * wi), 8)
 

@@ -147,11 +147,6 @@ def select_topk(s_raw, k):
     return order[:, :k_eff]
 
 
-def map_indices(omega4, stage, geom):
-    """Expand stage-4 index sets to stage ``stage`` block index sets."""
-    return TopKIndexSet(omega4, geom).expand(stage)
-
-
 def topk_read(kq, vq, km, vm, omega, stage, geom):
     """Sparse read at a finer stage.
 

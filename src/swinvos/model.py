@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import engine
-from .decoder import Decoder, predict_labels, soft_aggregate
+from .decoder import CLAMP_EPS, Decoder, predict_labels, soft_aggregate
 from .encoders import (
     EncoderConfig,
     ImageEncoder,
@@ -401,7 +401,9 @@ def train_step(model, frames, masks, lr):
     Frame 0's ground truth seeds the memory; frames 1 and 2 are predicted
     in turn, with frame 1's prediction entering the memory (gradients flow
     through it). Per-frame memory encoders encode frame 0 once for both
-    predictions. Returns the scalar loss.
+    predictions. Returns the scalar loss; raises NumericError, leaving the
+    parameters as they were, when the loss is not finite or when no
+    touched parameter has a non-zero gradient.
     """
     if len(frames) != 3 or len(masks) != 3:
         raise UsageError("training consumes exactly three frames and masks")
@@ -423,6 +425,11 @@ def train_step(model, frames, masks, lr):
     if not np.isfinite(value):
         raise NumericError(f"training loss diverged: {value}")
     engine.backward(loss, tape)
+    if not any(p.grad.any() for p in tape.parameters):
+        raise NumericError(
+            f"training stalled: all {len(tape.parameters)} touched parameters have an "
+            f"all-zero gradient (soft aggregation clamps every object probability to "
+            f"[{CLAMP_EPS}, 1 - {CLAMP_EPS}] and passes no gradient beyond it)")
     # only what the tape touched: a read mode that skips the finer stages
     # leaves their decoder skip weights out of the forward pass
     engine.adam_step(tape.parameters, lr=lr)

@@ -22,9 +22,9 @@ from swinvos.engine import Tensor
 from swinvos.gradsuite import run_suite
 from swinvos.memread import (
     ReadGeometry,
+    TopKIndexSet,
     bench,
     dense_read_stage4,
-    map_indices,
     random_kv,
     read_all,
     select_topk,
@@ -92,7 +92,7 @@ def test_criterion_1_oracle_equivalence():
         worst = max(worst, float((np.abs(y4.data - expect4)
                                   / np.maximum(1.0, np.abs(expect4))).max()))
         k = int(rng.integers(1, nm4 + 1))
-        omega = map_indices(select_topk(s4, k)[:h4w4], 2, geom)
+        omega = TopKIndexSet(select_topk(s4, k)[:h4w4], geom).expand(2)
         kq, vq, km, vm = kv[2]
         y2 = topk_read(Tensor(kq), Tensor(vq), Tensor(km), Tensor(vm), omega, 2, geom)
         expect2 = topk_read_loops(kq, vq, km, vm, omega, 2, geom)
@@ -176,7 +176,7 @@ def test_criterion_4_structural_invariants():
     geom = ReadGeometry(t=2, h4=3, w4=2)
     k = 5
     omega4 = np.tile(np.arange(k), (6, 1))
-    sizes = tuple(map_indices(omega4, stage, geom).shape[1] for stage in (3, 2, 1))
+    sizes = tuple(TopKIndexSet(omega4, geom).expand(stage).shape[1] for stage in (3, 2, 1))
     ok &= sizes == (4 * k, 16 * k, 64 * k)
     notes.append("index expansion 4k/16k/64k")
 

@@ -1,8 +1,14 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import pad_roll_partition, padded_swin_block, swin_geometry, unfused_window_msa
+from oracles import (
+    _mask_from_grid,
+    pad_roll_partition,
+    padded_swin_block,
+    swin_geometry,
+    unfused_window_msa,
+)
 
 from swinvos import attention, engine
 from swinvos.attention import (
@@ -158,6 +164,25 @@ class TestRelativePositionBias:
         assert out.shape == (2, 4, 4)
 
 
+def _mask_and_oracle(dims, window, shifted, extents):
+    """attention_mask as a SwinBlock calls it, and the pair-by-pair oracle."""
+    win, shift, pad_to = swin_geometry(dims, window, shifted)
+    valid = np.zeros(pad_to, dtype=bool)
+    valid[tuple(slice(0, e) for e in extents)] = True
+    expect = _mask_from_grid(pad_to, win, shift, valid)
+    return (attention_mask(pad_to, win, shift, extents),
+            None if expect is None else expect.astype(np.float32))
+
+
+@st.composite
+def _mask_geometries(draw):
+    rank = draw(st.integers(1, 3))
+    dims = tuple(draw(st.lists(st.integers(1, 8 - rank), min_size=rank, max_size=rank)))
+    window = tuple(draw(st.lists(st.integers(1, 5), min_size=rank, max_size=rank)))
+    extents = tuple(draw(st.integers(1, d)) for d in dims)
+    return dims, window, draw(st.booleans()), extents
+
+
 class TestAttentionMask:
     def test_unshifted_no_mask(self):
         assert attention_mask((4, 4), (2, 2), (0, 0)) is None
@@ -193,6 +218,19 @@ class TestAttentionMask:
         win_ids = attention._partition_flat(origin_id, window)
         expect = np.where(win_ids[:, :, None] != win_ids[:, None, :], MASK_VALUE, 0.0)
         np.testing.assert_array_equal(mask[:, 0], expect)
+
+    # odd windows, padded and shifted on every axis; the last clamps on T
+    @example(((32, 32), (7, 7), True, (30, 29)))
+    @example(((9, 8, 8), (4, 3, 3), True, (7, 6, 5)))
+    @example(((2, 8, 8), (8, 7, 7), True, (2, 6, 6)))
+    @given(_mask_geometries())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_pair_by_pair_oracle(self, geometry):
+        mask, expect = _mask_and_oracle(*geometry)
+        assert (mask is None) == (expect is None)
+        if mask is not None:
+            assert mask.dtype == np.float32
+            np.testing.assert_array_equal(mask, expect)
 
     def test_cached_read_only_per_geometry(self):
         mask = attention_mask((6, 6), (3, 3), (1, 1), (4, 5))

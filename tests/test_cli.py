@@ -101,6 +101,24 @@ class TestTrainToy:
                            "--read-mode", "last_stage_only")
         assert code == 0, err
 
+    def test_stalled_training_exits_3(self, tmp_path, capsys, monkeypatch):
+        import swinvos.model as model_module
+
+        init = model_module.init_model
+
+        def saturated(config, seed):
+            model = init(config, seed)
+            model.decoder.head.bias.value[:] = (-60, 60)
+            return model
+
+        monkeypatch.setattr(model_module, "init_model", saturated)
+        seq = tmp_path / "seq"
+        run(capsys, "gen", "--out", str(seq), "--frames", "4", "--size", "64")
+        code, _, err = run(capsys, "train-toy", "--seq", str(seq), "--steps", "2",
+                           "--ckpt", str(tmp_path / "m.hst"), "--k", "8")
+        assert code == 3
+        assert "training stalled" in err
+
     def test_mixed_frame_sizes_name_the_sizes(self, tmp_path, capsys):
         from swinvos.data import synth_moving_shapes, write_pgm, write_ppm
 

@@ -16,7 +16,6 @@ from swinvos.memread import (
     dense_read,
     dense_read_stage4,
     flops_mode,
-    map_indices,
     random_kv,
     read_all,
     select_topk,
@@ -118,7 +117,7 @@ class TestMapIndices:
     def test_stage3_block_expansion(self):
         # one set containing (t=0, x4=1, y4=0) on a 2x2 stage-4 grid
         omega4 = np.array([[1 * GEOM.w4 + 0]] * 4)
-        out = map_indices(omega4, 3, GEOM)
+        out = TopKIndexSet(omega4, GEOM).expand(3)
         w3 = GEOM.stage_hw(3)[1]
         expect = sorted([2 * w3 + 0, 2 * w3 + 1, 3 * w3 + 0, 3 * w3 + 1])
         assert sorted(out[0].tolist()) == expect
@@ -128,16 +127,16 @@ class TestMapIndices:
         k = 2
         omega4 = np.tile(np.arange(k), (9, 1))
         for stage, factor in ((3, 4), (2, 16), (1, 64)):
-            assert map_indices(omega4, stage, geom).shape == (9, factor * k)
+            assert TopKIndexSet(omega4, geom).expand(stage).shape == (9, factor * k)
 
     def test_blocks_disjoint_for_distinct_cells(self):
         omega4 = np.array([[0, 3]] * 4)
-        out = map_indices(omega4, 2, GEOM)
+        out = TopKIndexSet(omega4, GEOM).expand(2)
         assert len(set(out[0].tolist())) == out.shape[1]
 
     def test_bad_stage(self):
         with pytest.raises(UsageError):
-            map_indices(np.zeros((4, 1), dtype=int), 4, GEOM)
+            TopKIndexSet(np.zeros((4, 1), dtype=int), GEOM).expand(4)
 
     def test_for_query_uses_containing_cell(self):
         omega4 = np.arange(8).reshape(4, 2) % (GEOM.t * 4)
@@ -153,7 +152,7 @@ class TestTopkRead:
             kq, vq, km, vm = small_kv(stage, stage=stage)
             nm4 = GEOM.memory_cells(4)
             omega4 = np.tile(np.arange(nm4), (GEOM.h4 * GEOM.w4, 1))
-            omega = map_indices(omega4, stage, GEOM)
+            omega = TopKIndexSet(omega4, GEOM).expand(stage)
             y_sparse = topk_read(Tensor(kq), Tensor(vq), Tensor(km), Tensor(vm),
                                  omega, stage, GEOM)
             y_dense = dense_read(Tensor(kq), Tensor(vq), Tensor(km), Tensor(vm))
@@ -175,7 +174,7 @@ class TestTopkRead:
         rng = np.random.default_rng(seed)
         omega4 = np.stack([rng.choice(GEOM.memory_cells(4), size=3, replace=False)
                            for _ in range(GEOM.h4 * GEOM.w4)])
-        omega = map_indices(omega4, stage, GEOM)
+        omega = TopKIndexSet(omega4, GEOM).expand(stage)
         y = topk_read(Tensor(kq), Tensor(vq), Tensor(km), Tensor(vm), omega, stage, GEOM)
         expect = oracle_topk(kq, vq, km, vm, omega, stage, GEOM)
         err = np.abs(y.data - expect) / np.maximum(1.0, np.abs(expect))
@@ -202,7 +201,7 @@ class TestTopkRead:
         rng = np.random.default_rng(stage)
         omega4 = np.stack([rng.choice(geom.memory_cells(4), size=3, replace=False)
                            for _ in range(geom.h4 * geom.w4)])
-        omega = map_indices(omega4, stage, geom)
+        omega = TopKIndexSet(omega4, geom).expand(stage)
 
         def read():
             return topk_read(Tensor(kq), Tensor(vq), Tensor(km), Tensor(vm),
@@ -225,7 +224,7 @@ class TestTopkRead:
         rng = np.random.default_rng(0)
         omega4 = np.stack([rng.choice(geom.memory_cells(4), size=128, replace=False)
                            for _ in range(geom.h4 * geom.w4)])
-        omega = map_indices(omega4, 1, geom)
+        omega = TopKIndexSet(omega4, geom).expand(1)
         out_bytes = (q.value.shape[0] + m.value.shape[0]) * q.key.shape[1] * 4
         budget = 4 * (m.key.data.nbytes + m.value.data.nbytes + omega.nbytes + out_bytes)
         tracemalloc.start()

@@ -13,7 +13,7 @@ from oracles import encoder_parameter_count, membership_law, parameter_count
 from swinvos import engine
 from swinvos.checkpoint import load_checkpoint, read_checkpoint, save_checkpoint
 from swinvos.data import synth_moving_shapes
-from swinvos.errors import ConfigError, DataError, DimensionError, UsageError
+from swinvos.errors import ConfigError, DataError, DimensionError, NumericError, UsageError
 from swinvos import model as model_module
 from swinvos.model import (
     MemoryBank,
@@ -486,6 +486,19 @@ class TestTraining:
         param = dict(model.named_parameters())["decoder.refine.0.skip.weight"]
         with pytest.raises(UsageError, match=r"decoder\.refine\.0\.skip\.weight"):
             engine.adam_step([param], lr=1e-3)
+
+    def test_stalled_step_is_a_numeric_error(self):
+        # a head biased to +-60 saturates every object probability beyond
+        # the soft-aggregation clamp, so no touched parameter gets a gradient
+        model = init_model(NANO, seed=0)
+        params = dict(model.named_parameters())
+        params["decoder.head.bias"].value[:] = (-60, 60)
+        before = {n: p.value.copy() for n, p in params.items()}
+        sample = synth_moving_shapes(1, 3, 64, 2)
+        with pytest.raises(NumericError, match="soft aggregation clamps"):
+            train_step(model, sample.frames, sample.masks, lr=1e-3)
+        for name, p in params.items():
+            assert p.value.tobytes() == before[name].tobytes(), name
 
     def test_mixed_frame_extents_name_the_sizes(self, nano_model):
         small, large = synth_moving_shapes(0, 3, 64, 1), synth_moving_shapes(0, 3, 96, 1)
