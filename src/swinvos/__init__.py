@@ -1,10 +1,12 @@
 """Windowed-attention video object segmentation at desk scale.
 
-Subpackages: ``engine`` (tensors + reverse-mode autodiff), ``attention``
-(2D/3D shifted-window blocks), ``encoders``, ``memread`` (dense + top-k
+Submodules: ``config`` (``ModelConfig``, variants, option choices),
+``engine`` (tensors + reverse-mode autodiff), ``attention`` (2D/3D
+shifted-window blocks), ``encoders``, ``memread`` (dense + top-k
 multi-scale memory read), ``decoder``, ``model`` (assembly, memory bank,
-training), ``data`` (synthetic videos + PPM/PGM I/O), ``metrics`` (J / F),
-``cli``.
+training), ``checkpoint`` (binary save/load), ``data`` (synthetic videos +
+PPM/PGM I/O), ``metrics`` (J / F), ``gradsuite`` (per-op gradient checks),
+``errors``, ``cli``.
 
 Submodules load on demand (``from swinvos import engine``), so importing
 ``swinvos.cli`` does not load numpy before ``--threads`` caps BLAS.

@@ -209,9 +209,9 @@ class WindowAttention(Module):
 
 
 class Mlp(Module):
-    def __init__(self, dim, rng, ratio=4, dtype=engine.DEFAULT_DTYPE):
-        self.fc1 = Linear(dim, ratio * dim, rng, dtype=dtype)
-        self.fc2 = Linear(ratio * dim, dim, rng, dtype=dtype)
+    def __init__(self, dim, rng, dtype=engine.DEFAULT_DTYPE):
+        self.fc1 = Linear(dim, 4 * dim, rng, dtype=dtype)
+        self.fc2 = Linear(4 * dim, dim, rng, dtype=dtype)
 
     def __call__(self, x):
         return self.fc2(engine.gelu(self.fc1(x)))

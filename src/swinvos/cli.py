@@ -13,6 +13,8 @@ import argparse
 import os
 import sys
 
+from .config import ENCODER_MODES, MEMORY_POLICIES, READ_MODES, VARIANTS, ModelConfig
+
 
 def build_parser():
     parser = argparse.ArgumentParser(
@@ -30,15 +32,12 @@ def build_parser():
     gen.add_argument("--objects", type=int, default=1)
 
     def add_model_flags(p):
-        p.add_argument("--variant", default="nano",
-                       choices=["nano", "T", "S", "B", "L"])
+        p.add_argument("--variant", default="nano", choices=list(VARIANTS))
         p.add_argument("--k", type=int, default=128)
         p.add_argument("--memory", default="every8",
-                       choices=["every8", "firstprev"], dest="memory_policy")
-        p.add_argument("--read-mode", default="hierarchical_topk",
-                       choices=["hierarchical_topk", "last_stage_only", "dense_all"])
-        p.add_argument("--encoder-mode", default="full",
-                       choices=["full", "image_only"])
+                       choices=MEMORY_POLICIES, dest="memory_policy")
+        p.add_argument("--read-mode", default="hierarchical_topk", choices=READ_MODES)
+        p.add_argument("--encoder-mode", default="full", choices=ENCODER_MODES)
         p.add_argument("--no-other-mask", action="store_true",
                        help="drop the other-objects mask input")
         p.add_argument("--seed", type=int, default=0)
@@ -92,8 +91,6 @@ def _print_config(args, extra=()):
 
 
 def _model_config(args):
-    from .model import ModelConfig
-
     return ModelConfig(variant=args.variant, k=args.k,
                        memory_policy=args.memory_policy,
                        other_mask_enabled=not args.no_other_mask,
@@ -240,7 +237,7 @@ def cmd_gradcheck(args):
 
 def cmd_bench_memread(args):
     from .errors import UsageError
-    from .memread import READ_MODES, ReadGeometry, bench
+    from .memread import ReadGeometry, bench
 
     _print_config(args, ("modes", "k", "height", "width", "t", "dim"))
     if min(args.height, args.width) < 32 or args.height % 32 or args.width % 32:

@@ -21,6 +21,7 @@ _PALETTE = np.array([
 ], dtype=np.float32)
 
 _LAYOUTS = 20  # whole-layout placement attempts before giving up
+_VELOCITY_CAP = 3  # largest sampled step per axis, px/frame
 
 
 @dataclass
@@ -40,8 +41,9 @@ class VideoSample:
                 raise DataError(f"mask label {m.max()} exceeds object count")
 
 
-def _smooth_noise(rng, size, cells=8):
+def _smooth_noise(rng, size):
     """Low-frequency background texture: coarse noise, bilinear upsizing."""
+    cells = 8  # per side
     coarse = rng.uniform(0.25, 0.75, size=(cells, cells, 3)).astype(np.float32)
     idx = (np.arange(size) + 0.5) * cells / size - 0.5
     lo = np.clip(np.floor(idx).astype(int), 0, cells - 1)
@@ -63,7 +65,7 @@ def _object_stamp(kind, extent):
 
 
 def synth_moving_shapes(seed, n_frames, size, n_objects, object_extent=None,
-                        velocity_cap=3, velocities=None):
+                        velocities=None):
     """Distinctly colored shapes translating over a textured background.
 
     Objects bounce off the canvas edges, so their true footprints never
@@ -98,7 +100,7 @@ def synth_moving_shapes(seed, n_frames, size, n_objects, object_extent=None,
             f"could not place {n_objects} objects of extent {object_extent} "
             f"disjointly on a {size} px canvas")
     if velocities is None:
-        velocities = [rng.integers(-velocity_cap, velocity_cap + 1, size=2)
+        velocities = [rng.integers(-_VELOCITY_CAP, _VELOCITY_CAP + 1, size=2)
                       for _ in range(n_objects)]
         for v in velocities:
             if v[0] == 0 and v[1] == 0:

@@ -1,7 +1,9 @@
 """Query (image) and memory (video) encoders.
 
 Both encoders are four-stage pyramids of windowed-attention blocks joined
-by patch merging. Stage i halves the spatial resolution of stage i-1 and
+by patch merging, sized by a ``ModelConfig``: counting from 0, stage i has
+``depths[i]`` blocks of width ``dim * 2**i`` and ``heads_for(dim)[i]``
+heads. Each stage halves the spatial resolution of the one before and
 doubles its channels; the memory encoder keeps the temporal extent fixed
 across stages. An encoder returns its four stage feature maps as a list.
 Inputs are zero-padded to a multiple of 32 on the right and bottom, and
@@ -17,33 +19,6 @@ from .engine import Linear, Module, Tensor
 from .errors import ConfigError, DimensionError, UsageError
 
 N_STAGES = 4
-
-
-@dataclass(frozen=True)
-class EncoderConfig:
-    dim: int
-    depths: tuple
-    window: int
-    temporal_window: int
-    heads: tuple
-    use_other_mask: bool = True
-
-    def __post_init__(self):
-        if self.dim % 8:
-            raise ConfigError(f"base channels must be divisible by 8, got {self.dim}")
-        if len(self.depths) != N_STAGES or len(self.heads) != N_STAGES:
-            raise ConfigError("depths and heads must list all four stages")
-        for d in self.depths:
-            if d != 1 and d % 2:
-                raise ConfigError(f"stage depths must be even or 1, got {self.depths}")
-        if self.window <= 0 or self.temporal_window <= 0:
-            raise ConfigError("window extents must be positive")
-        for i, h in enumerate(self.heads):
-            if self.stage_dim(i + 1) % h:
-                raise ConfigError(f"heads {h} do not divide stage {i + 1} channels")
-
-    def stage_dim(self, stage):
-        return self.dim * 2 ** (stage - 1)
 
 
 def _pad_inputs(*inputs):
@@ -77,9 +52,10 @@ class _StageStack(Module):
     def __init__(self, config, window, rng, dtype):
         self.stages = []
         self.merges = []
+        heads = heads_for(config.dim)
         for i in range(N_STAGES):
-            dim = config.stage_dim(i + 1)
-            blocks = [SwinBlock(dim, config.heads[i], window, shifted=(j % 2 == 1),
+            dim = config.dim * 2 ** i
+            blocks = [SwinBlock(dim, heads[i], window, shifted=(j % 2 == 1),
                                 rng=rng, dtype=dtype)
                       for j in range(config.depths[i])]
             self.stages.append(blocks)
@@ -122,7 +98,7 @@ class VideoEncoder(Module):
 
     def __init__(self, config, rng, dtype=engine.DEFAULT_DTYPE):
         self.patch_embed = PatchEmbedVideo(config.dim, rng,
-                                           use_other_mask=config.use_other_mask,
+                                           use_other_mask=config.other_mask_enabled,
                                            dtype=dtype)
         window = (config.temporal_window, config.window, config.window)
         self.stack = _StageStack(config, window, rng, dtype)
@@ -144,8 +120,7 @@ class ImageOnlyMemoryEncoder(Module):
         p2 = PATCH * PATCH
         self.embed_target = Linear(p2, config.dim, rng, dtype=dtype)
         self.embed_other = (Linear(p2, config.dim, rng, dtype=dtype)
-                            if config.use_other_mask else None)
-        self.use_other_mask = config.use_other_mask
+                            if config.other_mask_enabled else None)
 
     def __call__(self, image_encoder, frames, target_masks, other_masks):
         t, valid, (frames, target_masks, other_masks) = _memory_inputs(
@@ -155,7 +130,7 @@ class ImageOnlyMemoryEncoder(Module):
         for ti in range(t):
             tokens = engine.add(embed.embed(_patchify(frames[ti], PATCH)),
                                 self.embed_target(_patchify(target_masks[ti], PATCH)))
-            if self.use_other_mask:
+            if self.embed_other is not None:
                 tokens = engine.add(tokens,
                                     self.embed_other(_patchify(other_masks[ti], PATCH)))
             tokens = embed.norm(tokens)

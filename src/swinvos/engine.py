@@ -77,13 +77,11 @@ class Tensor:
         return getitem(self, key)
 
 
-def as_tensor(value, dtype=None):
+def as_tensor(value):
     if isinstance(value, Tensor):
         return value
-    if dtype is None and isinstance(value, (int, float)):
-        # keep python scalars exact; binary ops narrow them to the partner dtype
-        dtype = np.float64
-    return Tensor(value, dtype=dtype)
+    # keep python scalars exact; binary ops narrow them to the partner dtype
+    return Tensor(value, dtype=np.float64 if isinstance(value, (int, float)) else None)
 
 
 class Parameter:
@@ -96,7 +94,7 @@ class Parameter:
 
     __slots__ = ("value", "grad", "adam_m", "adam_v", "step_count", "name")
 
-    def __init__(self, value, name=""):
+    def __init__(self, value):
         self.value = np.asarray(value)
         if self.value.dtype not in _SUPPORTED_DTYPES:
             self.value = self.value.astype(DEFAULT_DTYPE)
@@ -104,7 +102,7 @@ class Parameter:
         self.adam_m = None
         self.adam_v = None
         self.step_count = 0
-        self.name = name
+        self.name = ""
 
     @property
     def shape(self):
@@ -505,15 +503,10 @@ def tsum(a, axis=None, keepdims=False):
     return record_op(out, (a,), bwd)
 
 
-def tmean(a, axis=None, keepdims=False):
+def tmean(a):
+    """Mean over every element."""
     a = as_tensor(a)
-    if axis is None:
-        count = a.size
-    elif isinstance(axis, tuple):
-        count = int(np.prod([a.shape[ax] for ax in axis]))
-    else:
-        count = a.shape[axis]
-    return mul(tsum(a, axis=axis, keepdims=keepdims), 1.0 / count)
+    return mul(tsum(a), 1.0 / a.size)
 
 
 # ---------------------------------------------------------------------------
@@ -719,10 +712,11 @@ def bilinear_upsample(x, target):
 # ---------------------------------------------------------------------------
 # optimizer
 
-def adam_step(params, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+def adam_step(params, lr):
     """Bias-corrected Adam update over ``params`` (gradients must be populated)."""
-    if lr <= 0:
-        raise ConfigError(f"learning rate must be positive, got {lr}")
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+    if not 0 < lr < math.inf:
+        raise ConfigError(f"learning rate must be finite and positive, got {lr}")
     for p in params:
         if p.grad is None:
             raise UsageError(f"parameter {p.name or '<unnamed>'} has no gradient")
@@ -796,13 +790,12 @@ class Linear(Module):
 
 
 class LayerNorm(Module):
-    def __init__(self, dim, eps=1e-5, dtype=DEFAULT_DTYPE):
+    def __init__(self, dim, dtype=DEFAULT_DTYPE):
         self.gamma = Parameter(np.ones(dim, dtype=dtype))
         self.beta = Parameter(np.zeros(dim, dtype=dtype))
-        self.eps = eps
 
     def __call__(self, x):
-        return layer_norm(x, self.gamma.tensor(), self.beta.tensor(), eps=self.eps)
+        return layer_norm(x, self.gamma.tensor(), self.beta.tensor())
 
 
 class Conv3x3(Module):
@@ -836,7 +829,7 @@ def finite_difference(fn, arrays, h=1e-5):
     return grads
 
 
-def gradcheck(fn, arrays, h=1e-5, tol=1e-5):
+def gradcheck(fn, arrays, tol=1e-5):
     """Compare taped gradients of ``fn`` against central differences (f64).
 
     ``fn`` maps Tensors to a scalar Tensor. Returns (ok, worst_rel_err).
@@ -853,7 +846,7 @@ def gradcheck(fn, arrays, h=1e-5, tol=1e-5):
         value = fn(*[Tensor(a) for a in arrs])
         return float(value.data)
 
-    numeric = finite_difference(scalar_fn, [p.value for p in params], h=h)
+    numeric = finite_difference(scalar_fn, [p.value for p in params])
     worst = 0.0
     for a, n in zip(analytic, numeric):
         denom = np.maximum(1.0, np.abs(n))

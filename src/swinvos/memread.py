@@ -27,10 +27,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import engine
+from .config import READ_MODES
 from .engine import Tensor
 from .errors import ConfigError, DimensionError, UsageError
-
-READ_MODES = ("hierarchical_topk", "last_stage_only", "dense_all")
 
 # elements per intermediate before a read falls back to row chunks (~128 MB f32)
 _CHUNK_ELEMS = 32 * 1024 * 1024

@@ -108,6 +108,8 @@ def evaluate_sequence(pred_masks, gt_masks, n_objects=None, tolerance_px=None):
         raise DataError("need at least two frames to evaluate (frame 0 is given)")
     if n_objects is None:
         n_objects = int(max(m.max() for m in gt_masks))
+    if n_objects < 1:
+        raise DataError(f"ground truth labels no object (object count {n_objects})")
     report = EvalReport()
     js, fs = [], []
     for frame in range(1, len(gt_masks)):

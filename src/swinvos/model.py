@@ -13,156 +13,38 @@ frame by frame: the ``MemoryBank`` keeps the first frame, the previous
 frame, and every stride-th frame, and holds the cache across frames.
 Training follows the three-frame protocol: ground truth seeds the memory,
 frame 1's prediction is both a loss term and the memory for frame 2.
+``ModelConfig`` and ``VARIANTS`` live in ``config`` and are re-exported here.
 """
 
+import math
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import engine
+from .config import MEMORY_POLICIES, VARIANTS, ModelConfig
 from .decoder import CLAMP_EPS, Decoder, predict_labels, soft_aggregate
 from .encoders import (
-    EncoderConfig,
     ImageEncoder,
     ImageOnlyMemoryEncoder,
     KeyValueMaps,
     KeyValueProjector,
     VideoEncoder,
-    heads_for,
 )
 from .engine import Module, Tape, Tensor
 from .errors import ConfigError, DimensionError, NumericError, UsageError
-from .memread import ReadGeometry, READ_MODES, read_all
+from .memread import ReadGeometry, read_all
 from .data import sample_training_triplet
 
-VARIANTS = {
-    "nano": dict(dim=8, depths=(1, 1, 2, 1), window=4, temporal_window=1,
-                 decoder_width=32),
-    "T": dict(dim=96, depths=(2, 2, 6, 2), window=7, temporal_window=8,
-              decoder_width=256),
-    "S": dict(dim=96, depths=(2, 2, 18, 2), window=7, temporal_window=8,
-              decoder_width=256),
-    "B": dict(dim=128, depths=(2, 2, 18, 2), window=12, temporal_window=8,
-              decoder_width=256),
-    "L": dict(dim=192, depths=(2, 2, 18, 2), window=12, temporal_window=8,
-              decoder_width=256),
-}
-
-MEMORY_POLICIES = ("every8", "firstprev")
-ENCODER_MODES = ("full", "image_only")
-
-
-@dataclass(frozen=True)
-class ModelConfig:
-    variant: str = "nano"
-    k: int = 128
-    memory_policy: str = "every8"
-    memory_stride: int = 8
-    other_mask_enabled: bool = True
-    encoder_mode: str = "full"
-    read_mode: str = "hierarchical_topk"
-
-    def __post_init__(self):
-        if self.variant not in VARIANTS:
-            raise ConfigError(
-                f"unknown variant {self.variant!r}, expected one of {sorted(VARIANTS)}")
-        if self.k < 1:
-            raise ConfigError(f"k must be at least 1, got {self.k}")
-        if self.memory_policy not in MEMORY_POLICIES:
-            raise ConfigError(f"memory policy must be one of {MEMORY_POLICIES}")
-        if self.memory_stride < 1:
-            raise ConfigError(f"memory stride must be positive, got {self.memory_stride}")
-        if self.encoder_mode not in ENCODER_MODES:
-            raise ConfigError(f"encoder mode must be one of {ENCODER_MODES}")
-        if self.read_mode not in READ_MODES:
-            raise ConfigError(f"read mode must be one of {READ_MODES}")
-
-    @property
-    def dim(self):
-        return VARIANTS[self.variant]["dim"]
-
-    @property
-    def depths(self):
-        return VARIANTS[self.variant]["depths"]
-
-    @property
-    def window(self):
-        return VARIANTS[self.variant]["window"]
-
-    @property
-    def temporal_window(self):
-        return VARIANTS[self.variant]["temporal_window"]
-
-    @property
-    def decoder_width(self):
-        return VARIANTS[self.variant]["decoder_width"]
-
-    def encoder_config(self):
-        return EncoderConfig(dim=self.dim, depths=self.depths, window=self.window,
-                             temporal_window=self.temporal_window,
-                             heads=heads_for(self.dim),
-                             use_other_mask=self.other_mask_enabled)
-
-    def canonical(self):
-        """Stable key=value text used for checkpoint embedding and --dump-config."""
-        items = [
-            ("variant", self.variant),
-            ("dim", self.dim),
-            ("depths", ",".join(str(d) for d in self.depths)),
-            ("window", self.window),
-            ("temporal_window", self.temporal_window),
-            ("decoder_width", self.decoder_width),
-            ("k", self.k),
-            ("memory_policy", self.memory_policy),
-            ("memory_stride", self.memory_stride),
-            ("other_mask_enabled", int(self.other_mask_enabled)),
-            ("encoder_mode", self.encoder_mode),
-            ("read_mode", self.read_mode),
-        ]
-        return "\n".join(f"{k}={v}" for k, v in items) + "\n"
-
-    @classmethod
-    def from_canonical(cls, text):
-        pairs = _canonical_fields(text)
-        try:
-            other_mask = int(pairs["other_mask_enabled"])
-            config = cls(variant=pairs["variant"], k=int(pairs["k"]),
-                         memory_policy=pairs["memory_policy"],
-                         memory_stride=int(pairs["memory_stride"]),
-                         other_mask_enabled=bool(other_mask),
-                         encoder_mode=pairs["encoder_mode"],
-                         read_mode=pairs["read_mode"])
-            # fixed by the variant; canonical text repeats them for readers
-            derived = {name: pairs[name] for name in VARIANTS[config.variant]}
-        except KeyError as err:
-            raise ConfigError(f"config text missing field {err}") from err
-        except ValueError as err:
-            raise ConfigError(f"config text has a non-integer field: {err}") from err
-        if other_mask not in (0, 1):
-            raise ConfigError(f"other_mask_enabled must be 0 or 1, got {other_mask}")
-        expected = _canonical_fields(config.canonical())
-        for name, value in derived.items():
-            if value != expected[name]:
-                raise ConfigError(
-                    f"config text has {name}={value}, variant {config.variant} "
-                    f"has {name}={expected[name]}")
-        return config
-
-
-def _canonical_fields(text):
-    """key=value lines as a dict; a repeated key keeps its last value."""
-    return dict(line.partition("=")[::2] for line in text.strip().splitlines())
-
+MAX_INTERVAL = 25  # largest triplet-sampling interval cap of train_toy
 
 class Model(Module):
     def __init__(self, config, rng, dtype=engine.DEFAULT_DTYPE):
-        enc_cfg = config.encoder_config()
-        self.query_encoder = ImageEncoder(enc_cfg, rng, dtype=dtype)
+        self.query_encoder = ImageEncoder(config, rng, dtype=dtype)
         if config.encoder_mode == "full":
-            self.memory_encoder = VideoEncoder(enc_cfg, rng, dtype=dtype)
+            self.memory_encoder = VideoEncoder(config, rng, dtype=dtype)
         else:
-            self.image_only_memory = ImageOnlyMemoryEncoder(enc_cfg, rng, dtype=dtype)
+            self.image_only_memory = ImageOnlyMemoryEncoder(config, rng, dtype=dtype)
         self.query_proj = KeyValueProjector(config.dim, rng, dtype=dtype)
         self.memory_proj = KeyValueProjector(config.dim, rng, dtype=dtype)
         self.decoder = Decoder(config.dim, config.decoder_width, rng, dtype=dtype)
@@ -436,20 +318,22 @@ def train_step(model, frames, masks, lr):
     return value
 
 
-def train_toy(model, sample, steps, lr, seed=0, curriculum=True, max_interval=25):
+def train_toy(model, sample, steps, lr, seed=0, curriculum=True):
     """Overfit on one synthetic video; returns the loss curve.
 
     The triplet-sampling interval cap grows linearly from 0 to
-    ``max_interval`` (clamped to the sequence length) over the schedule;
+    ``MAX_INTERVAL`` (clamped to the sequence length) over the schedule;
     with ``curriculum`` off the cap is fixed at its final value.
     """
     if steps < 0:
         raise UsageError(f"step count must not be negative, got {steps}")
+    if not 0 < lr < math.inf:
+        raise ConfigError(f"learning rate must be finite and positive, got {lr}")
     if steps == 0:
         return []
     rng = np.random.default_rng(seed)
     n = len(sample.frames)
-    final_cap = max(1, min(max_interval, n - 1))
+    final_cap = max(1, min(MAX_INTERVAL, n - 1))
     curve = []
     for step in range(steps):
         if curriculum and steps > 1:

@@ -17,7 +17,7 @@ from swinvos.attention import window_layout
 from swinvos.checkpoint import load_checkpoint, save_checkpoint
 from swinvos.data import read_pgm, synth_moving_shapes, write_pgm
 from swinvos.decoder import soft_aggregate
-from swinvos.encoders import EncoderConfig, ImageEncoder, VideoEncoder, heads_for
+from swinvos.encoders import ImageEncoder, VideoEncoder
 from swinvos.engine import Tensor
 from swinvos.gradsuite import run_suite
 from swinvos.memread import (
@@ -149,8 +149,7 @@ def test_criterion_4_structural_invariants():
     notes.append("roundtrips bitwise")
 
     # extent laws on randomized valid sizes, image and video encoders
-    cfg = EncoderConfig(dim=8, depths=(1, 1, 2, 1), window=4, temporal_window=1,
-                        heads=heads_for(8))
+    cfg = ModelConfig(variant="nano")
     image = ImageEncoder(cfg, rng)
     video = VideoEncoder(cfg, rng)
     for _ in range(3):

@@ -287,8 +287,8 @@ class TestBenchCommand:
         assert not out_csv.exists()
 
 
-# counts and extents out of range: each is a usage error (exit 1) that
-# writes nothing
+# counts, extents and learning rates out of range: each is a usage or
+# config error (exit 1) that writes nothing
 _BAD_COUNTS = [
     ("bench-memread", "--t", "-1"),
     ("bench-memread", "--t", "0"),
@@ -300,6 +300,9 @@ _BAD_COUNTS = [
     ("gen", "--frames", "0"),
     ("gen", "--frames", "-3"),
     ("train-toy", "--steps", "-5"),
+    ("train-toy", "--steps", "1", "--lr", "nan"),
+    ("train-toy", "--steps", "1", "--lr", "inf"),
+    ("train-toy", "--steps", "0", "--lr", "-1"),
     ("eval", "--tolerance", "-3"),
     ("--threads", "-4", "gen"),
 ]
@@ -324,7 +327,22 @@ def test_bad_count_or_extent_is_usage_error(tmp_path, capsys, argv):
     code, _, err = run(capsys, *argv, *inputs, _OUTPUT_FLAG[command], str(out))
     assert code == 1
     assert err.startswith("error: ")
-    assert not out.exists()
+    assert not out.exists() and not (tmp_path / "out.loss.csv").exists()
+
+
+def test_eval_ground_truth_without_objects_is_data_error(tmp_path, capsys):
+    from swinvos.data import read_pgm, write_pgm
+
+    seq = tmp_path / "seq"
+    run(capsys, "gen", "--out", str(seq), "--frames", "4", "--size", "32")
+    for path in (seq / "masks").iterdir():
+        write_pgm(read_pgm(path) * 0, path)
+    report = tmp_path / "report.tsv"
+    code, _, err = run(capsys, "eval", "--pred", str(seq / "masks"), "--gt", str(seq),
+                       "--out", str(report))
+    assert code == 2
+    assert err.startswith("error: ") and "no object" in err
+    assert not report.exists()
 
 
 def test_train_zero_steps_stays_valid(tmp_path, capsys):

@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from swinvos.attention import SwinBlock
+from swinvos.config import VARIANTS, ModelConfig
 from swinvos.encoders import (
-    EncoderConfig,
     ImageEncoder,
     ImageOnlyMemoryEncoder,
     KeyValueProjector,
@@ -13,10 +13,9 @@ from swinvos.encoders import (
     heads_for,
 )
 from swinvos.engine import Tensor
-from swinvos.errors import ConfigError, UsageError
+from swinvos.errors import UsageError
 
-NANO = EncoderConfig(dim=8, depths=(1, 1, 2, 1), window=4, temporal_window=1,
-                     heads=(1, 2, 4, 8))
+NANO = ModelConfig(variant="nano")
 
 
 def tie_video_to_image(video, image):
@@ -120,8 +119,7 @@ class TestVideoEncoder:
             np.testing.assert_allclose(fv.data[0], fi.data, atol=1e-6)
 
     def test_other_mask_disabled_independence(self, rng):
-        cfg = EncoderConfig(dim=8, depths=(1, 1, 2, 1), window=4, temporal_window=1,
-                            heads=(1, 2, 4, 8), use_other_mask=False)
+        cfg = ModelConfig(variant="nano", other_mask_enabled=False)
         enc = VideoEncoder(cfg, np.random.default_rng(4))
         frames = Tensor(rng.random((2, 32, 32, 3)).astype(np.float32))
         target = Tensor(np.zeros((2, 32, 32, 1), np.float32))
@@ -200,10 +198,8 @@ class TestKeyValueProjector:
 
 def test_full_scale_stage4_extent():
     # C=128 pyramid on a 384x384 frame ends at 12x12x1024
-    cfg = EncoderConfig(dim=128, depths=(2, 2, 18, 2), window=12,
-                        temporal_window=8, heads=heads_for(128))
     rng = np.random.default_rng(0)
-    enc = ImageEncoder(cfg, rng)
+    enc = ImageEncoder(ModelConfig(variant="B"), rng)
     feats = enc(Tensor(rng.random((384, 384, 3)).astype(np.float32)))
     assert feats[3].shape == (12, 12, 1024)
 
@@ -214,10 +210,13 @@ def test_heads_for_patterns():
     assert heads_for(8) == (1, 2, 4, 8)
 
 
-def test_config_validation():
-    with pytest.raises(ConfigError):
-        EncoderConfig(dim=12, depths=(1, 1, 2, 1), window=4, temporal_window=1,
-                      heads=(1, 2, 4, 8))
-    with pytest.raises(ConfigError):
-        EncoderConfig(dim=8, depths=(3, 1, 2, 1), window=4, temporal_window=1,
-                      heads=(1, 2, 4, 8))
+def test_variant_rows_satisfy_encoder_invariants():
+    # stage widths dim * 2**i split into 8ths for keys (so dim % 8 == 0);
+    # blocks alternate plain/shifted in pairs; heads divide every width
+    for variant, row in VARIANTS.items():
+        dim, depths = row["dim"], row["depths"]
+        assert dim % 8 == 0, variant
+        assert len(depths) == 4 and all(d == 1 or d % 2 == 0 for d in depths), variant
+        assert row["window"] > 0 and row["temporal_window"] > 0, variant
+        heads = heads_for(dim)
+        assert all(dim * 2 ** i % h == 0 for i, h in enumerate(heads)), variant

@@ -340,6 +340,14 @@ class TestAdam:
         with pytest.raises(ConfigError):
             engine.adam_step([], lr=0.0)
 
+    @pytest.mark.parametrize("lr", [float("nan"), float("inf"), -1.0])
+    def test_non_finite_or_negative_lr_leaves_parameters(self, lr):
+        p = Parameter(np.array([1.0]))
+        p.grad = np.array([0.5])
+        with pytest.raises(ConfigError, match="learning rate"):
+            engine.adam_step([p], lr=lr)
+        assert p.value[0] == 1.0 and p.step_count == 0
+
     def test_missing_grad(self):
         with pytest.raises(UsageError):
             engine.adam_step([Parameter(np.zeros(2))], lr=0.1)

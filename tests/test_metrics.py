@@ -170,6 +170,13 @@ class TestEvaluateSequence:
         with pytest.raises(DataError):
             evaluate_sequence(pred, gt, n_objects=2)
 
+    @pytest.mark.parametrize("n_objects", [None, 0])
+    def test_ground_truth_without_objects_rejected(self, n_objects):
+        # declared or derived, an object count of 0 leaves nothing to score
+        gt = [np.zeros((8, 8), np.int64) for _ in range(3)]
+        with pytest.raises(DataError, match="no object"):
+            evaluate_sequence(gt, gt, n_objects=n_objects)
+
     def test_rows_layout(self):
         gt = [np.zeros((8, 8), np.int64), np.zeros((8, 8), np.int64)]
         gt[1][2:4, 2:4] = 1

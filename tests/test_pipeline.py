@@ -80,6 +80,15 @@ class TestModelConfig:
         with pytest.raises(ConfigError, match="non-integer"):
             ModelConfig.from_canonical(text)
 
+    @pytest.mark.parametrize("old, new, message", [
+        ("variant=nano", "variant=XL", "unknown variant 'XL'"),
+        ("k=128", "k=0", "k must be at least 1, got 0")], ids=["variant", "k"])
+    def test_canonical_validation_error_passes_through(self, old, new, message):
+        text = ModelConfig(variant="nano").canonical().replace(old, new)
+        with pytest.raises(ConfigError, match=message) as info:
+            ModelConfig.from_canonical(text)
+        assert "non-integer" not in str(info.value)
+
     @pytest.mark.parametrize("field, value", [
         ("dim", "999"), ("depths", "1,1,1,1"), ("window", "77"),
         ("temporal_window", "8"), ("decoder_width", "31")])
@@ -101,6 +110,20 @@ class TestModelConfig:
             "other_mask_enabled=1", f"other_mask_enabled={value}")
         with pytest.raises(ConfigError, match="other_mask_enabled"):
             ModelConfig.from_canonical(text)
+
+    @pytest.mark.parametrize("variant", ["nano", "T", "S", "B", "L"])
+    def test_canonical_text_frozen(self, variant):
+        # the canonical text is every checkpoint's config block; the frozen
+        # texts are what earlier checkpoints were written with
+        with open(os.path.join(os.path.dirname(__file__), "canonical_configs.json")) as fh:
+            frozen = json.load(fh)[variant]
+        changed = dict(k=7, memory_policy="firstprev", memory_stride=3,
+                       other_mask_enabled=False, encoder_mode="image_only",
+                       read_mode="dense_all")
+        for key, cfg in (("default", ModelConfig(variant=variant)),
+                         ("changed", ModelConfig(variant=variant, **changed))):
+            assert cfg.canonical() == frozen[key]
+            assert ModelConfig.from_canonical(frozen[key]) == cfg
 
     @settings(max_examples=300, deadline=None)
     @given(st.one_of(st.text(), _config_texts()))
