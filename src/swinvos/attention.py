@@ -61,7 +61,7 @@ class RelativePositionBias(Module):
     def __call__(self, window):
         index = relative_position_index(tuple(window), self.table_window)
         length = index.shape[0]
-        bias = engine.take(self.table.tensor(), index.reshape(-1), axis=0)
+        bias = engine.take(self.table.tensor(), index.reshape(-1))
         bias = engine.reshape(bias, (length, length, self.heads))
         return engine.transpose(bias, (2, 0, 1))  # [heads, L, L]
 

@@ -70,7 +70,15 @@ class ModelConfig:
 
     @classmethod
     def from_canonical(cls, text):
-        pairs = dict(line.partition("=")[::2] for line in text.strip().splitlines())
+        names = {f.name for f in fields(cls)}
+        pairs = {}
+        for line in text.strip().splitlines():
+            key, sep, value = line.partition("=")
+            problem = ("no '='" if not sep else "an unknown field" if key not in names
+                       else "a repeated field" if key in pairs else None)
+            if problem:
+                raise ConfigError(f"config text line {line!r} has {problem}")
+            pairs[key] = value
         missing = [f.name for f in fields(cls) if f.name not in pairs]
         if missing:
             raise ConfigError(f"config text missing field {missing[0]!r}")

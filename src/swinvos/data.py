@@ -64,14 +64,13 @@ def _object_stamp(kind, extent):
     return np.ones((extent, extent), dtype=bool)
 
 
-def synth_moving_shapes(seed, n_frames, size, n_objects, object_extent=None,
-                        velocities=None):
+def synth_moving_shapes(seed, n_frames, size, n_objects, object_extent=None):
     """Distinctly colored shapes translating over a textured background.
 
     Objects bounce off the canvas edges, so their true footprints never
     leave the frame; crossings occlude lower-numbered objects. Masks are
-    exact by construction. ``velocities`` overrides the sampled per-object
-    (dy, dx) steps; (0, 0) produces a static object.
+    exact by construction. Every object moves: a sampled (0, 0) step
+    becomes (1, 0).
     """
     if n_frames < 1:
         raise UsageError(f"a sequence needs at least 1 frame, got {n_frames}")
@@ -99,20 +98,14 @@ def synth_moving_shapes(seed, n_frames, size, n_objects, object_extent=None,
         raise DataError(
             f"could not place {n_objects} objects of extent {object_extent} "
             f"disjointly on a {size} px canvas")
-    if velocities is None:
-        velocities = [rng.integers(-_VELOCITY_CAP, _VELOCITY_CAP + 1, size=2)
-                      for _ in range(n_objects)]
-        for v in velocities:
-            if v[0] == 0 and v[1] == 0:
-                v[0] = 1  # sampled objects always move
-    else:
-        if len(velocities) != n_objects:
-            raise UsageError(f"{len(velocities)} velocities for {n_objects} objects")
-        velocities = [np.asarray(v, dtype=np.int64) for v in velocities]
+    vel = [rng.integers(-_VELOCITY_CAP, _VELOCITY_CAP + 1, size=2)
+           for _ in range(n_objects)]
+    for v in vel:
+        if v[0] == 0 and v[1] == 0:
+            v[0] = 1
 
     frames, masks = [], []
     pos = [p.copy() for p in positions]
-    vel = [v.copy() for v in velocities]
     for _ in range(n_frames):
         frame = background.copy()
         mask = np.zeros((size, size), dtype=np.int64)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from . import engine
 from .attention import PATCH, PatchEmbedImage, PatchEmbedVideo, PatchMerge, SwinBlock, _patchify
 from .engine import Linear, Module, Tensor
-from .errors import ConfigError, DimensionError, UsageError
+from .errors import DimensionError, UsageError
 
 N_STAGES = 4
 
@@ -62,12 +62,13 @@ class _StageStack(Module):
             if i < N_STAGES - 1:
                 self.merges.append(PatchMerge(dim, rng, dtype=dtype))
 
-    def __call__(self, tokens, valid, temporal=None):
+    def __call__(self, tokens, valid):
         features = []
         vh, vw = valid
         x = tokens
         for i in range(N_STAGES):
-            extents = (vh, vw) if temporal is None else (temporal, vh, vw)
+            # a video's temporal extent is its token grid's, never padded
+            extents = x.shape[:-3] + (vh, vw)
             for block in self.stages[i]:
                 x = block(x, valid=extents)
             features.append(x)
@@ -104,8 +105,8 @@ class VideoEncoder(Module):
         self.stack = _StageStack(config, window, rng, dtype)
 
     def __call__(self, frames, target_masks, other_masks):
-        t, valid, padded = _memory_inputs(frames, target_masks, other_masks)
-        return self.stack(self.patch_embed(*padded), valid, temporal=t)
+        _, valid, padded = _memory_inputs(frames, target_masks, other_masks)
+        return self.stack(self.patch_embed(*padded), valid)
 
 
 class ImageOnlyMemoryEncoder(Module):
@@ -136,7 +137,7 @@ class ImageOnlyMemoryEncoder(Module):
             tokens = embed.norm(tokens)
             for i, f in enumerate(image_encoder.stack(tokens, valid)):
                 per_stage[i].append(engine.reshape(f, (1,) + f.shape))
-        return [engine.concat(fs, axis=0) if len(fs) > 1 else fs[0] for fs in per_stage]
+        return [engine.concat(fs, axis=0) for fs in per_stage]
 
 
 @dataclass
@@ -151,8 +152,6 @@ class KeyValueProjector(Module):
     """Per-stage linear (1x1, no bias) projections to key and value maps."""
 
     def __init__(self, base_dim, rng, dtype=engine.DEFAULT_DTYPE):
-        if base_dim % 8:
-            raise ConfigError(f"stage channels must divide by 8, got base {base_dim}")
         self.keys = []
         self.values = []
         for i in range(N_STAGES):

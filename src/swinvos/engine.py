@@ -15,6 +15,9 @@ from .errors import ConfigError, DimensionError, NumericError, UsageError
 
 DEFAULT_DTYPE = np.float32
 _SUPPORTED_DTYPES = (np.float32, np.float64)
+LN_EPS = 1e-5  # added to the layer-norm variance
+INIT_STD = 0.02  # std of the truncated-normal weight draws
+FD_STEP = 1e-5  # central-difference step of finite_difference
 
 # Enabled by the test suite and by `swinvos gradcheck`; verifies that every
 # op keeps finite inputs finite. Off by default to keep big reads cheap.
@@ -377,7 +380,10 @@ def transpose(a, axes):
 
 
 def concat(tensors, axis):
+    """Join along ``axis``; a single tensor passes through uncopied and unrecorded."""
     tensors = [as_tensor(t) for t in tensors]
+    if len(tensors) == 1:
+        return tensors[0]
     out = np.concatenate([t.data for t in tensors], axis=axis)
     sizes = [t.shape[axis] for t in tensors]
     offsets = np.cumsum([0] + sizes)
@@ -448,38 +454,36 @@ def gather_rows(a, rows, inverse, shape, fill=None):
     return record_op(out.reshape(shape), inputs, bwd)
 
 
-def take(a, indices, axis):
-    """Gather along ``axis`` with an integer index array.
+def take(a, indices):
+    """Gather rows (axis 0) with an integer index array of any shape.
 
-    The gradient scatter-adds back to the gathered positions; positions
-    never selected receive zero gradient (straight-through on the gather).
+    The gradient scatter-adds back to the gathered rows; rows never
+    selected receive zero gradient (straight-through on the gather).
     """
     a = as_tensor(a)
     indices = np.asarray(indices)
-    if indices.size and (indices.min() < 0 or indices.max() >= a.shape[axis]):
-        raise DimensionError(
-            f"take indices out of range for axis {axis} with extent {a.shape[axis]}")
-    out = np.take(a.data, indices, axis=axis)
+    if indices.size and (indices.min() < 0 or indices.max() >= a.shape[0]):
+        raise DimensionError(f"take indices out of range for {a.shape[0]} rows")
+    out = np.take(a.data, indices, axis=0)
 
     def bwd(g):
         full = np.zeros(a.shape, dtype=g.dtype)
-        key = (slice(None),) * axis + (indices,)
-        np.add.at(full, key, g)
+        np.add.at(full, indices, g)
         return (full,)
 
     return record_op(out, (a,), bwd)
 
 
-def take_along(a, indices, axis):
-    """np.take_along_axis with scatter-add gradient."""
+def take_along(a, indices):
+    """np.take_along_axis on axis 0 (a row per column) with scatter-add gradient."""
     a = as_tensor(a)
     indices = np.asarray(indices)
-    out = np.take_along_axis(a.data, indices, axis=axis)
+    out = np.take_along_axis(a.data, indices, axis=0)
 
     def bwd(g):
         full = np.zeros(a.shape, dtype=g.dtype)
         grids = list(np.indices(indices.shape, sparse=True))
-        grids[axis] = indices
+        grids[0] = indices
         np.add.at(full, tuple(grids), g)
         return (full,)
 
@@ -586,10 +590,8 @@ def softmax(a, axis):
     return record_op(out, (a,), bwd)
 
 
-def layer_norm(x, gamma, beta, eps=1e-5):
+def layer_norm(x, gamma, beta):
     """Normalize the last axis to zero mean / unit variance, then affine."""
-    if eps <= 0:
-        raise ConfigError(f"layer_norm eps must be positive, got {eps}")
     x = as_tensor(x)
     gamma = as_tensor(gamma)
     beta = as_tensor(beta)
@@ -599,7 +601,7 @@ def layer_norm(x, gamma, beta, eps=1e-5):
             f"layer_norm affine extents {gamma.shape}/{beta.shape} do not match last axis {dim}")
     mu = x.data.mean(axis=-1, keepdims=True)
     var = x.data.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + LN_EPS)
     xhat = (x.data - mu) * inv
     out = xhat * gamma.data + beta.data
 
@@ -625,10 +627,10 @@ def _im2col(xp, h, w):
     return taps.reshape(xp.shape[0] * 9, h * w)
 
 
-def conv2d(x, w, b=None):
+def conv2d(x, w, b):
     """3x3 cross-correlation, stride 1, zero padding 1 (the decoder shape).
 
-    x: [C_in, H, W]; w: [C_out, C_in, 3, 3]; b: [C_out] or None.
+    x: [C_in, H, W]; w: [C_out, C_in, 3, 3]; b: [C_out].
     One im2col GEMM, ``[C_out, 9*C_in] @ [9*C_in, H*W]``, with the bias
     added in place. The backward rebuilds the columns from the input rather
     than keeping them: ``gw = g @ col^T``, and ``gx`` adds the nine tap
@@ -636,8 +638,7 @@ def conv2d(x, w, b=None):
     """
     x = as_tensor(x)
     w = as_tensor(w)
-    if b is not None:
-        b = as_tensor(b)
+    b = as_tensor(b)
     if x.ndim != 3 or w.ndim != 4 or w.shape[2:] != (3, 3):
         raise DimensionError(f"conv2d expects [C,H,W] x and [Co,Ci,3,3] kernel, got {x.shape}, {w.shape}")
     cin, h, wd = x.shape
@@ -647,14 +648,13 @@ def conv2d(x, w, b=None):
     widths = ((0, 0), (1, 1), (1, 1))
     w2 = w.data.reshape(cout, cin * 9)
     out = w2 @ _im2col(np.pad(x.data, widths), h, wd)
-    if b is not None:
-        out += b.data[:, None]
+    out += b.data[:, None]
     out = out.reshape(cout, h, wd)
 
     def bwd(g):
         g2 = g.reshape(cout, h * wd)
         gx = gw = gb = None
-        if b is not None and b.watched:
+        if b.watched:
             gb = g2.sum(axis=1)
         if w.watched:
             gw = (g2 @ _im2col(np.pad(x.data, widths), h, wd).T).reshape(w.shape)
@@ -665,12 +665,9 @@ def conv2d(x, w, b=None):
                 for dx in range(3):
                     gxp[:, dy:dy + h, dx:dx + wd] += gcol[:, dy, dx]
             gx = np.ascontiguousarray(gxp[:, 1:-1, 1:-1])
-        if b is None:
-            return gx, gw
         return gx, gw, gb
 
-    inputs = (x, w) if b is None else (x, w, b)
-    return record_op(out, inputs, bwd)
+    return record_op(out, (x, w, b), bwd)
 
 
 def _interp_matrix(n_src, n_dst, dtype):
@@ -737,13 +734,13 @@ def adam_step(params, lr):
 # ---------------------------------------------------------------------------
 # initialization and module plumbing
 
-def trunc_normal(rng, shape, std=0.02, dtype=DEFAULT_DTYPE):
+def trunc_normal(rng, shape, dtype=DEFAULT_DTYPE):
     """Zero-mean normal truncated to +-2 std, resampling rejected draws."""
-    out = rng.normal(0.0, std, size=shape)
-    bad = np.abs(out) > 2 * std
+    out = rng.normal(0.0, INIT_STD, size=shape)
+    bad = np.abs(out) > 2 * INIT_STD
     while bad.any():
-        out[bad] = rng.normal(0.0, std, size=int(bad.sum()))
-        bad = np.abs(out) > 2 * std
+        out[bad] = rng.normal(0.0, INIT_STD, size=int(bad.sum()))
+        bad = np.abs(out) > 2 * INIT_STD
     return out.astype(dtype)
 
 
@@ -810,7 +807,7 @@ class Conv3x3(Module):
 # ---------------------------------------------------------------------------
 # finite-difference checking
 
-def finite_difference(fn, arrays, h=1e-5):
+def finite_difference(fn, arrays):
     """Central-difference gradients of scalar ``fn(*arrays)`` w.r.t. each array."""
     grads = []
     for k, base in enumerate(arrays):
@@ -819,20 +816,21 @@ def finite_difference(fn, arrays, h=1e-5):
         gf = g.reshape(-1)
         for i in range(flat.size):
             orig = flat[i]
-            flat[i] = orig + h
+            flat[i] = orig + FD_STEP
             hi = fn(*arrays)
-            flat[i] = orig - h
+            flat[i] = orig - FD_STEP
             lo = fn(*arrays)
             flat[i] = orig
-            gf[i] = (hi - lo) / (2 * h)
+            gf[i] = (hi - lo) / (2 * FD_STEP)
         grads.append(g)
     return grads
 
 
-def gradcheck(fn, arrays, tol=1e-5):
+def gradcheck(fn, arrays):
     """Compare taped gradients of ``fn`` against central differences (f64).
 
-    ``fn`` maps Tensors to a scalar Tensor. Returns (ok, worst_rel_err).
+    ``fn`` maps Tensors to a scalar Tensor. Returns the worst relative
+    error, for the caller to hold against its tolerance.
     Relative error is |analytic - numeric| / max(1, |numeric|) per element.
     """
     arrays = [np.asarray(a, dtype=np.float64) for a in arrays]
@@ -852,4 +850,4 @@ def gradcheck(fn, arrays, tol=1e-5):
         denom = np.maximum(1.0, np.abs(n))
         rel = np.abs(a - n) / denom
         worst = max(worst, float(rel.max()) if rel.size else 0.0)
-    return worst <= tol, worst
+    return worst

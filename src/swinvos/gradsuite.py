@@ -129,7 +129,7 @@ def _check_swin_block(rng):
 
     return engine.gradcheck(fn, [rng.standard_normal((5, 6, 4))]
                             + [rng.standard_normal(getattr(owner, attr).shape) * 0.5
-                               for owner, attr in bound], tol=COMPOSED_TOL)
+                               for owner, attr in bound])
 
 
 _GEOM = ReadGeometry(t=2, h4=2, w4=2)
@@ -190,7 +190,7 @@ def _check_refinement_stage(rng):
         return engine.tsum(engine.mul(out, Tensor(probe)))
 
     return engine.gradcheck(fn, [rng.standard_normal((6, 2, 2)),
-                                 rng.standard_normal((4, 16))], tol=COMPOSED_TOL)
+                                 rng.standard_normal((4, 16))])
 
 
 SUITE = [
@@ -217,6 +217,6 @@ def run_suite(seed=1234):
     results = []
     for name, check, tol in SUITE:
         rng = np.random.default_rng(seed)
-        _, worst = check(rng)
+        worst = check(rng)
         results.append((name, worst <= tol, worst, tol))
     return results

@@ -183,14 +183,13 @@ def topk_read(kq, vq, km, vm, omega, stage, geom):
     for start in range(0, n_cells, group):
         stop = min(start + group, n_cells)
         idx = omega[start:stop]
-        kg = engine.take(km_t, idx, axis=0)          # [cells, n, Ck]
-        vg = engine.take(vm_t, idx, axis=0)          # [cells, n, Cv]
+        kg = engine.take(km_t, idx)                  # [cells, n, Ck]
+        vg = engine.take(vm_t, idx)                  # [cells, n, Cv]
         qb = q_blocks[start:stop]                    # [cells, r*r, Ck]
         s = engine.matmul(qb, engine.transpose(kg, (0, 2, 1)))  # [cells, r*r, n]
         w = engine.softmax(s, axis=-1)
         outs.append(engine.matmul(w, vg))            # [cells, r*r, Cv]
-    mixed = engine.concat(outs, axis=0) if len(outs) > 1 else outs[0]
-    readout = _from_cell_blocks(mixed, geom, r, cv)
+    readout = _from_cell_blocks(engine.concat(outs, axis=0), geom, r, cv)
     return engine.concat([vq, readout], axis=0)
 
 
@@ -257,8 +256,8 @@ def _kv_channels(stage, base_dim):
     return c // 8, c // 2
 
 
-def random_kv(geom, base_dim, seed, dtype=np.float32):
-    """Seeded random key/value maps for all four stages (query and memory)."""
+def random_kv(geom, base_dim, seed):
+    """Seeded random float32 key/value maps for all four stages (query and memory)."""
     from .encoders import KeyValueMaps
 
     rng = np.random.default_rng(seed)
@@ -269,11 +268,11 @@ def random_kv(geom, base_dim, seed, dtype=np.float32):
         nq = h * w
         nm = geom.t * nq
         query.append(KeyValueMaps(
-            Tensor(rng.standard_normal((ck, nq)).astype(dtype)),
-            Tensor(rng.standard_normal((cv, nq)).astype(dtype))))
+            Tensor(rng.standard_normal((ck, nq)).astype(np.float32)),
+            Tensor(rng.standard_normal((cv, nq)).astype(np.float32))))
         memory.append(KeyValueMaps(
-            Tensor(rng.standard_normal((ck, nm)).astype(dtype)),
-            Tensor(rng.standard_normal((cv, nm)).astype(dtype))))
+            Tensor(rng.standard_normal((ck, nm)).astype(np.float32)),
+            Tensor(rng.standard_normal((cv, nm)).astype(np.float32))))
     return query, memory
 
 

@@ -160,16 +160,11 @@ def _mask_pairs(probs, other_enabled):
     return pairs
 
 
-def _joined(tensors, axis):
-    """Concatenate; a single tensor passes through uncopied and unrecorded."""
-    return engine.concat(tensors, axis=axis) if len(tensors) > 1 else tensors[0]
-
-
 def _encode_memory_kv(model, memory):
     """Per-object memory k/v maps of stages 1..4 from one joint encoder call
     per object over the (key, frame, probs) entries of ``memory``."""
     frames = Tensor(np.stack([f for _, f, _ in memory]).astype(model.dtype))
-    probs = _joined([engine.reshape(p, (1,) + p.shape) for _, _, p in memory], axis=0)
+    probs = engine.concat([engine.reshape(p, (1,) + p.shape) for _, _, p in memory], axis=0)
     kv = []
     for target, other in _mask_pairs(probs, model.config.other_mask_enabled):
         feats = model.encode_memory(frames, target, other)
@@ -199,8 +194,8 @@ def _forward(model, frame, memory, cache):
                 cache[key] = _encode_memory_kv(model, [(key, f, p)])
         per_frame = [cache[key] for key, _, _ in memory]
         # each object's time-major maps over all the frames
-        memory_kv = [[KeyValueMaps(_joined([f[m][s].key for f in per_frame], axis=1),
-                                   _joined([f[m][s].value for f in per_frame], axis=1))
+        memory_kv = [[KeyValueMaps(engine.concat([f[m][s].key for f in per_frame], axis=1),
+                                   engine.concat([f[m][s].value for f in per_frame], axis=1))
                       for s in range(4)]
                      for m in range(len(per_frame[0]))]
     else:
@@ -273,7 +268,7 @@ def cross_entropy(class_dist, labels):
         raise DimensionError(
             f"label {labels.max()} out of range for {n_classes} classes")
     flat = engine.reshape(class_dist, (n_classes, -1))
-    picked = engine.take_along(flat, labels.reshape(1, -1), axis=0)
+    picked = engine.take_along(flat, labels.reshape(1, -1))
     return engine.neg(engine.tmean(engine.log(picked)))
 
 

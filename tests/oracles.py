@@ -12,8 +12,9 @@ import numpy as np
 
 from swinvos import engine
 from swinvos.decoder import predict_labels, soft_aggregate
+from swinvos.encoders import KeyValueMaps
 from swinvos.engine import Tensor
-from swinvos.memread import ReadGeometry, read_all
+from swinvos.memread import ReadGeometry, random_kv, read_all
 
 
 def matmul_loops(a, b):
@@ -263,3 +264,14 @@ def _mask_from_grid(dims, window, shift, valid):
                 if region(pi) != region(pj) or not key_ok[pj]:
                     mask[wi, 0, i, j] = -1e9
     return mask if (mask != 0).any() else None
+
+
+def random_kv64(geom, base_dim, seed):
+    """``random_kv``'s float32 maps widened to float64, for reads compared
+    at float64 precision."""
+    def widen(maps):
+        return [KeyValueMaps(Tensor(m.key.data.astype(np.float64)),
+                             Tensor(m.value.data.astype(np.float64))) for m in maps]
+
+    query, memory = random_kv(geom, base_dim, seed)
+    return widen(query), widen(memory)

@@ -10,7 +10,7 @@ import time
 
 import numpy as np
 import pytest
-from oracles import dense_read_loops, membership_law, topk_read_loops
+from oracles import dense_read_loops, membership_law, random_kv64, topk_read_loops
 
 from swinvos import engine
 from swinvos.attention import window_layout
@@ -25,7 +25,6 @@ from swinvos.memread import (
     TopKIndexSet,
     bench,
     dense_read_stage4,
-    random_kv,
     read_all,
     select_topk,
     topk_read,
@@ -110,7 +109,7 @@ def test_criterion_2_full_coverage_equivalence():
     worst = 0.0
     for seed in range(5):
         geom = ReadGeometry(t=2, h4=2, w4=2)
-        query, memory = random_kv(geom, 8, seed, dtype=np.float64)
+        query, memory = random_kv64(geom, 8, seed)
         k_all = geom.memory_cells(4)
         ys_topk, _ = read_all(query, memory, geom, k_all, "hierarchical_topk")
         ys_dense, _ = read_all(query, memory, geom, k_all, "dense_all")

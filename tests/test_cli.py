@@ -7,6 +7,7 @@ import pytest
 import swinvos
 
 from swinvos.cli import main
+from swinvos.config import ModelConfig
 
 
 def run(capsys, *argv):
@@ -153,12 +154,33 @@ class TestInferAndEval:
                          "--memory", "firstprev")
         assert code == 0
 
-    def test_infer_variant_mismatch_refused(self, trained, capsys):
-        root, seq, ckpt = trained
-        code, _, err = run(capsys, "infer", "--ckpt", str(ckpt), "--seq", str(seq),
-                           "--out", str(root / "x"), "--variant", "T")
-        assert code == 1
-        assert "variant" in err
+    def test_infer_builds_the_model_its_checkpoint_describes(self, trained, tmp_path,
+                                                              capsys):
+        _, seq, _ = trained
+        ckpt = tmp_path / "img.hst"
+        code, _, err = run(capsys, "train-toy", "--seq", str(seq), "--steps", "1",
+                           "--ckpt", str(ckpt), "--k", "8", "--encoder-mode", "image_only",
+                           "--no-other-mask")
+        assert code == 0, err
+        flags = ("--k", "5", "--memory", "firstprev", "--read-mode", "dense_all")
+        code, out, _ = run(capsys, "infer", "--ckpt", str(ckpt), "--seq", str(seq),
+                           "--out", str(tmp_path / "pred"), *flags)
+        assert code == 0
+        assert (tmp_path / "pred" / "00003.pgm").exists()
+        assert "seed=" not in out
+        code, dumped, _ = run(capsys, "infer", "--ckpt", str(ckpt), "--seq", str(seq),
+                              "--out", str(tmp_path / "unused"), "--dump-config", *flags)
+        assert code == 0 and not (tmp_path / "unused").exists()
+        expected = ModelConfig(encoder_mode="image_only", other_mask_enabled=False, k=5,
+                               memory_policy="firstprev", read_mode="dense_all")
+        assert dumped == expected.canonical()
+        assert dumped in out
+
+    def test_infer_dump_config_needs_the_checkpoint(self, trained, capsys):
+        root, seq, _ = trained
+        code, out, err = run(capsys, "infer", "--ckpt", str(root / "missing.hst"),
+                             "--seq", str(seq), "--out", str(root / "d"), "--dump-config")
+        assert code == 2 and out == "" and err.startswith("error: ")
 
     def test_infer_missing_sequence_is_data_error(self, trained, capsys):
         root, _, ckpt = trained
@@ -222,7 +244,16 @@ class TestGradcheckCommand:
     def test_passes(self, capsys):
         code, out, _ = run(capsys, "gradcheck")
         assert code == 0
+        assert "seed=1234" in out.splitlines()
         assert "matmul" in out and "FAIL" not in out
+
+    def test_seed_zero_reaches_the_suite(self, capsys, monkeypatch):
+        from swinvos import gradsuite
+
+        seen = []
+        monkeypatch.setattr(gradsuite, "run_suite", lambda seed: seen.append(seed) or [])
+        code, out, _ = run(capsys, "gradcheck", "--seed", "0")
+        assert code == 0 and seen == [0] and "seed=0" in out.splitlines()
 
     def test_turns_finite_checks_on_for_the_run(self, capsys, monkeypatch):
         from swinvos import engine, gradsuite
@@ -343,6 +374,30 @@ def test_eval_ground_truth_without_objects_is_data_error(tmp_path, capsys):
     assert code == 2
     assert err.startswith("error: ") and "no object" in err
     assert not report.exists()
+
+
+# flags that only repeated the checkpoint or changed nothing: gone, so exit 1
+_REMOVED_FLAGS = [
+    ("infer", "--variant", "T"),
+    ("infer", "--encoder-mode", "image_only"),
+    ("infer", "--no-other-mask"),
+    ("infer", "--seed", "1"),
+    ("train-toy", "--memory", "firstprev"),
+    ("eval", "--seed", "1"),
+]
+
+
+@pytest.mark.parametrize("argv", _REMOVED_FLAGS, ids=" ".join)
+def test_removed_flag_is_usage_error(trained, tmp_path, capsys, argv):
+    _, seq, ckpt = trained
+    out = tmp_path / "out"
+    inputs = {"infer": ("--ckpt", str(ckpt), "--seq", str(seq), "--out", str(out)),
+              "train-toy": ("--steps", "1", "--ckpt", str(out)),
+              "eval": ("--pred", str(seq / "masks"), "--gt", str(seq), "--out", str(out))}
+    code, stdout, err = run(capsys, *argv, *inputs[argv[0]])
+    assert code == 1 and stdout == ""
+    assert "unrecognized arguments" in err
+    assert not out.exists() and not (tmp_path / "out.loss.csv").exists()
 
 
 def test_train_zero_steps_stays_valid(tmp_path, capsys):

@@ -31,11 +31,6 @@ class TestMovingShapes:
         counts = [int((m == 1).sum()) for m in sample.masks]
         assert len(set(counts)) == 1 and counts[0] > 0
 
-    def test_static_velocity_identical_masks(self):
-        sample = synth_moving_shapes(4, 5, 64, 1, velocities=[(0, 0)])
-        for m in sample.masks[1:]:
-            np.testing.assert_array_equal(m, sample.masks[0])
-
     def test_masks_within_range(self):
         sample = synth_moving_shapes(1, 5, 64, 3)
         for m in sample.masks:

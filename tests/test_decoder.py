@@ -57,10 +57,9 @@ class TestDecoder:
             out = stage(coarse, skip, (4, 4))
             return engine.tsum(engine.mul(out, Tensor(probe)))
 
-        ok, worst = engine.gradcheck(
-            fn, [rng.standard_normal((6, 2, 2)), rng.standard_normal((4, 16))],
-            tol=1e-3)
-        assert ok, f"worst rel err {worst:.2e}"
+        worst = engine.gradcheck(
+            fn, [rng.standard_normal((6, 2, 2)), rng.standard_normal((4, 16))])
+        assert worst <= 1e-3, f"worst rel err {worst:.2e}"
 
 
 class TestSoftAggregate:
@@ -106,9 +105,9 @@ class TestSoftAggregate:
             return engine.tsum(engine.mul(out, Tensor(probe)))
 
         # keep probabilities away from the clamp boundaries
-        ok, worst = engine.gradcheck(
+        worst = engine.gradcheck(
             fn, [rng.uniform(0.2, 0.8, (2, 2)), rng.uniform(0.2, 0.8, (2, 2))])
-        assert ok, f"worst rel err {worst:.2e}"
+        assert worst <= 1e-5, f"worst rel err {worst:.2e}"
 
 
 class TestPredictLabels:

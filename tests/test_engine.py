@@ -93,12 +93,12 @@ class TestMatmul:
             return engine.tsum(engine.mul(engine.matmul(x, w), Tensor(probe)))
 
         if watch == "both":
-            ok, worst = engine.gradcheck(loss, [a, b])
+            worst = engine.gradcheck(loss, [a, b])
         elif watch == "left":
-            ok, worst = engine.gradcheck(lambda x: loss(x, Tensor(b)), [a])
+            worst = engine.gradcheck(lambda x: loss(x, Tensor(b)), [a])
         else:
-            ok, worst = engine.gradcheck(lambda w: loss(Tensor(a), w), [b])
-        assert ok, f"worst rel err {worst:.2e}"
+            worst = engine.gradcheck(lambda w: loss(Tensor(a), w), [b])
+        assert worst <= 1e-5, f"worst rel err {worst:.2e}"
 
     def test_folded_backward_memory_is_bounded(self, rng):
         # the weight gradient must not build a [*lead, K, N] temporary
@@ -161,20 +161,16 @@ class TestLayerNorm:
         np.testing.assert_allclose(out.data, 0.0, atol=1e-6)
 
     def test_hand_two_values(self):
-        # mean 2, var 1 for x=[1,3]; eps->0 limit gives [-1, 1]
+        # mean 2, var 1 for x=[1,3]: [-1, 1] / sqrt(1 + eps)
         out = engine.layer_norm(Tensor([[1.0, 3.0]]), Tensor(np.ones(2)),
-                                Tensor(np.zeros(2)), eps=1e-12)
-        np.testing.assert_allclose(out.data, [[-1.0, 1.0]], atol=1e-5)
+                                Tensor(np.zeros(2)))
+        expected = 1.0 / np.sqrt(1.0 + engine.LN_EPS)
+        np.testing.assert_allclose(out.data, [[-expected, expected]], atol=1e-6)
 
     def test_output_mean_near_zero(self, rng):
         x = Tensor(rng.standard_normal((5, 8)))
         out = engine.layer_norm(x, Tensor(np.ones(8)), Tensor(np.zeros(8)))
         assert np.abs(out.data.mean(axis=-1)).max() < 1e-6
-
-    def test_bad_eps(self):
-        with pytest.raises(ConfigError):
-            engine.layer_norm(Tensor([[1.0, 2.0]]), Tensor(np.ones(2)),
-                              Tensor(np.zeros(2)), eps=0.0)
 
 
 class TestGelu:
@@ -241,12 +237,13 @@ class TestConv2d:
         # only the summation order differs from nine per-tap GEMMs
         x = rng.standard_normal((16, 6, 9)).astype(np.float32)
         w = (rng.standard_normal((5, 16, 3, 3)) * 0.1).astype(np.float32)
-        out = engine.conv2d(Tensor(x), Tensor(w))
+        out = engine.conv2d(Tensor(x), Tensor(w), Tensor(np.zeros(5, dtype=np.float32)))
         np.testing.assert_allclose(out.data, conv2d_taps(x, w).data, rtol=1e-5, atol=1e-5)
 
     def test_channel_mismatch(self):
         with pytest.raises(DimensionError):
-            engine.conv2d(Tensor(np.zeros((2, 4, 4))), Tensor(np.zeros((1, 3, 3, 3))))
+            engine.conv2d(Tensor(np.zeros((2, 4, 4))), Tensor(np.zeros((1, 3, 3, 3))),
+                          Tensor(np.zeros(1)))
 
 
 class TestBilinearUpsample:
@@ -357,14 +354,14 @@ class TestStructuralOps:
     def test_take_scatter_grad(self):
         p = Parameter(np.array([1.0, 2.0, 3.0]))
         with Tape() as tape:
-            picked = engine.take(p.tensor(), np.array([0, 0, 2]), axis=0)
+            picked = engine.take(p.tensor(), np.array([0, 0, 2]))
             loss = engine.tsum(picked)
         engine.backward(loss, tape)
         np.testing.assert_array_equal(p.grad, [2.0, 0.0, 1.0])
 
     def test_take_out_of_range(self):
         with pytest.raises(DimensionError):
-            engine.take(Tensor(np.zeros(3)), np.array([3]), axis=0)
+            engine.take(Tensor(np.zeros(3)), np.array([3]))
 
     def test_concat_split_grads(self):
         p = Parameter(np.arange(4, dtype=np.float64))
@@ -404,7 +401,7 @@ def test_finite_check_raises_on_overflow():
 
 
 def test_trunc_normal_bounded(rng):
-    vals = engine.trunc_normal(rng, (1000,), std=0.02)
+    vals = engine.trunc_normal(rng, (1000,))
     assert np.abs(vals).max() <= 0.04 + 1e-9
 
 

@@ -13,9 +13,9 @@ from swinvos.engine import Tensor, gradcheck
 RNG = np.random.default_rng(99)
 
 
-def check(fn, *arrays, tol=1e-5):
-    ok, worst = gradcheck(fn, list(arrays), tol=tol)
-    assert ok, f"gradient mismatch, worst rel err {worst:.3e}"
+def check(fn, *arrays):
+    worst = gradcheck(fn, list(arrays))
+    assert worst <= 1e-5, f"gradient mismatch, worst rel err {worst:.3e}"
 
 
 def test_add():
@@ -111,11 +111,11 @@ def test_roll_pad_slice():
 
 
 def test_take_and_take_along():
-    idx = np.array([[0, 2], [1, 1], [2, 2]])
+    idx = np.array([[0, 1, 2], [2, 1, 2]])
 
     def fn(x):
-        g1 = engine.take(x, np.array([2, 0]), axis=0)
-        g2 = engine.take_along(x, idx, axis=1)
+        g1 = engine.take(x, np.array([2, 0]))
+        g2 = engine.take_along(x, idx)
         return engine.add(engine.tsum(engine.mul(g1, g1)), engine.tsum(g2))
 
     check(fn, RNG.standard_normal((3, 3)))

@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from oracles import dense_read_loops as oracle_dense
+from oracles import random_kv64
 from oracles import topk_read_loops as oracle_topk
 from oracles import topk_set_for_query
 
@@ -247,15 +248,15 @@ class TestTopkRead:
             y = topk_read(kq, vq, km, vm, omega, stage, geom)
             return engine.tsum(engine.mul(y, Tensor(probe)))
 
-        ok, worst = engine.gradcheck(
+        worst = engine.gradcheck(
             fn, [rng.standard_normal((1, 4)), rng.standard_normal((2, 4)),
                  rng.standard_normal((1, 4)), rng.standard_normal((2, 4))])
-        assert ok, f"worst rel err {worst:.2e}"
+        assert worst <= 1e-5, f"worst rel err {worst:.2e}"
 
 
 class TestReadAll:
-    def make_kv(self, seed, dtype=np.float64):
-        return random_kv(GEOM, 8, seed, dtype=dtype)
+    def make_kv(self, seed):
+        return random_kv64(GEOM, 8, seed)
 
     def test_full_coverage_matches_dense_all(self):
         query, memory = self.make_kv(1)

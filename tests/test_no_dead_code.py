@@ -1,4 +1,5 @@
-"""Every top-level function and class of the package has a caller.
+"""Every top-level function and class of the package has a caller, and
+every defaulted parameter is set by one.
 
 A name counts as used when the package or the benchmark harness names it
 outside its own definition: as a name, an attribute, an import, or a word
@@ -52,3 +53,56 @@ def test_every_top_level_definition_has_a_caller():
                 if everywhere[node.name] - _names(node)[node.name] == 0:
                     unused.append(f"{path.stem}.{node.name}")
     assert unused == []
+
+
+def _defaulted(node, skip_first):
+    """(name, positional index or None) of each defaulted parameter of a def."""
+    args = node.args
+    first = len(args.args) - len(args.defaults)
+    for i, arg in enumerate(args.args[first:], start=first):
+        yield arg.arg, i - skip_first
+    for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+        if default is not None:
+            yield arg.arg, None
+
+
+def _definitions(tree):
+    """(called name, def node, leading self/cls count) of the module's
+    functions, methods and constructors; dunder methods other than
+    ``__init__`` are skipped."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            yield node.name, node, 0
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and item.name == "__init__":
+                    yield node.name, item, 1
+                elif isinstance(item, ast.FunctionDef) and not item.name.startswith("__"):
+                    yield item.name, item, 1
+
+
+def _calls(trees):
+    """Called name -> list of (positional argument count, keyword names)."""
+    found = collections.defaultdict(list)
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else \
+                    func.attr if isinstance(func, ast.Attribute) else None
+                found[name].append((len(node.args), {k.arg for k in node.keywords}))
+    return found
+
+
+def test_every_defaulted_parameter_is_set_by_a_caller():
+    # a default no call overrides is a constant; tests do not count as callers
+    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in CALLERS}
+    calls = _calls(trees.values())
+    unset = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for name, node, skip in _definitions(trees[path]):
+            for param, index in _defaulted(node, skip):
+                if not any(param in keywords or (index is not None and n > index)
+                           for n, keywords in calls[name]):
+                    unset.append(f"{path.stem}.{name}({param})")
+    assert unset == []

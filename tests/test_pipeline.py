@@ -104,6 +104,14 @@ class TestModelConfig:
         with pytest.raises(ConfigError, match="missing"):
             ModelConfig.from_canonical(text)
 
+    @pytest.mark.parametrize("line, problem", [
+        ("bogus=1", "unknown field"), ("garbage line", "no '='"),
+        ("k=7", "repeated field")], ids=["unknown", "no-equals", "repeated"])
+    def test_canonical_malformed_line_is_config_error(self, line, problem):
+        text = ModelConfig(variant="nano").canonical() + line + "\n"
+        with pytest.raises(ConfigError, match=f"line '{line}' has .*{problem}"):
+            ModelConfig.from_canonical(text)
+
     @pytest.mark.parametrize("value", ["7", "-1", "2"])
     def test_canonical_other_mask_not_0_or_1_is_config_error(self, value):
         text = ModelConfig(variant="nano").canonical().replace(
