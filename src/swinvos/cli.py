@@ -17,7 +17,9 @@ import argparse
 import os
 import sys
 
-from .config import ENCODER_MODES, MEMORY_POLICIES, READ_MODES, VARIANTS, ModelConfig
+from .config import (ENCODER_MODES, GRADCHECK_SEED, MEMORY_POLICIES, READ_MODES, VARIANTS,
+                     ModelConfig)
+from .errors import ConfigError, DataError, DimensionError, NumericError, UsageError
 
 
 def build_parser():
@@ -39,7 +41,7 @@ def build_parser():
         p.add_argument("--k", type=int, default=128)
         p.add_argument("--read-mode", default="hierarchical_topk", choices=READ_MODES)
         p.add_argument("--dump-config", action="store_true",
-                       help="print the canonical resolved config and exit")
+                       help="print the canonical resolved config and exit (needs no output path)")
 
     train = sub.add_parser("train-toy", help="overfit on one synthetic sequence")
     train.add_argument("--variant", default="nano", choices=list(VARIANTS))
@@ -53,7 +55,7 @@ def build_parser():
     train.add_argument("--steps", type=int, default=500)
     train.add_argument("--lr", type=float, default=1e-3)
     train.add_argument("--no-curriculum", action="store_true")
-    train.add_argument("--ckpt", required=True, help="checkpoint output path")
+    train.add_argument("--ckpt", help="checkpoint output path (required)")
     train.add_argument("--loss-csv", help="loss curve output (default: <ckpt>.loss.csv)")
 
     infer = sub.add_parser("infer", help="propagate the first mask through a sequence")
@@ -61,8 +63,8 @@ def build_parser():
     infer.add_argument("--memory", default="every8",
                        choices=MEMORY_POLICIES, dest="memory_policy")
     infer.add_argument("--ckpt", required=True)
-    infer.add_argument("--seq", required=True)
-    infer.add_argument("--out", required=True, help="directory for predicted masks")
+    infer.add_argument("--seq", help="sequence directory (required)")
+    infer.add_argument("--out", help="directory for predicted masks (required)")
 
     evalp = sub.add_parser("eval", help="score predictions against ground truth")
     evalp.add_argument("--pred", required=True, help="directory of predicted PGMs")
@@ -72,7 +74,7 @@ def build_parser():
     evalp.add_argument("--out", help="TSV output path (default: stdout)")
 
     grad = sub.add_parser("gradcheck", help="finite-difference check of every op")
-    grad.add_argument("--seed", type=int, default=1234)
+    grad.add_argument("--seed", type=int, default=GRADCHECK_SEED)
 
     benchp = sub.add_parser("bench-memread", help="time the memory-read modes")
     benchp.add_argument("--modes", default="dense_all,hierarchical_topk")
@@ -92,6 +94,13 @@ def _print_config(args, extra=()):
         print(f"seed={args.seed}")
     for key in extra:
         print(f"{key}={getattr(args, key.replace('-', '_'))}")
+
+
+def _require_paths(args, flags):
+    """Output paths are required unless the run only prints its config."""
+    missing = [f"--{f}" for f in flags if getattr(args, f) is None]
+    if missing and not args.dump_config:
+        raise UsageError(f"{args.command} requires {' and '.join(missing)}")
 
 
 def _write_lines(path, lines):
@@ -126,6 +135,7 @@ def cmd_train_toy(args):
     from .checkpoint import save_checkpoint
     from .model import init_model, train_toy
 
+    _require_paths(args, ("ckpt",))
     # memory_policy stays at its default: training never reads it
     config = ModelConfig(variant=args.variant, k=args.k,
                          other_mask_enabled=not args.no_other_mask,
@@ -157,6 +167,7 @@ def cmd_infer(args):
     from .data import load_sequence, write_pgm
     from .model import run_sequence
 
+    _require_paths(args, ("seq", "out"))
     model = load_checkpoint(args.ckpt)
     # the checkpoint fixes the structure; the read is chosen here
     model.config = replace(model.config, k=args.k, memory_policy=args.memory_policy,
@@ -180,7 +191,6 @@ def cmd_infer(args):
 
 def cmd_eval(args):
     from .data import load_sequence, read_pgm
-    from .errors import UsageError
     from .metrics import evaluate_sequence
 
     _print_config(args, ("pred", "gt"))
@@ -215,14 +225,11 @@ def cmd_gradcheck(args):
         print(f"{name:>18}  {'pass' if ok else 'FAIL':>6}  {worst:14.3e}  {tol:.0e}")
         failed = failed or not ok
     if failed:
-        from .errors import NumericError
-
         raise NumericError("gradient check failed")
     return 0
 
 
 def cmd_bench_memread(args):
-    from .errors import UsageError
     from .memread import ReadGeometry, bench
 
     _print_config(args, ("modes", "k", "height", "width", "t", "dim"))
@@ -262,9 +269,6 @@ def main(argv=None):
     except SystemExit as exc:
         # argparse uses exit code 2 for bad flags; usage errors are 1 here
         return 0 if exc.code == 0 else 1
-    from .errors import (ConfigError, DataError, DimensionError, NumericError,
-                         UsageError)
-
     try:
         if args.threads < 0:
             raise UsageError(f"--threads must be at least 0, got {args.threads}")

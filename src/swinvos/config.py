@@ -26,6 +26,7 @@ VARIANTS = {
 MEMORY_POLICIES = ("every8", "firstprev")
 ENCODER_MODES = ("full", "image_only")
 READ_MODES = ("hierarchical_topk", "last_stage_only", "dense_all")
+GRADCHECK_SEED = 1234  # default seed of the gradient-check suite
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,7 @@ gradients onto every ``Parameter`` that was touched. Tensors are immutable
 values; a tape and its parameters follow a single-writer contract.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -621,20 +622,27 @@ def layer_norm(x, gamma, beta):
     return record_op(out, (x, gamma, beta), bwd)
 
 
-def _im2col(xp, h, w):
-    """[C, H+2, W+2] padded input -> [C*9, H*W] columns, rows in (c, dy, dx) order."""
-    taps = np.lib.stride_tricks.sliding_window_view(xp, (h, w), axis=(1, 2))
-    return taps.reshape(xp.shape[0] * 9, h * w)
+def _columns(x):
+    """[C, H, W] -> [9*C, H*(W+2)] columns of the zero-padded input, rows in
+    (c, dy, dx) order: tap (dy, dx) is the window at offset dy*(W+2)+dx of
+    one flat padded buffer per channel, so column y*(W+2)+x is pixel (y, x)
+    and the last 2 columns of each row, which wrap across the padding, are junk."""
+    c, h, w = x.shape
+    buf = np.zeros((c, (h + 2) * (w + 2) + 2), dtype=x.dtype)
+    buf[:, :-2].reshape(c, h + 2, w + 2)[:, 1:-1, 1:-1] = x
+    s0, s1 = buf.strides
+    taps = np.lib.stride_tricks.as_strided(buf, (c, 3, 3, h * (w + 2)), (s0, (w + 2) * s1, s1, s1))
+    return taps.reshape(c * 9, h * (w + 2))
 
 
 def conv2d(x, w, b):
     """3x3 cross-correlation, stride 1, zero padding 1 (the decoder shape).
 
-    x: [C_in, H, W]; w: [C_out, C_in, 3, 3]; b: [C_out].
-    One im2col GEMM, ``[C_out, 9*C_in] @ [9*C_in, H*W]``, with the bias
-    added in place. The backward rebuilds the columns from the input rather
-    than keeping them: ``gw = g @ col^T``, and ``gx`` adds the nine tap
-    slices of ``w^T @ g`` back into the padded grid (col2im).
+    x: [C_in, H, W]; w: [C_out, C_in, 3, 3]; b: [C_out]. One GEMM,
+    ``[C_out, 9*C_in] @ [9*C_in, H*(W+2)]`` on ``_columns``, with the bias
+    added in place; the junk columns are cropped. The backward rebuilds the
+    columns: ``gw = g @ col^T`` with ``g`` zero-extended to W+2 columns, and
+    ``gx`` is the forward GEMM on ``g`` with the kernel flipped, channels swapped.
     """
     x = as_tensor(x)
     w = as_tensor(w)
@@ -645,33 +653,27 @@ def conv2d(x, w, b):
     cout = w.shape[0]
     if w.shape[1] != cin:
         raise DimensionError(f"conv2d channel mismatch: input {cin} vs kernel {w.shape[1]}")
-    widths = ((0, 0), (1, 1), (1, 1))
-    w2 = w.data.reshape(cout, cin * 9)
-    out = w2 @ _im2col(np.pad(x.data, widths), h, wd)
-    out += b.data[:, None]
-    out = out.reshape(cout, h, wd)
+    out = (w.data.reshape(cout, cin * 9) @ _columns(x.data)).reshape(cout, h, wd + 2)
+    out += b.data[:, None, None]
 
     def bwd(g):
-        g2 = g.reshape(cout, h * wd)
         gx = gw = gb = None
         if b.watched:
-            gb = g2.sum(axis=1)
+            gb = g.reshape(cout, -1).sum(axis=1)
         if w.watched:
-            gw = (g2 @ _im2col(np.pad(x.data, widths), h, wd).T).reshape(w.shape)
+            gext = np.concatenate([g, np.zeros((cout, h, 2), dtype=g.dtype)], axis=2)
+            gw = (gext.reshape(cout, -1) @ _columns(x.data).T).reshape(w.shape)
         if x.watched:
-            gcol = (w2.T @ g2).reshape(cin, 3, 3, h, wd)
-            gxp = np.zeros((cin, h + 2, wd + 2), dtype=g.dtype)
-            for dy in range(3):
-                for dx in range(3):
-                    gxp[:, dy:dy + h, dx:dx + wd] += gcol[:, dy, dx]
-            gx = np.ascontiguousarray(gxp[:, 1:-1, 1:-1])
+            flipped = w.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(cin, cout * 9)
+            gx = np.ascontiguousarray((flipped @ _columns(g)).reshape(cin, h, wd + 2)[:, :, :wd])
         return gx, gw, gb
 
-    return record_op(out, (x, w, b), bwd)
+    return record_op(np.ascontiguousarray(out[:, :, :wd]), (x, w, b), bwd)
 
 
+@functools.lru_cache(maxsize=16)
 def _interp_matrix(n_src, n_dst, dtype):
-    """Dense 1-D bilinear interpolation matrix, align-corners=false."""
+    """Dense 1-D bilinear interpolation matrix, align-corners=false; cached, read-only."""
     m = np.zeros((n_dst, n_src), dtype=dtype)
     scale = n_src / n_dst
     for i in range(n_dst):
@@ -682,6 +684,7 @@ def _interp_matrix(n_src, n_dst, dtype):
         hi_c = min(max(lo + 1, 0), n_src - 1)
         m[i, lo_c] += 1.0 - frac
         m[i, hi_c] += frac
+    m.flags.writeable = False
     return m
 
 

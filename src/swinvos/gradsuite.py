@@ -10,6 +10,7 @@ import numpy as np
 
 from . import engine
 from .attention import SwinBlock, window_msa
+from .config import GRADCHECK_SEED
 from .decoder import RefinementStage, soft_aggregate
 from .engine import Tensor
 from .memread import ReadGeometry, TopKIndexSet, dense_read, topk_read
@@ -212,7 +213,7 @@ SUITE = [
 ]
 
 
-def run_suite(seed=1234):
+def run_suite(seed=GRADCHECK_SEED):
     """Returns [(op, passed, worst_rel_err, tolerance)]."""
     results = []
     for name, check, tol in SUITE:

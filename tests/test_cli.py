@@ -77,10 +77,14 @@ class TestTrainToy:
         assert len(lines) == 9
 
     def test_dump_config(self, capsys):
-        code, out, _ = run(capsys, "train-toy", "--ckpt", "/dev/null",
-                           "--dump-config", "--k", "7")
+        code, out, _ = run(capsys, "train-toy", "--dump-config", "--k", "7")
         assert code == 0
         assert "variant=nano" in out and "k=7" in out
+
+    def test_missing_ckpt_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "train-toy", "--steps", "1")
+        assert code == 1 and err.startswith("error: ") and "--ckpt" in err
+        assert "command=" not in out
 
     def test_reproducible_checkpoint(self, tmp_path, capsys):
         seq = tmp_path / "seq"
@@ -176,6 +180,17 @@ class TestInferAndEval:
         assert dumped == expected.canonical()
         assert dumped in out
 
+    def test_infer_dump_config_needs_no_output_paths(self, trained, capsys):
+        root, _, ckpt = trained
+        code, out, _ = run(capsys, "infer", "--ckpt", str(ckpt), "--dump-config", "--k", "9")
+        assert code == 0 and "k=9" in out.splitlines()
+        code, _, err = run(capsys, "infer", "--ckpt", str(ckpt), "--out", str(root / "n"))
+        assert code == 1 and "--seq" in err and not (root / "n").exists()
+        code, _, err = run(capsys, "infer", "--ckpt", str(ckpt), "--seq", str(root / "seq"))
+        assert code == 1 and "--out" in err
+        code, _, _ = run(capsys, "infer", "--seq", str(root / "seq"), "--dump-config")
+        assert code == 1
+
     def test_infer_dump_config_needs_the_checkpoint(self, trained, capsys):
         root, seq, _ = trained
         code, out, err = run(capsys, "infer", "--ckpt", str(root / "missing.hst"),
@@ -246,6 +261,16 @@ class TestGradcheckCommand:
         assert code == 0
         assert "seed=1234" in out.splitlines()
         assert "matmul" in out and "FAIL" not in out
+
+    def test_suite_default_seed_is_the_command_default(self):
+        import inspect
+
+        from swinvos.cli import build_parser
+        from swinvos.config import GRADCHECK_SEED
+        from swinvos.gradsuite import run_suite
+
+        assert build_parser().parse_args(["gradcheck"]).seed == GRADCHECK_SEED
+        assert inspect.signature(run_suite).parameters["seed"].default == GRADCHECK_SEED
 
     def test_seed_zero_reaches_the_suite(self, capsys, monkeypatch):
         from swinvos import gradsuite

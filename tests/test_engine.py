@@ -46,6 +46,26 @@ def conv2d_loops(x, w, b):
     return out
 
 
+def conv2d_grads_loops(x, w, g):
+    """Six-loop reference of the conv2d backward for output gradient ``g``,
+    accumulated in float64: (gx, gw, gb)."""
+    cin, h, wd = x.shape
+    cout = w.shape[0]
+    gx = np.zeros(x.shape)
+    gw = np.zeros(w.shape)
+    for co in range(cout):
+        for y in range(h):
+            for xx in range(wd):
+                for ci in range(cin):
+                    for dy in range(3):
+                        for dx in range(3):
+                            sy, sx = y + dy - 1, xx + dx - 1
+                            if 0 <= sy < h and 0 <= sx < wd:
+                                gx[ci, sy, sx] += float(w[co, ci, dy, dx]) * float(g[co, y, xx])
+                                gw[co, ci, dy, dx] += float(x[ci, sy, sx]) * float(g[co, y, xx])
+    return gx, gw, g.astype(np.float64).sum(axis=(1, 2))
+
+
 class TestMatmul:
     def test_identity(self):
         a = Tensor([[1.0, 2.0], [3.0, 4.0]])
@@ -240,6 +260,27 @@ class TestConv2d:
         out = engine.conv2d(Tensor(x), Tensor(w), Tensor(np.zeros(5, dtype=np.float32)))
         np.testing.assert_allclose(out.data, conv2d_taps(x, w).data, rtol=1e-5, atol=1e-5)
 
+    # (C_in, H, W, C_out): non-square, H=1, W=1, C_in=1, and a 2-logit head
+    @pytest.mark.parametrize("cin,h,wd,cout", [(2, 3, 5, 3), (2, 1, 4, 3), (3, 4, 1, 2),
+                                               (1, 4, 3, 3), (4, 3, 3, 2)])
+    @pytest.mark.parametrize("dtype,tol", [(np.float32, 1e-5), (np.float64, 1e-12)])
+    def test_forward_and_grads_match_loops(self, rng, cin, h, wd, cout, dtype, tol):
+        x = rng.standard_normal((cin, h, wd)).astype(dtype)
+        w = rng.standard_normal((cout, cin, 3, 3)).astype(dtype)
+        b = rng.standard_normal(cout).astype(dtype)
+        g = rng.standard_normal((cout, h, wd)).astype(dtype)
+        params = [Parameter(a.copy()) for a in (x, w, b)]
+        with Tape() as tape:
+            out = engine.conv2d(*[p.tensor() for p in params])
+            loss = engine.tsum(engine.mul(out, Tensor(g)))
+        engine.backward(loss, tape)
+        assert out.dtype == dtype and out.data.flags.c_contiguous
+        np.testing.assert_allclose(out.data, conv2d_loops(x.astype(np.float64), w, b),
+                                   rtol=tol, atol=tol)
+        for p, expect in zip(params, conv2d_grads_loops(x, w, g)):
+            assert p.grad.dtype == dtype and p.grad.shape == expect.shape
+            np.testing.assert_allclose(p.grad, expect, rtol=tol, atol=tol)
+
     def test_channel_mismatch(self):
         with pytest.raises(DimensionError):
             engine.conv2d(Tensor(np.zeros((2, 4, 4))), Tensor(np.zeros((1, 3, 3, 3))),
@@ -267,6 +308,38 @@ class TestBilinearUpsample:
     def test_zero_target_rejected(self):
         with pytest.raises(DimensionError):
             engine.bilinear_upsample(Tensor(np.zeros((1, 2, 2))), (0, 4))
+
+    def test_cached_matrix_is_read_only(self):
+        m = engine._interp_matrix(3, 7, np.float32)
+        assert engine._interp_matrix(3, 7, np.float32) is m
+        assert not m.flags.writeable
+        with pytest.raises(ValueError):
+            m[0, 0] = 1.0
+
+    def test_cache_matches_rebuild_bytewise(self, rng, monkeypatch):
+        x = rng.standard_normal((2, 3, 4)).astype(np.float32)
+        probe = rng.standard_normal((2, 7, 9)).astype(np.float32)
+
+        def run():
+            p = Parameter(x.copy())
+            with Tape() as tape:
+                out = engine.bilinear_upsample(p.tensor(), (7, 9))
+                loss = engine.tsum(engine.mul(out, Tensor(probe)))
+            engine.backward(loss, tape)
+            return out.data, p.grad
+
+        cached = [run(), run()]
+        monkeypatch.setattr(engine, "_interp_matrix", engine._interp_matrix.__wrapped__)
+        rebuilt = run()
+        for out, grad in cached:
+            assert out.tobytes() == rebuilt[0].tobytes()
+            assert grad.tobytes() == rebuilt[1].tobytes()
+
+    def test_second_geometry_gets_its_own_matrices(self):
+        first = engine.bilinear_upsample(Tensor(np.full((1, 2, 3), 2.0)), (4, 6))
+        second = engine.bilinear_upsample(Tensor(np.full((2, 3, 2), 2.0)), (5, 8))
+        assert first.shape == (1, 4, 6) and second.shape == (2, 5, 8)
+        np.testing.assert_allclose(second.data, 2.0, rtol=1e-12)
 
 
 class TestBackward:
