@@ -273,8 +273,9 @@ def main(argv=None):
         if args.threads < 0:
             raise UsageError(f"--threads must be at least 0, got {args.threads}")
         if args.threads:
+            # an explicit count wins over what the environment inherited
             for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-                os.environ.setdefault(var, str(args.threads))
+                os.environ[var] = str(args.threads)
         return COMMANDS[args.command](args)
     except (UsageError, ConfigError) as err:
         print(f"error: {err}", file=sys.stderr)

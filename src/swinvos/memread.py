@@ -17,8 +17,10 @@ batched per-cell matmuls.
 The dense read splits big instances into row chunks to bound peak memory.
 The sparse read makes one contiguous [Nm, C] row copy of the memory maps
 per call and gathers from it in cache-sized groups of stage-4 cells, so a
-group's score and gathered blocks stay in L2. Chunks and groups only split
-rows, never a softmax, so results do not depend on their size.
+group's score and gathered blocks stay in L2. Each group is one op and one
+tape node (``_gather_attend``): gather, scores, an in-place softmax on that
+one score buffer, and the value mix. Chunks and groups only split rows,
+never a softmax, so results do not depend on their size.
 """
 
 import time
@@ -170,6 +172,10 @@ def topk_read(kq, vq, km, vm, omega, stage, geom):
     if km.shape[1] != geom.t * hi * wi:
         raise DimensionError(
             f"memory columns {km.shape[1]} != {geom.t}x{hi}x{wi}")
+    if omega.min() < 0 or omega.max() >= km.shape[1]:
+        raise DimensionError(f"index set out of range for {km.shape[1]} memory positions")
+    if kq.dtype != km.dtype or km.dtype != vm.dtype:
+        raise DimensionError(f"dtype mismatch: {kq.dtype}, {km.dtype}, {vm.dtype}")
     ck, cv = kq.shape[0], vq.shape[0]
 
     # contiguous rows, copied once: gathering from a transposed view would
@@ -179,18 +185,46 @@ def topk_read(kq, vq, km, vm, omega, stage, geom):
     q_blocks = _to_cell_blocks(kq, geom, r)  # [n_cells, r*r, Ck]
 
     group = max(1, _GROUP_ELEMS // (n * max(r * r, ck, cv)))
-    outs = []
-    for start in range(0, n_cells, group):
-        stop = min(start + group, n_cells)
-        idx = omega[start:stop]
-        kg = engine.take(km_t, idx)                  # [cells, n, Ck]
-        vg = engine.take(vm_t, idx)                  # [cells, n, Cv]
-        qb = q_blocks[start:stop]                    # [cells, r*r, Ck]
-        s = engine.matmul(qb, engine.transpose(kg, (0, 2, 1)))  # [cells, r*r, n]
-        w = engine.softmax(s, axis=-1)
-        outs.append(engine.matmul(w, vg))            # [cells, r*r, Cv]
+    outs = [_gather_attend(q_blocks, km_t, vm_t, omega, slice(start, start + group))
+            for start in range(0, n_cells, group)]
     readout = _from_cell_blocks(engine.concat(outs, axis=0), geom, r, cv)
     return engine.concat([vq, readout], axis=0)
+
+
+def _gather_attend(q_blocks, km_t, vm_t, omega, cells):
+    """One cell group of the sparse read as one op and one tape node.
+
+    ``cells`` slices the stage-4 cells of ``q_blocks`` [n_cells, r*r, Ck]
+    and ``omega`` [n_cells, n]; the group's keys and values are gathered
+    from the memory rows ``km_t`` [Nm, Ck] and ``vm_t`` [Nm, Cv]. The
+    softmax runs in place on the one score buffer, with the steps of
+    ``engine.softmax``; the backward is written out with the arithmetic of
+    the composed take/matmul/softmax/matmul ops, so results keep their bytes.
+    Returns [cells, r*r, Cv].
+    """
+    idx = omega[cells]
+    qb = q_blocks.data[cells]
+    kg = np.take(km_t.data, idx, axis=0)  # [cells, n, Ck]
+    vg = np.take(vm_t.data, idx, axis=0)  # [cells, n, Cv]
+    w = np.matmul(qb, kg.transpose(0, 2, 1))  # [cells, r*r, n]
+    w -= w.max(axis=-1, keepdims=True)
+    np.exp(w, out=w)
+    w /= w.sum(axis=-1, keepdims=True)
+    out = np.matmul(w, vg)
+
+    def bwd(g):
+        gv = np.zeros(vm_t.shape, dtype=g.dtype)
+        np.add.at(gv, idx, np.matmul(w.swapaxes(-1, -2), g))
+        gs = np.matmul(g, vg.swapaxes(-1, -2))  # softmax backward, in place
+        gs -= (gs * w).sum(axis=-1, keepdims=True)
+        gs *= w
+        gq = np.zeros(q_blocks.shape, dtype=g.dtype)
+        gq[cells] = np.matmul(gs, kg)
+        gk = np.zeros(km_t.shape, dtype=g.dtype)
+        np.add.at(gk, idx, np.matmul(gs.swapaxes(-1, -2), qb))
+        return gq, gk, gv
+
+    return engine.record_op(out, (q_blocks, km_t, vm_t), bwd)
 
 
 def _to_cell_blocks(kq, geom, r):

@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from swinvos import engine
+from swinvos import engine, memread
 from swinvos.decoder import predict_labels, soft_aggregate
 from swinvos.encoders import KeyValueMaps
 from swinvos.engine import Tensor
@@ -275,3 +275,24 @@ def random_kv64(geom, base_dim, seed):
 
     query, memory = random_kv(geom, base_dim, seed)
     return widen(query), widen(memory)
+
+
+def composed_topk_read(kq, vq, km, vm, omega, stage, geom):
+    """The sparse read as separate taped ops per cell group: two row
+    gathers, a transpose, a matmul, a softmax and a matmul."""
+    r = 2 ** (4 - stage)
+    cv = vq.shape[0]
+    km_t = engine.getitem(engine.transpose(km, (1, 0)), slice(None))
+    vm_t = engine.getitem(engine.transpose(vm, (1, 0)), slice(None))
+    q_blocks = memread._to_cell_blocks(kq, geom, r)
+    n_cells, n = omega.shape
+    group = max(1, memread._GROUP_ELEMS // (n * max(r * r, kq.shape[0], cv)))
+    outs = []
+    for start in range(0, n_cells, group):
+        idx = omega[start:start + group]
+        kg = engine.take(km_t, idx)
+        vg = engine.take(vm_t, idx)
+        s = engine.matmul(q_blocks[start:start + group], engine.transpose(kg, (0, 2, 1)))
+        outs.append(engine.matmul(engine.softmax(s, axis=-1), vg))
+    readout = memread._from_cell_blocks(engine.concat(outs, axis=0), geom, r, cv)
+    return engine.concat([vq, readout], axis=0)

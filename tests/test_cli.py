@@ -55,6 +55,22 @@ def test_cli_import_leaves_numpy_unloaded(tmp_path):
     assert not (tmp_path / "s").exists()
 
 
+def test_cli_threads_flag_overrides_inherited_blas_threads(tmp_path):
+    src = os.path.dirname(os.path.dirname(swinvos.__file__))
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="4", OMP_NUM_THREADS="3")
+    env.pop("MKL_NUM_THREADS", None)
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import os, sys, swinvos.cli; "
+         "code = swinvos.cli.main(['--threads', '1', 'gen', '--out', sys.argv[1], "
+         "'--frames', '1', '--size', '64', '--objects', '1']); "
+         "print(code, *(os.environ[v] for v in "
+         "('OPENBLAS_NUM_THREADS', 'OMP_NUM_THREADS', 'MKL_NUM_THREADS')))",
+         str(tmp_path / "s")],
+        env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.split()[-4:] == ["0", "1", "1", "1"]
+
+
 @pytest.fixture(scope="module")
 def trained(tmp_path_factory):
     root = tmp_path_factory.mktemp("cli_train")

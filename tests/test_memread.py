@@ -1,15 +1,18 @@
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from oracles import composed_topk_read
 from oracles import dense_read_loops as oracle_dense
 from oracles import random_kv64
 from oracles import topk_read_loops as oracle_topk
 from oracles import topk_set_for_query
 
 from swinvos import engine, memread
-from swinvos.engine import Tensor
+from swinvos.engine import Parameter, Tape, Tensor
 from swinvos.errors import DimensionError, UsageError
+from swinvos.gradsuite import PRIMITIVE_TOL
 from swinvos.memread import (
     ReadGeometry,
     TopKIndexSet,
@@ -237,6 +240,21 @@ class TestTopkRead:
         assert y.data.nbytes == out_bytes
         assert peak < budget, f"peak {peak / 2**20:.1f} MB, budget {budget / 2**20:.1f} MB"
 
+    @pytest.mark.parametrize("bad", ("negative", "past_end"))
+    def test_out_of_range_index_rejected(self, bad):
+        # np.take would wrap -1 round to the last row without a complaint
+        kq, vq, km, vm = small_kv(0, stage=3)
+        omega = np.zeros((4, 2), dtype=int)
+        omega[2, 1] = -1 if bad == "negative" else km.shape[1]
+        with pytest.raises(DimensionError):
+            topk_read(Tensor(kq), Tensor(vq), Tensor(km), Tensor(vm), omega, 3, GEOM)
+
+    def test_mixed_dtypes_rejected(self):
+        kq, vq, km, vm = small_kv(0, stage=3)
+        with pytest.raises(DimensionError):
+            topk_read(Tensor(kq), Tensor(vq), Tensor(km.astype(np.float32)), Tensor(vm),
+                      np.zeros((4, 2), dtype=int), 3, GEOM)
+
     def test_gradients_flow_through_gather(self):
         geom = ReadGeometry(t=1, h4=1, w4=1)
         stage = 3
@@ -252,6 +270,67 @@ class TestTopkRead:
             fn, [rng.standard_normal((1, 4)), rng.standard_normal((2, 4)),
                  rng.standard_normal((1, 4)), rng.standard_normal((2, 4))])
         assert worst <= 1e-5, f"worst rel err {worst:.2e}"
+
+
+class TestGatherAttend:
+    """The fused per-cell-group op against the composed engine ops."""
+
+    GEOM = ReadGeometry(t=2, h4=3, w4=2)  # 6 cells: groups of 4 leave a short one
+
+    def case(self, stage, dtype):
+        kq, vq, km, vm = small_kv(stage + 40, stage=stage, geom=self.GEOM, dtype=dtype)
+        rng = np.random.default_rng(stage)
+        omega4 = np.stack([rng.choice(self.GEOM.memory_cells(4), size=3, replace=False)
+                           for _ in range(self.GEOM.h4 * self.GEOM.w4)])
+        omega = TopKIndexSet(omega4, self.GEOM).expand(stage)
+        probe = rng.standard_normal((vq.shape[0] * 2, kq.shape[1])).astype(dtype)
+        return [kq, vq, km, vm], omega, probe
+
+    def set_cells_per_group(self, monkeypatch, cells, arrays, omega, stage):
+        r2 = 4 ** (4 - stage)
+        width = max(r2, arrays[0].shape[0], arrays[1].shape[0])
+        monkeypatch.setattr(memread, "_GROUP_ELEMS", cells * omega.shape[1] * width)
+
+    def run(self, read, arrays, omega, stage, probe):
+        params = [Parameter(a.copy()) for a in arrays]
+        with Tape() as tape:
+            y = read(*[p.tensor() for p in params], omega, stage, self.GEOM)
+            loss = engine.tsum(engine.mul(y, Tensor(probe)))
+        engine.backward(loss, tape)
+        return y.data.tobytes(), [p.grad.tobytes() for p in params], tape
+
+    @pytest.mark.parametrize("dtype", (np.float32, np.float64))
+    @pytest.mark.parametrize("cells", (1, 4))
+    @pytest.mark.parametrize("stage", (1, 3))
+    def test_bytes_equal_composed_ops(self, stage, cells, dtype, monkeypatch):
+        arrays, omega, probe = self.case(stage, dtype)
+        self.set_cells_per_group(monkeypatch, cells, arrays, omega, stage)
+        y, grads, _ = self.run(topk_read, arrays, omega, stage, probe)
+        y_ref, grads_ref, _ = self.run(composed_topk_read, arrays, omega, stage, probe)
+        assert y == y_ref
+        assert grads == grads_ref
+
+    @pytest.mark.parametrize("cells, groups", ((1, 6), (4, 2)))
+    def test_one_tape_node_per_cell_group(self, cells, groups, monkeypatch):
+        stage = 2
+        arrays, omega, probe = self.case(stage, np.float64)
+        self.set_cells_per_group(monkeypatch, cells, arrays, omega, stage)
+        *_, tape = self.run(topk_read, arrays, omega, stage, probe)
+        ops = [n.backward_fn.__qualname__.split(".")[0] for n in tape.nodes]
+        assert ops.count("_gather_attend") == groups
+        assert not {"take", "matmul", "softmax"} & set(ops)
+
+    def test_gradcheck_one_cell_groups(self, monkeypatch):
+        stage = 3
+        arrays, omega, probe = self.case(stage, np.float64)
+        monkeypatch.setattr(memread, "_GROUP_ELEMS", 1)
+
+        def fn(kq, vq, km, vm):
+            y = topk_read(kq, vq, km, vm, omega, stage, self.GEOM)
+            return engine.tsum(engine.mul(y, Tensor(probe)))
+
+        worst = engine.gradcheck(fn, arrays)
+        assert worst <= PRIMITIVE_TOL, f"worst rel err {worst:.2e}"
 
 
 class TestReadAll:
@@ -291,23 +370,20 @@ class TestReadAll:
                 assert topk[stage] < dense[stage]
 
     def test_flop_model_matches_operation_counter(self, monkeypatch):
-        # count the multiply-adds of every matmul actually executed and
-        # compare with the model's matmul term (model minus 5/elem softmax)
+        # count the multiply-adds of every numpy matmul actually executed
+        # (engine ops and fused ops alike) and compare with the model's
+        # matmul term (model minus 5/elem softmax)
         counted = {"flops": 0}
-        real_matmul = engine.matmul
+        real_matmul = np.matmul
 
-        def counting_matmul(a, b):
-            a_t = engine.as_tensor(a)
-            b_t = engine.as_tensor(b)
-            m, p = a_t.shape[-2], a_t.shape[-1]
-            n = b_t.shape[-1]
-            batch = int(np.prod(a_t.shape[:-2], dtype=np.int64)) if a_t.ndim > 2 else 1
-            batch = max(batch, int(np.prod(b_t.shape[:-2], dtype=np.int64))
-                        if b_t.ndim > 2 else 1)
+        def counting_matmul(a, b, *args, **kw):
+            m, p = np.shape(a)[-2:]
+            n = np.shape(b)[-1]
+            batch = math.prod(np.broadcast_shapes(np.shape(a)[:-2], np.shape(b)[:-2]))
             counted["flops"] += 2 * batch * m * p * n
-            return real_matmul(a, b)
+            return real_matmul(a, b, *args, **kw)
 
-        monkeypatch.setattr(memread.engine, "matmul", counting_matmul)
+        monkeypatch.setattr(np, "matmul", counting_matmul)
         geom = ReadGeometry(t=2, h4=2, w4=2)
         query, memory = random_kv(geom, 8, 0)
         for mode in ("dense_all", "hierarchical_topk"):
