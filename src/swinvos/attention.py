@@ -1,11 +1,12 @@
 """Shifted-window multi-head self-attention blocks, 2D and 3D.
 
 Token grids are [*spatial_dims, C] tensors (a leading T axis makes a block
-3D). Windows tile the spatial axes; the shifted variant rolls the grid by
-half a window first and suppresses attention between tokens that originate
-from different pre-shift windows via an additive -1e9 mask. Grids whose
-extents are not window multiples are padded on the right/bottom, and the
-padded tokens are masked out of attention as keys.
+3D); axes in front of the window's rank are batch axes (objects), which no
+window spans. Windows tile the spatial axes; the shifted variant rolls the
+grid by half a window first and suppresses attention between tokens that
+originate from different pre-shift windows via an additive -1e9 mask.
+Grids whose extents are not window multiples are padded on the
+right/bottom, and the padded tokens are masked out of attention as keys.
 
 Padding, roll and tiling are one cached index map per geometry
 (``window_layout``): the grid token at each window slot, and the slot of
@@ -54,7 +55,7 @@ class RelativePositionBias(Module):
 
     def __init__(self, table_window, heads, rng, dtype=engine.DEFAULT_DTYPE):
         rows = math.prod(2 * w - 1 for w in table_window)
-        self.table = Parameter(engine.trunc_normal(rng, (rows, heads), dtype=dtype))
+        self.table = Parameter(engine.init_weight(rng, (rows, heads), dtype=dtype))
         self.table_window = tuple(table_window)
         self.heads = heads
 
@@ -144,55 +145,106 @@ def attention_mask(dims, window, shift, extents=None):
     return mask
 
 
+# bytes of attention logits a window_msa group holds at once (~4 MB)
+_LOGITS_BYTES = 4 * 1024 * 1024
+
+
+def _window_groups(n_windows, period, fit):
+    """(start, stop) ranges of at most ``fit`` windows (at least one) that
+    each hold whole mask periods or lie inside one period."""
+    if fit >= period:
+        step = fit - fit % period
+        return [(s, min(s + step, n_windows)) for s in range(0, n_windows, step)]
+    return [(s, min(s + fit, p + period))
+            for p in range(0, n_windows, period) for s in range(p, p + period, fit)]
+
+
 def window_msa(qkv, heads, bias=None, mask=None):
     """Multi-head self-attention within each window, over projected tokens.
 
     qkv: [nW, L, 3C] (queries, keys and values side by side, each split
     into ``heads`` slices of C/heads); ``bias`` is a [heads, L, L] tensor,
-    ``mask`` a [nW, 1, L, L] additive array or None. Returns [nW, L, C].
-    Logits are scaled by 1/sqrt(C/heads).
+    ``mask`` a [P, 1, L, L] additive array or None, where P divides nW and
+    window i takes mask row i % P (the windows of several objects share one
+    object's mask). Returns [nW, L, C]. Logits are scaled by
+    1/sqrt(C/heads).
 
-    One op and one tape node: q, k and v are views of ``qkv``; the scale,
-    bias, mask and softmax run in place on one logits buffer, and the
-    value product writes straight into the [nW, L, C] layout. The backward
-    is written out for ``qkv`` and ``bias``.
+    One op and one tape node: q, k and v are views of ``qkv``. Windows run
+    in groups whose logits fit ``_LOGITS_BYTES``; in each group the scale,
+    bias, mask and softmax run in place on one logits buffer, and the value
+    product writes straight into the [nW, L, C] layout. Groups only split
+    windows, so results do not depend on their size. Unless the op is
+    recorded, one group's buffer serves every group; a recorded op keeps
+    each group's weights for the backward, which is written out for ``qkv``
+    and ``bias``.
     """
     qkv = engine.as_tensor(qkv)
     n_windows, length, width = qkv.shape
     if width % (3 * heads):
         raise ConfigError(f"qkv width {width} is not 3 x a multiple of heads {heads}")
+    period = n_windows if mask is None else mask.shape[0]
+    if n_windows % period:
+        raise DimensionError(f"{period} mask windows do not tile {n_windows} windows")
     c = width // 3
     head_dim = c // heads
     scale = qkv.dtype.type(1.0 / math.sqrt(head_dim))
     split = (n_windows, length, 3, heads, head_dim)
     q, k, v = qkv.data.reshape(split).transpose(2, 0, 3, 1, 4)  # [nW, heads, L, hd]
-    weights = np.matmul(q, k.swapaxes(-1, -2))
-    weights *= scale
-    if bias is not None:
-        weights += bias.data  # broadcast over nW
-    if mask is not None:
-        weights += mask
-    weights -= weights.max(axis=-1, keepdims=True)
-    np.exp(weights, out=weights)
-    weights /= weights.sum(axis=-1, keepdims=True)
+    inputs = (qkv,) if bias is None else (qkv, bias)
+    keep = engine.recording(inputs)
+    fit = max(1, _LOGITS_BYTES // (heads * length * length * qkv.dtype.itemsize))
+    groups = _window_groups(n_windows, period, fit)
+    # added once per group: a contiguous copy reads faster than the
+    # transposed table view that RelativePositionBias returns
+    bias_data = None if bias is None else np.ascontiguousarray(bias.data)
     out = np.empty((n_windows, length, heads, head_dim), dtype=qkv.dtype)
-    np.matmul(weights, v, out=out.transpose(0, 2, 1, 3))
+    saved = []
+    buf = None
+    for start, stop in groups:
+        # the first group is the largest, so later ones fit in its buffer
+        weights = np.matmul(q[start:stop], k[start:stop].swapaxes(-1, -2),
+                            out=None if buf is None else buf[:stop - start])
+        weights *= scale
+        if bias_data is not None:
+            weights += bias_data  # broadcast over windows
+        if mask is not None:
+            if stop - start > period:  # whole periods
+                periods = weights.reshape((-1, period) + weights.shape[1:])
+                periods += mask
+            else:
+                weights += mask[start % period:start % period + stop - start]
+        weights -= weights.max(axis=-1, keepdims=True)
+        np.exp(weights, out=weights)
+        weights /= weights.sum(axis=-1, keepdims=True)
+        np.matmul(weights, v[start:stop], out=out[start:stop].transpose(0, 2, 1, 3))
+        if keep:
+            saved.append(weights)
+        elif buf is None:
+            buf = weights
 
     def bwd(g):
         g_out = g.reshape(n_windows, length, heads, head_dim).transpose(0, 2, 1, 3)
         g_qkv = np.empty(split, dtype=g.dtype)
         g_q, g_k, g_v = g_qkv.transpose(2, 0, 3, 1, 4)
-        np.matmul(weights.swapaxes(-1, -2), g_out, out=g_v)
-        g_logits = np.matmul(g_out, v.swapaxes(-1, -2))
-        g_logits -= (g_logits * weights).sum(axis=-1, keepdims=True)
-        g_logits *= weights
-        g_bias = g_logits.sum(axis=0) if bias is not None and bias.watched else None
-        g_logits *= scale
-        np.matmul(g_logits, k, out=g_q)
-        np.matmul(g_logits.swapaxes(-1, -2), q, out=g_k)
+        g_bias = None
+        for (start, stop), weights in zip(groups, saved):
+            window = slice(start, stop)
+            np.matmul(weights.swapaxes(-1, -2), g_out[window], out=g_v[window])
+            g_logits = np.matmul(g_out[window], v[window].swapaxes(-1, -2))
+            g_logits -= (g_logits * weights).sum(axis=-1, keepdims=True)
+            g_logits *= weights
+            if bias is not None and bias.watched:
+                # numpy sums the window axis in order; continue that order
+                if g_bias is None:
+                    g_bias = g_logits.sum(axis=0)
+                else:
+                    for term in g_logits:
+                        g_bias += term
+            g_logits *= scale
+            np.matmul(g_logits, k[window], out=g_q[window])
+            np.matmul(g_logits.swapaxes(-1, -2), q[window], out=g_k[window])
         return g_qkv.reshape(qkv.shape), g_bias
 
-    inputs = (qkv,) if bias is None else (qkv, bias)
     return engine.record_op(out.reshape(n_windows, length, c), inputs, bwd)
 
 
@@ -218,10 +270,13 @@ class Mlp(Module):
 
 
 class SwinBlock(Module):
-    """One pre-norm windowed-attention block over [*dims, C].
+    """One pre-norm windowed-attention block over [*batch, *dims, C].
 
-    ``window`` is the configured window per spatial axis; ``shifted`` rolls
+    ``window`` is the configured window per grid axis; ``shifted`` rolls
     by half a window (on axes where the grid is larger than the window).
+    Axes in front of the window's rank are batch axes (objects): a window
+    never spans them, and the window layout's mask and relative bias are
+    those of one grid, shared by every batch index.
     """
 
     def __init__(self, dim, heads, window, shifted, rng, dtype=engine.DEFAULT_DTYPE):
@@ -233,17 +288,22 @@ class SwinBlock(Module):
         self.shifted = shifted
 
     def __call__(self, x, valid=None):
+        """``valid``: the valid extents of every axis of x but the last."""
         dims = tuple(x.shape[:-1])
         c = x.shape[-1]
-        layout = window_layout(dims, self.window, self.shifted)
-        length = math.prod(layout.window)
+        lead = len(dims) - len(self.window)
+        # a one-token window on a batch axis: windows tile each grid alone
+        layout = window_layout(dims, (1,) * lead + self.window, self.shifted)
+        window = layout.window[lead:]
+        length = math.prod(window)
         extents = dims if valid is None else tuple(int(e) for e in valid)
-        mask = attention_mask(layout.padded, layout.window, layout.shift, extents)
+        mask = attention_mask(layout.padded[lead:], window, layout.shift[lead:],
+                              extents[lead:])
         attn = self.attn
         h = engine.gather_rows(attn.qkv(self.norm1(x)), layout.slots, layout.tokens,
                                (layout.slots.size // length, length, 3 * c),
                                fill=attn.qkv.bias.tensor())
-        h = window_msa(h, attn.heads, bias=attn.bias(layout.window), mask=mask)
+        h = window_msa(h, attn.heads, bias=attn.bias(window), mask=mask)
         h = engine.gather_rows(h, layout.tokens, layout.slots, dims + (c,))
         x = engine.add(x, attn.proj(h))
         x = engine.add(x, self.mlp(self.norm2(x)))
@@ -272,6 +332,9 @@ class PatchEmbedVideo(Module):
 
     The three patch streams pass through their own linear embeddings and
     are summed before the norm; the other-mask stream can be disabled.
+    Frames are [T, H, W, 3]; masks are [*lead, T, H, W, 1], where a leading
+    object axis gives each object its own tokens [*lead, T, H/4, W/4, C]:
+    the RGB patches are embedded once and broadcast over the objects.
     """
 
     def __init__(self, dim, rng, use_other_mask=True, dtype=engine.DEFAULT_DTYPE):
@@ -283,8 +346,8 @@ class PatchEmbedVideo(Module):
         self.use_other_mask = use_other_mask
 
     def __call__(self, frames, target_masks, other_masks):
-        if frames.shape[:3] != target_masks.shape[:3] or \
-                frames.shape[:3] != other_masks.shape[:3]:
+        if frames.shape[:3] != target_masks.shape[-4:-1] or \
+                target_masks.shape != other_masks.shape:
             raise DimensionError(
                 f"frame/mask extents differ: {frames.shape} vs {target_masks.shape}"
                 f" vs {other_masks.shape}")

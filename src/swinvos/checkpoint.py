@@ -26,7 +26,7 @@ import zlib
 import numpy as np
 
 from .errors import DataError
-from .model import ModelConfig, init_model
+from .model import Model, ModelConfig
 
 MAGIC = b"HSTC"
 VERSION = 1
@@ -130,10 +130,14 @@ def read_checkpoint(path):
 
 
 def load_checkpoint(path):
-    """Rebuild a model from a checkpoint."""
+    """Rebuild a model from a checkpoint.
+
+    The model is built without weight draws, and each parameter adopts its
+    parsed array (cast only when its dtype differs from the model's).
+    """
     config, params = read_checkpoint(path)
     dtype = next(iter(params.values())).dtype if params else np.float32
-    model = init_model(config, seed=0, dtype=np.dtype(dtype).type)
+    model = Model(config, None, dtype=np.dtype(dtype).type)
     names = dict(model.named_parameters())
     missing = set(names) - set(params)
     extra = set(params) - set(names)
@@ -145,5 +149,5 @@ def load_checkpoint(path):
         if target.value.shape != value.shape:
             raise DataError(f"{path}: shape mismatch for {name}: "
                             f"file {value.shape} vs model {target.value.shape}")
-        target.value[:] = value
+        target.value = value.astype(target.value.dtype, copy=False)
     return model

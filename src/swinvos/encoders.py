@@ -6,12 +6,15 @@ by patch merging, sized by a ``ModelConfig``: counting from 0, stage i has
 heads. Each stage halves the spatial resolution of the one before and
 doubles its channels; the memory encoder keeps the temporal extent fixed
 across stages. An encoder returns its four stage feature maps as a list.
-Inputs are zero-padded to a multiple of 32 on the right and bottom, and
-every block masks the padded tokens out of attention using the valid
-extents of its stage.
+The memory encoders take every object's masks at once: their maps carry a
+leading object axis, and no window spans it. Inputs are zero-padded to a
+multiple of 32 on the right and bottom, and every block masks the padded
+tokens out of attention using the valid extents of its stage.
 """
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from . import engine
 from .attention import PATCH, PatchEmbedImage, PatchEmbedVideo, PatchMerge, SwinBlock, _patchify
@@ -36,7 +39,8 @@ def _pad_inputs(*inputs):
 
 
 def _memory_inputs(frames, target_masks, other_masks):
-    """Check and pad a memory clip: (T, valid token extents, padded inputs)."""
+    """Check and pad a memory clip, frames [T, H, W, 3] and masks
+    [*lead, T, H, W, 1]: (T, valid token extents, padded inputs)."""
     if frames.ndim != 4 or frames.shape[0] == 0:
         raise UsageError(f"need at least one memory frame, got shape {frames.shape}")
     return (frames.shape[0],) + _pad_inputs(frames, target_masks, other_masks)
@@ -45,8 +49,8 @@ def _memory_inputs(frames, target_masks, other_masks):
 class _StageStack(Module):
     """The shared four-stage pyramid over embedded tokens.
 
-    Returns the stage maps [(T,) H_i, W_i, C_i], H_i = H/2^(i+1) of the
-    padded input, as a list of four.
+    Returns the stage maps [*lead, H_i, W_i, C_i], H_i = H/2^(i+1) of the
+    padded input, as a list of four; ``lead`` is the tokens' (M,) (T,).
     """
 
     def __init__(self, config, window, rng, dtype):
@@ -67,7 +71,7 @@ class _StageStack(Module):
         vh, vw = valid
         x = tokens
         for i in range(N_STAGES):
-            # a video's temporal extent is its token grid's, never padded
+            # object and temporal extents are the token grid's, never padded
             extents = x.shape[:-3] + (vh, vw)
             for block in self.stages[i]:
                 x = block(x, valid=extents)
@@ -95,7 +99,12 @@ class ImageEncoder(Module):
 
 
 class VideoEncoder(Module):
-    """Spatiotemporal feature pyramid over past frames and their masks."""
+    """Spatiotemporal feature pyramid over past frames and their masks.
+
+    Frames [T, H, W, 3]; masks [M, T, H, W, 1] give stage maps
+    [M, T, H_i, W_i, C_i], one pyramid per object from one pass (masks
+    without the object axis give [T, H_i, W_i, C_i]).
+    """
 
     def __init__(self, config, rng, dtype=engine.DEFAULT_DTYPE):
         self.patch_embed = PatchEmbedVideo(config.dim, rng,
@@ -114,7 +123,9 @@ class ImageOnlyMemoryEncoder(Module):
 
     Masks are fused at the embedding by learned linear projections of the
     mask patches, added to the image patch embedding before its norm. The
-    per-frame pyramids are stacked along time.
+    per-frame pyramids are stacked along time. Masks [M, T, H, W, 1] give
+    stage maps [M, T, H_i, W_i, C_i]; each frame's RGB patches are embedded
+    once for all objects.
     """
 
     def __init__(self, config, rng, dtype=engine.DEFAULT_DTYPE):
@@ -130,14 +141,15 @@ class ImageOnlyMemoryEncoder(Module):
         embed = image_encoder.patch_embed
         for ti in range(t):
             tokens = engine.add(embed.embed(_patchify(frames[ti], PATCH)),
-                                self.embed_target(_patchify(target_masks[ti], PATCH)))
+                                self.embed_target(_patchify(target_masks[..., ti, :, :, :],
+                                                            PATCH)))
             if self.embed_other is not None:
-                tokens = engine.add(tokens,
-                                    self.embed_other(_patchify(other_masks[ti], PATCH)))
+                tokens = engine.add(tokens, self.embed_other(
+                    _patchify(other_masks[..., ti, :, :, :], PATCH)))
             tokens = embed.norm(tokens)
             for i, f in enumerate(image_encoder.stack(tokens, valid)):
-                per_stage[i].append(engine.reshape(f, (1,) + f.shape))
-        return [engine.concat(fs, axis=0) for fs in per_stage]
+                per_stage[i].append(engine.reshape(f, f.shape[:-3] + (1,) + f.shape[-3:]))
+        return [engine.concat(fs, axis=-4) for fs in per_stage]
 
 
 @dataclass
@@ -160,15 +172,40 @@ class KeyValueProjector(Module):
             self.values.append(Linear(dim, dim // 2, rng, bias=False, dtype=dtype))
 
     def __call__(self, features, stage):
-        """Project stage ``stage`` (1..4) of an encoder's stage list to KeyValueMaps."""
+        """Project stage ``stage`` (1..4) of an encoder's stage list.
+
+        A query map [H_i, W_i, C] gives one KeyValueMaps. A memory map
+        [M, T, H_i, W_i, C] leads with an object axis and gives a list of M
+        KeyValueMaps, one per object.
+        """
         if not 1 <= stage <= N_STAGES:
             raise UsageError(f"stage must be 1..4, got {stage}")
         f = features[stage - 1]
-        c = f.shape[-1]
-        flat = engine.reshape(f, (-1, c))
-        key = engine.transpose(self.keys[stage - 1](flat), (1, 0))
-        value = engine.transpose(self.values[stage - 1](flat), (1, 0))
-        return KeyValueMaps(key, value)
+        keys, values = self.keys[stage - 1], self.values[stage - 1]
+        if f.ndim == 5:
+            flat = engine.reshape(f, (f.shape[0], -1, f.shape[-1]))
+            return [KeyValueMaps(k, v) for k, v in
+                    zip(engine.unstack(_project_objects(flat, keys.weight.tensor())),
+                        engine.unstack(_project_objects(flat, values.weight.tensor())))]
+        flat = engine.reshape(f, (-1, f.shape[-1]))
+        return KeyValueMaps(engine.transpose(keys(flat), (1, 0)),
+                            engine.transpose(values(flat), (1, 0)))
+
+
+def _project_objects(x, weight):
+    """[M, N, C] @ [C, n] as one op of M GEMMs, one per object: a GEMM's
+    bytes can depend on its row count, and an object's must not depend on
+    M. Returns [M, n, N], each object's map the transposed view of its
+    contiguous [N, n] product, the layout of a query map."""
+    out = np.matmul(x.data, weight.data)  # numpy runs one GEMM per object
+
+    def bwd(g):
+        g = g.transpose(0, 2, 1)
+        gx = np.matmul(g, weight.data.T) if x.watched else None
+        gw = np.matmul(x.data.transpose(0, 2, 1), g).sum(axis=0) if weight.watched else None
+        return gx, gw
+
+    return engine.record_op(out.transpose(0, 2, 1), (x, weight), bwd)
 
 
 def heads_for(dim):

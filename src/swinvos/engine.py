@@ -174,6 +174,13 @@ class Tape:
         return node
 
 
+def recording(inputs):
+    """True when an op on ``inputs`` will be recorded: a tape is active and
+    an input is watched. A fused op can then skip keeping what only its
+    backward reads."""
+    return _active_tape() is not None and any(t.watched for t in inputs)
+
+
 def record_op(out_data, inputs, backward_fn):
     """Wrap ``out_data`` and record the op if any input is watched.
 
@@ -181,10 +188,9 @@ def record_op(out_data, inputs, backward_fn):
     input. Fused ops outside this module record themselves through it.
     """
     out = Tensor(_checked(out_data))
-    tape = _active_tape()
-    if tape is not None and any(t.watched for t in inputs):
+    if recording(inputs):
         out.watched = True
-        tape._record(out, inputs, backward_fn)
+        _active_tape()._record(out, inputs, backward_fn)
     return out
 
 
@@ -192,7 +198,11 @@ def backward(loss, tape):
     """Reverse-traverse ``tape`` from scalar ``loss``; populate Parameter grads.
 
     Gradient slots of every touched parameter are zero-initialized first, so
-    repeated backward calls do not leak accumulation across passes.
+    repeated backward calls do not leak accumulation across passes. A
+    non-parameter node's gradient is summed out of place on its second
+    contribution, which allocates a buffer of its own, and in place into that
+    buffer from the third on: a first contribution may be an array that
+    another node still holds (``add`` hands one array to both inputs).
     """
     if loss.shape != ():
         raise UsageError(f"backward requires a scalar loss, got shape {loss.shape}")
@@ -205,6 +215,7 @@ def backward(loss, tape):
             return
         raise UsageError("loss tensor was not recorded on this tape")
     seed.grad = np.ones((), dtype=loss.dtype)
+    owned = set()  # ids of the nodes whose grad is a buffer summed here
     for node in reversed(tape.nodes):
         if node.grad is None:
             continue
@@ -220,8 +231,11 @@ def backward(loss, tape):
                     continue
                 if producer.grad is None:
                     producer.grad = g
+                elif id(producer) in owned:
+                    producer.grad += g
                 else:
                     producer.grad = producer.grad + g
+                    owned.add(id(producer))
         node.grad = None
 
 
@@ -455,6 +469,21 @@ def gather_rows(a, rows, inverse, shape, fill=None):
     return record_op(out.reshape(shape), inputs, bwd)
 
 
+def unstack(a):
+    """Split ``a`` along axis 0 into views that keep its memory layout, one
+    tape node each; the gradient of piece i fills row i of zeros."""
+    a = as_tensor(a)
+
+    def piece(i):
+        def bwd(g):
+            full = np.zeros(a.shape, dtype=g.dtype)
+            full[i] = g
+            return (full,)
+        return record_op(a.data[i], (a,), bwd)
+
+    return [piece(i) for i in range(a.shape[0])]
+
+
 def take(a, indices):
     """Gather rows (axis 0) with an integer index array of any shape.
 
@@ -600,10 +629,15 @@ def layer_norm(x, gamma, beta):
     if gamma.shape != (dim,) or beta.shape != (dim,):
         raise DimensionError(
             f"layer_norm affine extents {gamma.shape}/{beta.shape} do not match last axis {dim}")
-    mu = x.data.mean(axis=-1, keepdims=True)
-    var = x.data.var(axis=-1, keepdims=True)
+    # np.mean and np.var's bytes, with x - mu computed once
+    mu = np.add.reduce(x.data, axis=-1, keepdims=True)
+    mu /= dim
+    d = x.data - mu
+    var = np.add.reduce(d * d, axis=-1, keepdims=True)
+    var /= dim
     inv = 1.0 / np.sqrt(var + LN_EPS)
-    xhat = (x.data - mu) * inv
+    xhat = d
+    xhat *= inv
     out = xhat * gamma.data + beta.data
 
     def bwd(g):
@@ -747,6 +781,13 @@ def trunc_normal(rng, shape, dtype=DEFAULT_DTYPE):
     return out.astype(dtype)
 
 
+def init_weight(rng, shape, dtype=DEFAULT_DTYPE):
+    """A ``trunc_normal`` weight draw; with ``rng`` None, an unfilled array
+    for a caller that sets every value (a checkpoint load) and so need not
+    pay for the draws."""
+    return np.empty(shape, dtype=dtype) if rng is None else trunc_normal(rng, shape, dtype)
+
+
 class Module:
     """Minimal parameter container; children discovered by attribute scan."""
 
@@ -781,7 +822,7 @@ class Linear(Module):
     """
 
     def __init__(self, in_dim, out_dim, rng, bias=True, dtype=DEFAULT_DTYPE):
-        self.weight = Parameter(trunc_normal(rng, (in_dim, out_dim), dtype=dtype))
+        self.weight = Parameter(init_weight(rng, (in_dim, out_dim), dtype=dtype))
         self.bias = Parameter(np.zeros(out_dim, dtype=dtype)) if bias else None
 
     def __call__(self, x):
@@ -800,7 +841,7 @@ class LayerNorm(Module):
 
 class Conv3x3(Module):
     def __init__(self, in_ch, out_ch, rng, dtype=DEFAULT_DTYPE):
-        self.weight = Parameter(trunc_normal(rng, (out_ch, in_ch, 3, 3), dtype=dtype))
+        self.weight = Parameter(init_weight(rng, (out_ch, in_ch, 3, 3), dtype=dtype))
         self.bias = Parameter(np.zeros(out_ch, dtype=dtype))
 
     def __call__(self, x):

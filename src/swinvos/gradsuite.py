@@ -111,26 +111,32 @@ class _Bound:
         return self._tensor
 
 
-def _check_swin_block(rng):
+def _check_swin_block(rng, objects=()):
     # shifted 2-D block on a 5x6 grid that pads to 6x6 for 3x3 windows, with
     # valid extents (2, 4), so some windows hold padding and invalid tokens
     # only; their all-masked logits sit near -1e9, where central differences
-    # resolve about 1e-4 (2e-4 at the default seed)
+    # resolve about 1e-4 (2e-4 at the default seed). ``objects`` puts
+    # leading object axes in front of the grid.
     block = SwinBlock(4, 2, (3, 3), shifted=True, rng=np.random.default_rng(13),
                       dtype=np.float64)
     bound = [(block.attn.qkv, "weight"), (block.attn.qkv, "bias"),
              (block.attn.bias, "table")]
-    probe = _probe((5, 6, 4), 14)
+    probe = _probe(objects + (5, 6, 4), 14)
 
     def fn(x, *params):
         for (owner, attr), value in zip(bound, params):
             setattr(owner, attr, _Bound(value))
-        out = block(x, valid=(2, 4))
+        out = block(x, valid=objects + (2, 4))
         return engine.tsum(engine.mul(out, Tensor(probe)))
 
-    return engine.gradcheck(fn, [rng.standard_normal((5, 6, 4))]
+    return engine.gradcheck(fn, [rng.standard_normal(objects + (5, 6, 4))]
                             + [rng.standard_normal(getattr(owner, attr).shape) * 0.5
                                for owner, attr in bound])
+
+
+def _check_swin_block_objects(rng):
+    # two objects share the block's windows, mask and bias table
+    return _check_swin_block(rng, objects=(2,))
 
 
 _GEOM = ReadGeometry(t=2, h4=2, w4=2)
@@ -205,6 +211,7 @@ SUITE = [
     ("gather_rows", _check_gather_rows, PRIMITIVE_TOL),
     ("window_msa", _check_window_msa, COMPOSED_TOL),
     ("swin_block", _check_swin_block, COMPOSED_TOL),
+    ("swin_block_objects", _check_swin_block_objects, COMPOSED_TOL),
     ("dense_read", _check_dense_read, PRIMITIVE_TOL),
     ("topk_read", _check_topk_read, PRIMITIVE_TOL),
     ("soft_aggregate", _check_soft_aggregate, PRIMITIVE_TOL),

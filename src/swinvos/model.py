@@ -5,7 +5,10 @@ the image-only ablation path), per-path key/value projectors, and the
 decoder. ``_forward`` is the one forward pass that inference and training
 share: it encodes the query frame, assembles each object's memory
 key/value maps, reads, decodes per object over the shared query features
-and merges by soft aggregation. When memory features are per-frame
+and merges by soft aggregation. One memory-encoder pass serves all the
+objects: their masks ride a leading object axis through the encoder and
+the k/v projection, and no attention window spans two objects; reads and
+decoding stay per object. When memory features are per-frame
 (one-frame temporal windows, or the image-only path), each memory frame is
 encoded once and its key/value maps are cached by frame key; 3D-window
 encoders encode the memory frames jointly. Inference walks a sequence
@@ -39,6 +42,9 @@ from .data import sample_training_triplet
 MAX_INTERVAL = 25  # largest triplet-sampling interval cap of train_toy
 
 class Model(Module):
+    """The full model; ``rng`` None leaves the weights unfilled, for a
+    caller that sets every parameter (``load_checkpoint``)."""
+
     def __init__(self, config, rng, dtype=engine.DEFAULT_DTYPE):
         self.query_encoder = ImageEncoder(config, rng, dtype=dtype)
         if config.encoder_mode == "full":
@@ -60,15 +66,17 @@ class Model(Module):
         return self.config.temporal_window == 1 or self.config.encoder_mode == "image_only"
 
     def encode_memory(self, frames, targets, others):
+        """Stage maps [M, T, H_i, W_i, C_i] of frames [T, H, W, 3] under the
+        target and other masks [M, T, H, W, 1] of M objects, in one pass."""
         if self.config.encoder_mode == "full":
             return self.memory_encoder(frames, targets, others)
         return self.image_only_memory(self.query_encoder, frames, targets, others)
 
 
-def init_model(config, seed, dtype=engine.DEFAULT_DTYPE):
+def init_model(config, seed):
     """Deterministic initialization: truncated normal sigma 0.02 for weights,
     ones for norm gains, zeros for biases, all drawn from one seeded RNG."""
-    return Model(config, np.random.default_rng(seed), dtype=dtype)
+    return Model(config, np.random.default_rng(seed))
 
 
 def _object_probs(mask, n_objects):
@@ -139,37 +147,32 @@ class MemoryBank:
 
 
 def _mask_pairs(probs, other_enabled):
-    """Per-object (target, other) mask tensors [T, H, W, 1] from a
-    [T, M, H, W] probability tensor; the other mask is the maximum over
-    the remaining objects, or zeros."""
+    """Target and other masks [M, T, H, W, 1] of every object from a
+    [T, M, H, W] probability tensor. Object m's other mask is the maximum
+    over the remaining objects, chained in ascending object order (ties
+    route the gradient to the earlier ones), or zeros."""
     n_objects = probs.shape[1]
-    pairs = []
-    for m in range(n_objects):
-        target = probs[:, m]
-        if n_objects == 1 or not other_enabled:
-            other = Tensor(np.zeros(target.shape + (1,), dtype=target.dtype))
-        else:
-            rest = None
-            for j in range(n_objects):
-                if j == m:
-                    continue
-                rest = probs[:, j] if rest is None \
-                    else engine.maximum(rest, probs[:, j])
-            other = engine.reshape(rest, rest.shape + (1,))
-        pairs.append((engine.reshape(target, target.shape + (1,)), other))
-    return pairs
+    by_object = engine.transpose(probs, (1, 0, 2, 3))
+    target = engine.reshape(by_object, by_object.shape + (1,))
+    if n_objects == 1 or not other_enabled:
+        return target, Tensor(np.zeros(target.shape, dtype=target.dtype))
+    # row m: the objects other than m, ascending
+    step = np.arange(n_objects - 1)
+    rest = step + (step >= np.arange(n_objects)[:, None])
+    other = engine.take(by_object, rest[:, 0])
+    for i in range(1, n_objects - 1):
+        other = engine.maximum(other, engine.take(by_object, rest[:, i]))
+    return target, engine.reshape(other, other.shape + (1,))
 
 
 def _encode_memory_kv(model, memory):
     """Per-object memory k/v maps of stages 1..4 from one joint encoder call
-    per object over the (key, frame, probs) entries of ``memory``."""
+    for all objects over the (key, frame, probs) entries of ``memory``."""
     frames = Tensor(np.stack([f for _, f, _ in memory]).astype(model.dtype))
     probs = engine.concat([engine.reshape(p, (1,) + p.shape) for _, _, p in memory], axis=0)
-    kv = []
-    for target, other in _mask_pairs(probs, model.config.other_mask_enabled):
-        feats = model.encode_memory(frames, target, other)
-        kv.append([model.memory_proj(feats, s) for s in (1, 2, 3, 4)])
-    return kv
+    feats = model.encode_memory(frames, *_mask_pairs(probs, model.config.other_mask_enabled))
+    per_stage = [model.memory_proj(feats, s) for s in (1, 2, 3, 4)]
+    return [list(kv) for kv in zip(*per_stage)]
 
 
 def _forward(model, frame, memory, cache):

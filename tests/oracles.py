@@ -103,7 +103,8 @@ def encoder_parameter_count(model):
 
 def joint_reencode_segment(model, frames, first_mask):
     """Reference inference: on every frame, each object's memory is the
-    whole retained set re-encoded in one joint encoder call.
+    whole retained set re-encoded in one joint encoder call of its own,
+    with an object axis of 1; the other mask is a numpy maximum.
 
     Returns (label maps, per-frame [M, H, W] object probabilities for
     frames 1..n-1).
@@ -130,9 +131,9 @@ def joint_reencode_segment(model, frames, first_mask):
                 other = rest.max(axis=1)
             else:
                 other = np.zeros_like(target)
-            feats = model.encode_memory(mem_frames, Tensor(target[..., None]),
-                                        Tensor(other[..., None]))
-            memory_kv = [model.memory_proj(feats, s) for s in (1, 2, 3, 4)]
+            feats = model.encode_memory(mem_frames, Tensor(target[None, ..., None]),
+                                        Tensor(other[None, ..., None]))
+            memory_kv = [model.memory_proj(feats, s)[0] for s in (1, 2, 3, 4)]
             ys, _ = read_all(query_kv, memory_kv, geom, cfg.k, cfg.read_mode)
             per_object.append(model.decoder(ys, (h4, w4), frames[t].shape[:2]))
         dist = soft_aggregate(per_object)
@@ -140,6 +141,24 @@ def joint_reencode_segment(model, frames, first_mask):
         probs[t] = dist.data[1:]
         object_probs.append(dist.data[1:])
     return labels, object_probs
+
+
+def chained_mask_pairs(probs, other_enabled):
+    """Reference mask assembly, object by object: the target is the
+    object's slice, the other mask a maximum chained over the remaining
+    objects in ascending order. Returns [M, T, H, W, 1] tensors."""
+    n_objects = probs.shape[1]
+    targets, others = [], []
+    for m in range(n_objects):
+        target = probs[:, m]
+        rest = None
+        for j in range(n_objects):
+            if j != m and other_enabled:
+                rest = probs[:, j] if rest is None else engine.maximum(rest, probs[:, j])
+        other = Tensor(np.zeros(target.shape, dtype=target.dtype)) if rest is None else rest
+        targets.append(engine.reshape(target, (1,) + target.shape + (1,)))
+        others.append(engine.reshape(other, (1,) + other.shape + (1,)))
+    return engine.concat(targets, axis=0), engine.concat(others, axis=0)
 
 
 def listed_training_triplet(n_frames, max_interval, rng):

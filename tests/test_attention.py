@@ -315,6 +315,35 @@ class TestWindowMsa:
             window_msa(qkv.tensor(), 2)
         assert len(tape.nodes) == 1
 
+    # windows per group: one, within a mask period, one period, whole
+    # periods with a remainder, and all windows at once
+    @pytest.mark.parametrize("fit", [1, 2, 4, 5, 9, 12])
+    def test_window_groups_keep_forward_and_backward_bytes(self, monkeypatch, fit):
+        rng = np.random.default_rng(8)
+        heads, length, dim = 2, 9, 8
+        # two objects share one object's 4-window mask
+        mask = attention_mask((6, 6), (3, 3), (1, 1), (4, 5))
+        qkv = rng.standard_normal((8, length, 3 * dim)).astype(np.float32)
+        bias = rng.standard_normal((heads, length, length)).astype(np.float32)
+        probe = Tensor(rng.standard_normal((8, length, dim)).astype(np.float32))
+        runs = []
+        for budget in (fit * heads * length * length * 4, 1 << 40):
+            monkeypatch.setattr(attention, "_LOGITS_BYTES", budget)
+            params = [engine.Parameter(qkv.copy()), engine.Parameter(bias.copy())]
+            with Tape() as tape:
+                out = window_msa(params[0].tensor(), heads, bias=params[1].tensor(), mask=mask)
+                engine.backward(engine.tsum(engine.mul(out, probe)), tape)
+            assert len(tape.nodes) == 3
+            plain = window_msa(Tensor(qkv), heads, bias=Tensor(bias), mask=mask)
+            runs.append([out.data, plain.data] + [p.grad for p in params])
+        for grouped, whole in zip(*runs):
+            assert grouped.tobytes() == whole.tobytes()
+
+    def test_mask_windows_must_tile(self):
+        mask = attention_mask((6, 6), (3, 3), (1, 1))
+        with pytest.raises(DimensionError):
+            window_msa(Tensor(np.zeros((6, 9, 6))), 1, mask=mask)
+
 
 def _random_biases(block, rng):
     for name, p in block.named_parameters():
@@ -407,6 +436,45 @@ class TestVideoSwinBlock:
         block = SwinBlock(4, 2, (2, 4, 4), shifted=True, rng=rng)
         x = Tensor(rng.standard_normal((3, 8, 8, 4)).astype(np.float32))
         assert block(x).shape == x.shape
+
+
+class TestObjectAxis:
+    """A leading object axis batches the grids of several objects."""
+
+    @pytest.mark.parametrize("dims, window, valid", [
+        ((3, 9, 8, 8), (8, 7, 7), None), ((2, 24, 24), (7, 7), (20, 20)),
+        ((3, 2, 5, 6), (2, 3, 3), (2, 2, 4))])
+    @pytest.mark.parametrize("shifted", [False, True])
+    def test_block_equals_each_object_alone(self, dims, window, valid, shifted):
+        rng = np.random.default_rng(23)
+        block = SwinBlock(12, 3, window, shifted=shifted, rng=rng)
+        _random_biases(block, rng)
+        x = rng.standard_normal(dims + (12,)).astype(np.float32)
+        out = block(Tensor(x), valid=None if valid is None else (dims[0],) + valid)
+        for m in range(dims[0]):
+            alone = block(Tensor(x[m]), valid=valid)
+            assert out.data[m].tobytes() == alone.data.tobytes()
+
+    def test_mask_cache_does_not_grow_with_objects(self, rng):
+        block = SwinBlock(4, 2, (2, 3, 3), shifted=True, rng=rng)
+        attention_mask.cache_clear()
+        block(Tensor(rng.standard_normal((2, 5, 6, 4)).astype(np.float32)), valid=(2, 4, 5))
+        masks = attention_mask.cache_info().currsize
+        for n_objects in (2, 3):
+            x = rng.standard_normal((n_objects, 2, 5, 6, 4)).astype(np.float32)
+            block(Tensor(x), valid=(n_objects, 2, 4, 5))
+        assert attention_mask.cache_info().currsize == masks
+
+    def test_video_embedding_broadcasts_frames_over_objects(self, rng):
+        embed = PatchEmbedVideo(4, rng)
+        frames = rng.random((2, 8, 8, 3)).astype(np.float32)
+        target = rng.random((3, 2, 8, 8, 1)).astype(np.float32)
+        other = rng.random((3, 2, 8, 8, 1)).astype(np.float32)
+        out = embed(Tensor(frames), Tensor(target), Tensor(other))
+        assert out.shape == (3, 2, 2, 2, 4)
+        for m in range(3):
+            alone = embed(Tensor(frames), Tensor(target[m]), Tensor(other[m]))
+            assert out.data[m].tobytes() == alone.data.tobytes()
 
 
 class TestPatchEmbed:

@@ -192,6 +192,20 @@ class TestLayerNorm:
         out = engine.layer_norm(x, Tensor(np.ones(8)), Tensor(np.zeros(8)))
         assert np.abs(out.data.mean(axis=-1)).max() < 1e-6
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bytes_match_mean_var_form(self, dtype):
+        rng = np.random.default_rng(12)
+        for width in (8, 16, 24, 32, 48, 64, 96, 128, 192, 256, 384, 512, 768):
+            x = (rng.standard_normal((3, 5, width)) * rng.uniform(0.1, 10)
+                 + rng.uniform(-5, 5)).astype(dtype)
+            gamma = rng.standard_normal(width).astype(dtype)
+            beta = rng.standard_normal(width).astype(dtype)
+            inv = 1.0 / np.sqrt(x.var(axis=-1, keepdims=True) + engine.LN_EPS)
+            expected = (x - x.mean(axis=-1, keepdims=True)) * inv * gamma + beta
+            out = engine.layer_norm(Tensor(x), Tensor(gamma), Tensor(beta)).data
+            assert out.dtype == expected.dtype
+            assert out.tobytes() == expected.tobytes(), f"width {width}"
+
 
 class TestGelu:
     def test_zero(self):
@@ -374,6 +388,29 @@ class TestBackward:
             engine.backward(loss, tape)
         np.testing.assert_allclose(p.grad, [6.0])
 
+    def test_producer_sums_in_place_without_touching_a_shared_gradient(self):
+        # x receives three contributions: the outer add hands one array to
+        # the inner add and to x, and the inner add hands it to x twice
+        p = Parameter(np.arange(6.0).reshape(2, 3))
+        with Tape() as tape:
+            x = engine.mul(p.tensor(), 2.0)
+            loss = engine.tsum(engine.add(engine.add(x, x), x))
+        engine.backward(loss, tape)
+        np.testing.assert_array_equal(p.grad, np.full((2, 3), 6.0))
+
+    def test_gradient_sums_keep_their_order(self, rng):
+        probe = rng.standard_normal((4, 5)).astype(np.float32)
+        w = rng.standard_normal((4, 5)).astype(np.float32)
+        p = Parameter(rng.standard_normal((4, 5)).astype(np.float32))
+        with Tape() as tape:
+            x = engine.mul(p.tensor(), 2.0)
+            both = engine.add(engine.add(x, x), engine.mul(x, Tensor(w)))
+            loss = engine.tsum(engine.mul(both, Tensor(probe)))
+        engine.backward(loss, tape)
+        # reverse tape order: mul(x, w) first, then the inner add twice
+        expected = ((probe * w) + probe) + probe
+        assert p.grad.tobytes() == (np.zeros_like(expected) + expected * 2.0).tobytes()
+
     def test_shared_parameter_accumulates(self):
         p = Parameter(np.array([2.0]))
         with Tape() as tape:
@@ -431,6 +468,21 @@ class TestStructuralOps:
             loss = engine.tsum(picked)
         engine.backward(loss, tape)
         np.testing.assert_array_equal(p.grad, [2.0, 0.0, 1.0])
+
+    def test_unstack_keeps_layout_and_scatters_grads(self, rng):
+        p = Parameter(rng.standard_normal((3, 5, 4)))
+        probe = rng.standard_normal((3, 4, 5))
+        with Tape() as tape:
+            pieces = engine.unstack(engine.transpose(p.tensor(), (0, 2, 1)))
+            loss = engine.tsum(engine.mul(pieces[0], Tensor(probe[0])))
+            for piece, weights in zip(pieces[1:], probe[1:]):
+                loss = engine.add(loss, engine.tsum(engine.mul(piece, Tensor(weights))))
+        assert len(pieces) == 3
+        for i, piece in enumerate(pieces):
+            assert piece.data.flags.f_contiguous and not piece.data.flags.c_contiguous
+            np.testing.assert_array_equal(piece.data, p.value[i].T)
+        engine.backward(loss, tape)
+        np.testing.assert_array_equal(p.grad, probe.transpose(0, 2, 1))
 
     def test_take_out_of_range(self):
         with pytest.raises(DimensionError):

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import encoder_parameter_count, membership_law, parameter_count
 
+from swinvos import checkpoint as checkpoint_module
 from swinvos import engine
 from swinvos.checkpoint import load_checkpoint, read_checkpoint, save_checkpoint
 from swinvos.data import synth_moving_shapes
@@ -333,6 +334,7 @@ class TestMemoryCache:
         (1, 64, {}),
         (2, 96, {}),
         (2, 64, {"encoder_mode": "image_only"}),
+        (3, 64, {}),
     ])
     def test_matches_joint_reencode_bytewise(self, monkeypatch, n_objects, size,
                                              overrides):
@@ -368,7 +370,8 @@ class TestMemoryCache:
         for t in range(1, 18):
             encoded.clear()
             segment_frame(model, bank, sample.frames[t], t)
-            assert encoded == [1, 1], f"frame {t}: {encoded}"
+            # one encoder call encodes the new frame for both objects
+            assert encoded == [1], f"frame {t}: {encoded}"
 
     def test_cache_tracks_membership(self, monkeypatch):
         model = init_model(ModelConfig(variant="nano", k=4), seed=0)
@@ -406,13 +409,14 @@ class TestMemoryCache:
 
     @pytest.mark.parametrize("variant, n_objects, expected", [
         ("nano", 1, [1, 1]),
-        ("nano", 2, [1, 1, 1, 1]),
+        ("nano", 2, [1, 1]),
         ("T", 1, [1, 2]),
     ])
     def test_train_step_encodes_each_memory_frame_once(self, monkeypatch, variant,
                                                        n_objects, expected):
         # per-frame encoders cache frame 0's maps across both steps; the
-        # 3D-window encoder re-encodes the memory jointly at step 2
+        # 3D-window encoder re-encodes the memory jointly at step 2; one
+        # call serves every object
         model = init_model(ModelConfig(variant=variant, k=4), seed=0)
         sample = synth_moving_shapes(1, 3, 32, n_objects, 8)
         encoded = _count_memory_frames(monkeypatch)
@@ -447,6 +451,60 @@ class TestMemoryCache:
         assert per_frame(variant="nano")
         assert per_frame(variant="T", encoder_mode="image_only")
         assert not per_frame(variant="T")
+
+
+class TestObjectBatch:
+    """One memory-encoder pass serves every object."""
+
+    @pytest.mark.parametrize("n_objects, extent", [(2, 32), (3, 16)])
+    def test_joint_encoder_matches_per_object_encodes_bytewise(self, monkeypatch,
+                                                                 n_objects, extent):
+        from oracles import joint_reencode_segment
+
+        model = init_model(ModelConfig(variant="T"), seed=7)
+        assert not model.per_frame_memory
+        sample = synth_moving_shapes(3, 11, 64, n_objects, extent)
+        encoded = _count_memory_frames(monkeypatch)
+        seen = []
+        original = model_module.segment_frame
+
+        def recording(model, bank, frame, index):
+            out = original(model, bank, frame, index)
+            seen.append(out[1].copy())
+            return out
+
+        monkeypatch.setattr(model_module, "segment_frame", recording)
+        labels, _ = run_sequence(model, sample.frames, sample.masks[0])
+        # one joint call per frame, over the whole bank, for all objects
+        assert encoded == [len(membership_law(t)) for t in range(1, 11)]
+        ref_labels, ref_probs = joint_reencode_segment(model, sample.frames,
+                                                       sample.masks[0])
+        assert len(seen) == len(ref_probs) == 10
+        for t, (a, b) in enumerate(zip(labels, ref_labels)):
+            np.testing.assert_array_equal(a, b, err_msg=f"labels, frame {t}")
+        for t, (a, b) in enumerate(zip(seen, ref_probs)):
+            assert a.tobytes() == b.tobytes(), f"probs, frame {t + 1}"
+
+    @pytest.mark.parametrize("n_objects", [2, 3, 4])
+    def test_other_masks_chain_in_object_order(self, n_objects):
+        from oracles import chained_mask_pairs
+
+        rng = np.random.default_rng(4)
+        # values in {0, 1/2, 1}, so objects tie often; integer probes keep
+        # every gradient sum exact, so only the routing at ties can differ
+        probs = rng.integers(0, 3, (2, n_objects, 3, 4)) / 2.0
+        probe = rng.integers(-3, 4, (2, n_objects, 2, 3, 4, 1)).astype(np.float64)
+        results = []
+        for build in (model_module._mask_pairs, chained_mask_pairs):
+            p = engine.Parameter(probs.copy())
+            with engine.Tape() as tape:
+                target, other = build(p.tensor(), True)
+                loss = engine.add(engine.tsum(engine.mul(target, engine.Tensor(probe[0]))),
+                                  engine.tsum(engine.mul(other, engine.Tensor(probe[1]))))
+            engine.backward(loss, tape)
+            results.append((target.data, other.data, p.grad))
+        for a, b in zip(*results):
+            np.testing.assert_array_equal(a, b)
 
 
 class TestTraining:
@@ -605,6 +663,37 @@ class TestCheckpoint:
         out_a, _ = run_sequence(nano_model, sample.frames, sample.masks[0])
         out_b, _ = run_sequence(loaded, sample.frames, sample.masks[0])
         np.testing.assert_array_equal(out_a[1], out_b[1])
+
+    def test_load_adopts_saved_values_without_weight_draws(self, tmp_path, monkeypatch):
+        model = init_model(ModelConfig(variant="nano"), seed=3)
+        path = tmp_path / "m.hst"
+        save_checkpoint(model, path)
+
+        def no_draws(*args, **kwargs):
+            raise AssertionError("a checkpoint load drew initial weights")
+
+        monkeypatch.setattr(engine, "trunc_normal", no_draws)
+        loaded = load_checkpoint(path)
+        _, saved = read_checkpoint(path)
+        for (name, p), (_, q) in zip(model.named_parameters(), loaded.named_parameters()):
+            assert q.value.tobytes() == p.value.tobytes() == saved[name].tobytes()
+            assert q.value.dtype == p.value.dtype and q.value.flags.writeable
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda params: params.pop("decoder.head.bias"), "parameter set mismatch"),
+        (lambda params: params.update(extra=np.zeros(2, np.float32)), "parameter set mismatch"),
+        (lambda params: params.update({"decoder.head.bias": np.zeros(3, np.float32)}),
+         "shape mismatch"),
+    ], ids=["missing", "extra", "shape"])
+    def test_load_rejects_parameter_set_and_shape_mismatch(self, tmp_path, monkeypatch,
+                                                           nano_model, edit, message):
+        path = tmp_path / "m.hst"
+        save_checkpoint(nano_model, path)
+        config, params = read_checkpoint(path)
+        edit(params)
+        monkeypatch.setattr(checkpoint_module, "read_checkpoint", lambda _: (config, params))
+        with pytest.raises(DataError, match=message):
+            load_checkpoint(path)
 
     def test_save_load_save_byte_identical(self, tmp_path, nano_model):
         p1, p2 = tmp_path / "a.hst", tmp_path / "b.hst"
