@@ -53,9 +53,9 @@ def relative_position_index(window, table_window):
 class RelativePositionBias(Module):
     """Learned per-head bias over relative token displacements in a window."""
 
-    def __init__(self, table_window, heads, rng, dtype=engine.DEFAULT_DTYPE):
+    def __init__(self, table_window, heads, rng):
         rows = math.prod(2 * w - 1 for w in table_window)
-        self.table = Parameter(engine.init_weight(rng, (rows, heads), dtype=dtype))
+        self.table = Parameter(engine.init_weight(rng, (rows, heads)))
         self.table_window = tuple(table_window)
         self.heads = heads
 
@@ -251,19 +251,19 @@ def window_msa(qkv, heads, bias=None, mask=None):
 class WindowAttention(Module):
     """Holder of a block's attention weights; ``SwinBlock`` applies them."""
 
-    def __init__(self, dim, heads, table_window, rng, dtype=engine.DEFAULT_DTYPE):
+    def __init__(self, dim, heads, table_window, rng):
         if dim % heads:
             raise ConfigError(f"channels {dim} not divisible by heads {heads}")
-        self.qkv = Linear(dim, 3 * dim, rng, dtype=dtype)
-        self.proj = Linear(dim, dim, rng, dtype=dtype)
-        self.bias = RelativePositionBias(table_window, heads, rng, dtype=dtype)
+        self.qkv = Linear(dim, 3 * dim, rng)
+        self.proj = Linear(dim, dim, rng)
+        self.bias = RelativePositionBias(table_window, heads, rng)
         self.heads = heads
 
 
 class Mlp(Module):
-    def __init__(self, dim, rng, dtype=engine.DEFAULT_DTYPE):
-        self.fc1 = Linear(dim, 4 * dim, rng, dtype=dtype)
-        self.fc2 = Linear(4 * dim, dim, rng, dtype=dtype)
+    def __init__(self, dim, rng):
+        self.fc1 = Linear(dim, 4 * dim, rng)
+        self.fc2 = Linear(4 * dim, dim, rng)
 
     def __call__(self, x):
         return self.fc2(engine.gelu(self.fc1(x)))
@@ -279,11 +279,11 @@ class SwinBlock(Module):
     those of one grid, shared by every batch index.
     """
 
-    def __init__(self, dim, heads, window, shifted, rng, dtype=engine.DEFAULT_DTYPE):
-        self.norm1 = engine.LayerNorm(dim, dtype=dtype)
-        self.attn = WindowAttention(dim, heads, window, rng, dtype=dtype)
-        self.norm2 = engine.LayerNorm(dim, dtype=dtype)
-        self.mlp = Mlp(dim, rng, dtype=dtype)
+    def __init__(self, dim, heads, window, shifted, rng):
+        self.norm1 = engine.LayerNorm(dim)
+        self.attn = WindowAttention(dim, heads, window, rng)
+        self.norm2 = engine.LayerNorm(dim)
+        self.mlp = Mlp(dim, rng)
         self.window = tuple(window)
         self.shifted = shifted
 
@@ -313,9 +313,9 @@ class SwinBlock(Module):
 class PatchEmbedImage(Module):
     """Flatten 4x4x3 patches, linearly embed to C, layer-norm."""
 
-    def __init__(self, dim, rng, dtype=engine.DEFAULT_DTYPE):
-        self.embed = Linear(PATCH * PATCH * 3, dim, rng, dtype=dtype)
-        self.norm = engine.LayerNorm(dim, dtype=dtype)
+    def __init__(self, dim, rng):
+        self.embed = Linear(PATCH * PATCH * 3, dim, rng)
+        self.norm = engine.LayerNorm(dim)
 
     def __call__(self, frame):
         h, w, c = frame.shape
@@ -337,12 +337,12 @@ class PatchEmbedVideo(Module):
     the RGB patches are embedded once and broadcast over the objects.
     """
 
-    def __init__(self, dim, rng, use_other_mask=True, dtype=engine.DEFAULT_DTYPE):
+    def __init__(self, dim, rng, use_other_mask=True):
         p2 = PATCH * PATCH
-        self.embed_rgb = Linear(p2 * 3, dim, rng, dtype=dtype)
-        self.embed_target = Linear(p2, dim, rng, dtype=dtype)
-        self.embed_other = Linear(p2, dim, rng, dtype=dtype) if use_other_mask else None
-        self.norm = engine.LayerNorm(dim, dtype=dtype)
+        self.embed_rgb = Linear(p2 * 3, dim, rng)
+        self.embed_target = Linear(p2, dim, rng)
+        self.embed_other = Linear(p2, dim, rng) if use_other_mask else None
+        self.norm = engine.LayerNorm(dim)
         self.use_other_mask = use_other_mask
 
     def __call__(self, frames, target_masks, other_masks):
@@ -377,9 +377,9 @@ class PatchMerge(Module):
     The temporal axis, when present, is untouched.
     """
 
-    def __init__(self, dim, rng, dtype=engine.DEFAULT_DTYPE):
-        self.norm = engine.LayerNorm(4 * dim, dtype=dtype)
-        self.reduce = Linear(4 * dim, 2 * dim, rng, bias=False, dtype=dtype)
+    def __init__(self, dim, rng):
+        self.norm = engine.LayerNorm(4 * dim)
+        self.reduce = Linear(4 * dim, 2 * dim, rng, bias=False)
 
     def __call__(self, x):
         h, w = x.shape[-3:-1]

@@ -122,7 +122,7 @@ def read_checkpoint(path):
         dtype = _TAG_DTYPES[tag]
         payload = reader.take(math.prod(shape) * dtype.itemsize, f"{name} payload")
         try:
-            params[name] = np.frombuffer(payload, dtype=dtype).reshape(shape).copy()
+            params[name] = np.frombuffer(payload, dtype).reshape(shape).copy()
         except ValueError as err:
             raise DataError(f"{path}: extents {shape} of {name} "
                             f"cannot form an array: {err}") from err
@@ -133,11 +133,10 @@ def load_checkpoint(path):
     """Rebuild a model from a checkpoint.
 
     The model is built without weight draws, and each parameter adopts its
-    parsed array (cast only when its dtype differs from the model's).
+    parsed array, rounded to the model's float32 when the record is f64.
     """
     config, params = read_checkpoint(path)
-    dtype = next(iter(params.values())).dtype if params else np.float32
-    model = Model(config, None, dtype=np.dtype(dtype).type)
+    model = Model(config, None)
     names = dict(model.named_parameters())
     missing = set(names) - set(params)
     extra = set(params) - set(names)

@@ -143,6 +143,10 @@ def cmd_train_toy(args):
     if args.dump_config:
         sys.stdout.write(config.canonical())
         return 0
+    loss_csv = args.loss_csv or f"{args.ckpt}.loss.csv"
+    for path in (args.ckpt, loss_csv):
+        if not os.path.isdir(os.path.dirname(path) or "."):
+            raise DataError(f"no directory to write {path} into")
     _print_config(args, ("steps", "lr"))
     sys.stdout.write(config.canonical())
     model = init_model(config, args.seed)
@@ -150,7 +154,6 @@ def cmd_train_toy(args):
     curve = train_toy(model, sample, args.steps, args.lr, seed=args.seed,
                       curriculum=not args.no_curriculum)
     save_checkpoint(model, args.ckpt)
-    loss_csv = args.loss_csv or f"{args.ckpt}.loss.csv"
     _write_lines(loss_csv, ["step,loss"]
                  + [f"{i},{v:.6f}" for i, v in enumerate(curve)])
     final = curve[-1] if curve else float("nan")
@@ -270,8 +273,9 @@ def main(argv=None):
         # argparse uses exit code 2 for bad flags; usage errors are 1 here
         return 0 if exc.code == 0 else 1
     try:
-        if args.threads < 0:
-            raise UsageError(f"--threads must be at least 0, got {args.threads}")
+        for flag, value in vars(args).items():
+            if (flag == "threads" or flag.endswith("seed")) and value < 0:
+                raise UsageError(f"--{flag.replace('_', '-')} must be at least 0, got {value}")
         if args.threads:
             # an explicit count wins over what the environment inherited
             for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):

@@ -19,9 +19,9 @@ CLAMP_EPS = 1e-5
 
 
 class ResidualConvBlock(Module):
-    def __init__(self, dim, rng, dtype=engine.DEFAULT_DTYPE):
-        self.conv1 = Conv3x3(dim, dim, rng, dtype=dtype)
-        self.conv2 = Conv3x3(dim, dim, rng, dtype=dtype)
+    def __init__(self, dim, rng):
+        self.conv1 = Conv3x3(dim, dim, rng)
+        self.conv2 = Conv3x3(dim, dim, rng)
 
     def __call__(self, x):
         h = self.conv1(engine.gelu(x))
@@ -32,10 +32,10 @@ class ResidualConvBlock(Module):
 class RefinementStage(Module):
     """Upsample the coarse path x2, add a 1x1-projected skip, refine."""
 
-    def __init__(self, skip_dim, dim, rng, dtype=engine.DEFAULT_DTYPE):
-        self.skip = Linear(skip_dim, dim, rng, bias=False, dtype=dtype)
-        self.block1 = ResidualConvBlock(dim, rng, dtype=dtype)
-        self.block2 = ResidualConvBlock(dim, rng, dtype=dtype)
+    def __init__(self, skip_dim, dim, rng):
+        self.skip = Linear(skip_dim, dim, rng, bias=False)
+        self.block1 = ResidualConvBlock(dim, rng)
+        self.block2 = ResidualConvBlock(dim, rng)
 
     def __call__(self, coarse, skip_flat, hw):
         """coarse: [D, H/2, W/2]; skip_flat: [C_i, H*W] or None (zeros)."""
@@ -51,13 +51,13 @@ class RefinementStage(Module):
 class Decoder(Module):
     """Reconstruct a foreground probability map from read outputs y1..y4."""
 
-    def __init__(self, base_dim, width, rng, dtype=engine.DEFAULT_DTYPE):
+    def __init__(self, base_dim, width, rng):
         dims = [base_dim * 2 ** i for i in range(4)]
-        self.compress = Linear(dims[3], width, rng, bias=False, dtype=dtype)
-        self.refine = [RefinementStage(dims[2], width, rng, dtype=dtype),
-                       RefinementStage(dims[1], width, rng, dtype=dtype),
-                       RefinementStage(dims[0], width, rng, dtype=dtype)]
-        self.head = Conv3x3(width, 2, rng, dtype=dtype)
+        self.compress = Linear(dims[3], width, rng, bias=False)
+        self.refine = [RefinementStage(dims[2], width, rng),
+                       RefinementStage(dims[1], width, rng),
+                       RefinementStage(dims[0], width, rng)]
+        self.head = Conv3x3(width, 2, rng)
         self.width = width
 
     def __call__(self, ys, grid_hw, out_hw):

@@ -40,10 +40,10 @@ def _pad_inputs(*inputs):
 
 def _memory_inputs(frames, target_masks, other_masks):
     """Check and pad a memory clip, frames [T, H, W, 3] and masks
-    [*lead, T, H, W, 1]: (T, valid token extents, padded inputs)."""
+    [*lead, T, H, W, 1]: (valid token extents, padded inputs)."""
     if frames.ndim != 4 or frames.shape[0] == 0:
         raise UsageError(f"need at least one memory frame, got shape {frames.shape}")
-    return (frames.shape[0],) + _pad_inputs(frames, target_masks, other_masks)
+    return _pad_inputs(frames, target_masks, other_masks)
 
 
 class _StageStack(Module):
@@ -53,18 +53,17 @@ class _StageStack(Module):
     padded input, as a list of four; ``lead`` is the tokens' (M,) (T,).
     """
 
-    def __init__(self, config, window, rng, dtype):
+    def __init__(self, config, window, rng):
         self.stages = []
         self.merges = []
         heads = heads_for(config.dim)
         for i in range(N_STAGES):
             dim = config.dim * 2 ** i
-            blocks = [SwinBlock(dim, heads[i], window, shifted=(j % 2 == 1),
-                                rng=rng, dtype=dtype)
+            blocks = [SwinBlock(dim, heads[i], window, shifted=(j % 2 == 1), rng=rng)
                       for j in range(config.depths[i])]
             self.stages.append(blocks)
             if i < N_STAGES - 1:
-                self.merges.append(PatchMerge(dim, rng, dtype=dtype))
+                self.merges.append(PatchMerge(dim, rng))
 
     def __call__(self, tokens, valid):
         features = []
@@ -86,9 +85,9 @@ class _StageStack(Module):
 class ImageEncoder(Module):
     """Spatial feature pyramid over a single frame."""
 
-    def __init__(self, config, rng, dtype=engine.DEFAULT_DTYPE):
-        self.patch_embed = PatchEmbedImage(config.dim, rng, dtype=dtype)
-        self.stack = _StageStack(config, (config.window, config.window), rng, dtype)
+    def __init__(self, config, rng):
+        self.patch_embed = PatchEmbedImage(config.dim, rng)
+        self.stack = _StageStack(config, (config.window, config.window), rng)
 
     def __call__(self, frame):
         _, _, c = frame.shape
@@ -106,15 +105,14 @@ class VideoEncoder(Module):
     without the object axis give [T, H_i, W_i, C_i]).
     """
 
-    def __init__(self, config, rng, dtype=engine.DEFAULT_DTYPE):
+    def __init__(self, config, rng):
         self.patch_embed = PatchEmbedVideo(config.dim, rng,
-                                           use_other_mask=config.other_mask_enabled,
-                                           dtype=dtype)
+                                           use_other_mask=config.other_mask_enabled)
         window = (config.temporal_window, config.window, config.window)
-        self.stack = _StageStack(config, window, rng, dtype)
+        self.stack = _StageStack(config, window, rng)
 
     def __call__(self, frames, target_masks, other_masks):
-        _, valid, padded = _memory_inputs(frames, target_masks, other_masks)
+        valid, padded = _memory_inputs(frames, target_masks, other_masks)
         return self.stack(self.patch_embed(*padded), valid)
 
 
@@ -122,34 +120,25 @@ class ImageOnlyMemoryEncoder(Module):
     """Ablation memory path: the query encoder applied per past frame.
 
     Masks are fused at the embedding by learned linear projections of the
-    mask patches, added to the image patch embedding before its norm. The
-    per-frame pyramids are stacked along time. Masks [M, T, H, W, 1] give
-    stage maps [M, T, H_i, W_i, C_i]; each frame's RGB patches are embedded
-    once for all objects.
+    mask patches, added before its norm; RGB patches are embedded once.
+    Masks [M, T, H, W, 1] give stage maps [M, T, H_i, W_i, C_i] from one
+    call of the query stack, whose 2-D windows batch the object and time axes.
     """
 
-    def __init__(self, config, rng, dtype=engine.DEFAULT_DTYPE):
+    def __init__(self, config, rng):
         p2 = PATCH * PATCH
-        self.embed_target = Linear(p2, config.dim, rng, dtype=dtype)
-        self.embed_other = (Linear(p2, config.dim, rng, dtype=dtype)
-                            if config.other_mask_enabled else None)
+        self.embed_target = Linear(p2, config.dim, rng)
+        self.embed_other = Linear(p2, config.dim, rng) if config.other_mask_enabled else None
 
     def __call__(self, image_encoder, frames, target_masks, other_masks):
-        t, valid, (frames, target_masks, other_masks) = _memory_inputs(
+        valid, (frames, target_masks, other_masks) = _memory_inputs(
             frames, target_masks, other_masks)
-        per_stage = [[] for _ in range(N_STAGES)]
         embed = image_encoder.patch_embed
-        for ti in range(t):
-            tokens = engine.add(embed.embed(_patchify(frames[ti], PATCH)),
-                                self.embed_target(_patchify(target_masks[..., ti, :, :, :],
-                                                            PATCH)))
-            if self.embed_other is not None:
-                tokens = engine.add(tokens, self.embed_other(
-                    _patchify(other_masks[..., ti, :, :, :], PATCH)))
-            tokens = embed.norm(tokens)
-            for i, f in enumerate(image_encoder.stack(tokens, valid)):
-                per_stage[i].append(engine.reshape(f, f.shape[:-3] + (1,) + f.shape[-3:]))
-        return [engine.concat(fs, axis=-4) for fs in per_stage]
+        tokens = engine.add(embed.embed(_patchify(frames, PATCH)),
+                            self.embed_target(_patchify(target_masks, PATCH)))
+        if self.embed_other is not None:
+            tokens = engine.add(tokens, self.embed_other(_patchify(other_masks, PATCH)))
+        return image_encoder.stack(embed.norm(tokens), valid)
 
 
 @dataclass
@@ -163,13 +152,13 @@ class KeyValueMaps:
 class KeyValueProjector(Module):
     """Per-stage linear (1x1, no bias) projections to key and value maps."""
 
-    def __init__(self, base_dim, rng, dtype=engine.DEFAULT_DTYPE):
+    def __init__(self, base_dim, rng):
         self.keys = []
         self.values = []
         for i in range(N_STAGES):
             dim = base_dim * 2 ** i
-            self.keys.append(Linear(dim, dim // 8, rng, bias=False, dtype=dtype))
-            self.values.append(Linear(dim, dim // 2, rng, bias=False, dtype=dtype))
+            self.keys.append(Linear(dim, dim // 8, rng, bias=False))
+            self.values.append(Linear(dim, dim // 2, rng, bias=False))
 
     def __call__(self, features, stage):
         """Project stage ``stage`` (1..4) of an encoder's stage list.

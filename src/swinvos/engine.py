@@ -48,7 +48,7 @@ class Tensor:
         if dtype is None and not (isinstance(data, (np.ndarray, np.generic))
                                   and data.dtype in _SUPPORTED_DTYPES):
             dtype = DEFAULT_DTYPE
-        arr = np.asarray(data, dtype=dtype)
+        arr = np.asarray(data, dtype)
         if arr.dtype not in _SUPPORTED_DTYPES:
             arr = arr.astype(DEFAULT_DTYPE)
         self.data = arr
@@ -708,7 +708,7 @@ def conv2d(x, w, b):
 @functools.lru_cache(maxsize=16)
 def _interp_matrix(n_src, n_dst, dtype):
     """Dense 1-D bilinear interpolation matrix, align-corners=false; cached, read-only."""
-    m = np.zeros((n_dst, n_src), dtype=dtype)
+    m = np.zeros((n_dst, n_src), dtype)
     scale = n_src / n_dst
     for i in range(n_dst):
         src = (i + 0.5) * scale - 0.5
@@ -771,21 +771,21 @@ def adam_step(params, lr):
 # ---------------------------------------------------------------------------
 # initialization and module plumbing
 
-def trunc_normal(rng, shape, dtype=DEFAULT_DTYPE):
+def trunc_normal(rng, shape):
     """Zero-mean normal truncated to +-2 std, resampling rejected draws."""
     out = rng.normal(0.0, INIT_STD, size=shape)
     bad = np.abs(out) > 2 * INIT_STD
     while bad.any():
         out[bad] = rng.normal(0.0, INIT_STD, size=int(bad.sum()))
         bad = np.abs(out) > 2 * INIT_STD
-    return out.astype(dtype)
+    return out.astype(DEFAULT_DTYPE)
 
 
-def init_weight(rng, shape, dtype=DEFAULT_DTYPE):
+def init_weight(rng, shape):
     """A ``trunc_normal`` weight draw; with ``rng`` None, an unfilled array
     for a caller that sets every value (a checkpoint load) and so need not
     pay for the draws."""
-    return np.empty(shape, dtype=dtype) if rng is None else trunc_normal(rng, shape, dtype)
+    return np.empty(shape, dtype=DEFAULT_DTYPE) if rng is None else trunc_normal(rng, shape)
 
 
 class Module:
@@ -800,6 +800,12 @@ class Module:
 
     def parameters(self):
         return [p for _, p in self.named_parameters()]
+
+    def astype(self, dtype):
+        """Cast every parameter to ``dtype`` in place (float64 for gradient checks); returns self."""
+        for p in self.parameters():
+            p.value = p.value.astype(dtype)
+        return self
 
 
 def _collect(name, val):
@@ -821,9 +827,9 @@ class Linear(Module):
     One ``matmul`` op: the bias is added in place into the GEMM output.
     """
 
-    def __init__(self, in_dim, out_dim, rng, bias=True, dtype=DEFAULT_DTYPE):
-        self.weight = Parameter(init_weight(rng, (in_dim, out_dim), dtype=dtype))
-        self.bias = Parameter(np.zeros(out_dim, dtype=dtype)) if bias else None
+    def __init__(self, in_dim, out_dim, rng, bias=True):
+        self.weight = Parameter(init_weight(rng, (in_dim, out_dim)))
+        self.bias = Parameter(np.zeros(out_dim, dtype=DEFAULT_DTYPE)) if bias else None
 
     def __call__(self, x):
         return matmul(x, self.weight.tensor(),
@@ -831,18 +837,18 @@ class Linear(Module):
 
 
 class LayerNorm(Module):
-    def __init__(self, dim, dtype=DEFAULT_DTYPE):
-        self.gamma = Parameter(np.ones(dim, dtype=dtype))
-        self.beta = Parameter(np.zeros(dim, dtype=dtype))
+    def __init__(self, dim):
+        self.gamma = Parameter(np.ones(dim, dtype=DEFAULT_DTYPE))
+        self.beta = Parameter(np.zeros(dim, dtype=DEFAULT_DTYPE))
 
     def __call__(self, x):
         return layer_norm(x, self.gamma.tensor(), self.beta.tensor())
 
 
 class Conv3x3(Module):
-    def __init__(self, in_ch, out_ch, rng, dtype=DEFAULT_DTYPE):
-        self.weight = Parameter(init_weight(rng, (out_ch, in_ch, 3, 3), dtype=dtype))
-        self.bias = Parameter(np.zeros(out_ch, dtype=dtype))
+    def __init__(self, in_ch, out_ch, rng):
+        self.weight = Parameter(init_weight(rng, (out_ch, in_ch, 3, 3)))
+        self.bias = Parameter(np.zeros(out_ch, dtype=DEFAULT_DTYPE))
 
     def __call__(self, x):
         return conv2d(x, self.weight.tensor(), self.bias.tensor())

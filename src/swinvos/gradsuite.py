@@ -117,8 +117,7 @@ def _check_swin_block(rng, objects=()):
     # only; their all-masked logits sit near -1e9, where central differences
     # resolve about 1e-4 (2e-4 at the default seed). ``objects`` puts
     # leading object axes in front of the grid.
-    block = SwinBlock(4, 2, (3, 3), shifted=True, rng=np.random.default_rng(13),
-                      dtype=np.float64)
+    block = SwinBlock(4, 2, (3, 3), shifted=True, rng=np.random.default_rng(13)).astype(np.float64)
     bound = [(block.attn.qkv, "weight"), (block.attn.qkv, "bias"),
              (block.attn.bias, "table")]
     probe = _probe(objects + (5, 6, 4), 14)
@@ -189,7 +188,7 @@ def _check_cross_entropy(rng):
 
 
 def _check_refinement_stage(rng):
-    stage = RefinementStage(4, 6, np.random.default_rng(12), dtype=np.float64)
+    stage = RefinementStage(4, 6, np.random.default_rng(12)).astype(np.float64)
     probe = _probe((6, 4, 4), 10)
 
     def fn(coarse, skip):

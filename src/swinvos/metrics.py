@@ -38,14 +38,17 @@ def boundary_pixels(mask):
 
 
 def _dilate_chebyshev(mask, radius):
-    if radius <= 0:
-        return mask.copy()
-    padded = np.pad(mask, radius)
-    out = np.zeros_like(mask)
-    h, w = mask.shape
-    for dy in range(2 * radius + 1):
-        for dx in range(2 * radius + 1):
-            out |= padded[dy:dy + h, dx:dx + w]
+    """OR over the (2r+1)² square around each pixel, rows then columns (a square is
+    separable); a radius past the larger extent reaches no further, so is clamped."""
+    radius = min(max(radius, 0), max(mask.shape))
+    out = mask
+    for axis in (0, 1):
+        lines = np.pad(np.moveaxis(out, axis, 0), ((radius, radius), (0, 0)))
+        n = out.shape[axis]
+        out = np.zeros_like(lines[:n])
+        for d in range(2 * radius + 1):
+            out |= lines[d:d + n]
+        out = np.moveaxis(out, 0, axis)
     return out
 
 

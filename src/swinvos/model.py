@@ -34,7 +34,7 @@ from .encoders import (
     KeyValueProjector,
     VideoEncoder,
 )
-from .engine import Module, Tape, Tensor
+from .engine import DEFAULT_DTYPE, Module, Tape, Tensor
 from .errors import ConfigError, DimensionError, NumericError, UsageError
 from .memread import ReadGeometry, read_all
 from .data import sample_training_triplet
@@ -45,17 +45,16 @@ class Model(Module):
     """The full model; ``rng`` None leaves the weights unfilled, for a
     caller that sets every parameter (``load_checkpoint``)."""
 
-    def __init__(self, config, rng, dtype=engine.DEFAULT_DTYPE):
-        self.query_encoder = ImageEncoder(config, rng, dtype=dtype)
+    def __init__(self, config, rng):
+        self.query_encoder = ImageEncoder(config, rng)
         if config.encoder_mode == "full":
-            self.memory_encoder = VideoEncoder(config, rng, dtype=dtype)
+            self.memory_encoder = VideoEncoder(config, rng)
         else:
-            self.image_only_memory = ImageOnlyMemoryEncoder(config, rng, dtype=dtype)
-        self.query_proj = KeyValueProjector(config.dim, rng, dtype=dtype)
-        self.memory_proj = KeyValueProjector(config.dim, rng, dtype=dtype)
-        self.decoder = Decoder(config.dim, config.decoder_width, rng, dtype=dtype)
+            self.image_only_memory = ImageOnlyMemoryEncoder(config, rng)
+        self.query_proj = KeyValueProjector(config.dim, rng)
+        self.memory_proj = KeyValueProjector(config.dim, rng)
+        self.decoder = Decoder(config.dim, config.decoder_width, rng)
         self.config = config
-        self.dtype = dtype
         for name, param in self.named_parameters():
             param.name = name
 
@@ -168,7 +167,7 @@ def _mask_pairs(probs, other_enabled):
 def _encode_memory_kv(model, memory):
     """Per-object memory k/v maps of stages 1..4 from one joint encoder call
     for all objects over the (key, frame, probs) entries of ``memory``."""
-    frames = Tensor(np.stack([f for _, f, _ in memory]).astype(model.dtype))
+    frames = Tensor(np.stack([f for _, f, _ in memory]).astype(DEFAULT_DTYPE))
     probs = engine.concat([engine.reshape(p, (1,) + p.shape) for _, _, p in memory], axis=0)
     feats = model.encode_memory(frames, *_mask_pairs(probs, model.config.other_mask_enabled))
     per_stage = [model.memory_proj(feats, s) for s in (1, 2, 3, 4)]
@@ -190,7 +189,7 @@ def _forward(model, frame, memory, cache):
     for _, f, _ in memory:
         if f.shape[:2] != hw:
             raise DimensionError(f"frame extents {hw} differ from memory {f.shape[:2]}")
-    query_feats = model.query_encoder(Tensor(frame.astype(model.dtype)))
+    query_feats = model.query_encoder(Tensor(frame.astype(DEFAULT_DTYPE)))
     if model.per_frame_memory:
         for key, f, p in memory:
             if key not in cache:
@@ -225,7 +224,7 @@ def segment_frame(model, bank, frame, index):
     if not bank.initialized:
         raise UsageError("memory bank must be initialized with frame 0 first")
     frame = np.asarray(frame)
-    memory = [(i, f, Tensor(p, dtype=model.dtype)) for i, f, p in bank.entries()]
+    memory = [(i, f, Tensor(p, dtype=DEFAULT_DTYPE)) for i, f, p in bank.entries()]
     dist = _forward(model, frame, memory, bank.cache)
     if not np.isfinite(dist.data).all():
         raise NumericError(f"non-finite class distribution at frame {index}")
@@ -290,7 +289,7 @@ def train_step(model, frames, masks, lr):
     n_objects = int(max(np.max(m) for m in masks))
     if n_objects < 1:
         raise UsageError("triplet labels no objects")
-    memory = [(0, frames[0], Tensor(_object_probs(masks[0], n_objects), dtype=model.dtype))]
+    memory = [(0, frames[0], Tensor(_object_probs(masks[0], n_objects), dtype=DEFAULT_DTYPE))]
     cache = {}
     with Tape() as tape:
         losses = []

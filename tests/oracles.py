@@ -110,7 +110,7 @@ def joint_reencode_segment(model, frames, first_mask):
     frames 1..n-1).
     """
     cfg = model.config
-    dtype = model.dtype
+    dtype = engine.DEFAULT_DTYPE
     n_objects = int(first_mask.max())
     probs = {0: np.stack([(first_mask == m + 1).astype(np.float32)
                           for m in range(n_objects)])}
@@ -171,6 +171,20 @@ def listed_training_triplet(n_frames, max_interval, rng):
                for c in range(b + 1, min(b + cap, n_frames - 1) + 1)
                if b - a <= cap and c - b <= cap]
     return triples[int(rng.integers(0, len(triples)))]
+
+
+def dilate_chebyshev_loops(mask, radius):
+    """Reference Chebyshev dilation: OR of the (2r+1)² shifted copies of the
+    mask, padded by r; memory grows with r², so keep r small."""
+    if radius <= 0:
+        return mask.copy()
+    padded = np.pad(mask, radius)
+    out = np.zeros_like(mask)
+    h, w = mask.shape
+    for dy in range(2 * radius + 1):
+        for dx in range(2 * radius + 1):
+            out |= padded[dy:dy + h, dx:dx + w]
+    return out
 
 
 def conv2d_taps(x, w, b=None):

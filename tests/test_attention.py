@@ -401,6 +401,18 @@ class TestSwinBlock:
         assert out.shape == (6, 10, 4)
         assert np.isfinite(out.data).all()
 
+    def test_astype_casts_every_parameter(self, rng):
+        block = SwinBlock(4, 2, (2, 2), shifted=True, rng=rng)
+        before = [(name, p.shape, p.value.copy()) for name, p in block.named_parameters()]
+        assert all(value.dtype == np.float32 for _, _, value in before)
+        assert block.astype(np.float64) is block
+        after = block.named_parameters()
+        assert [(name, shape) for name, shape, _ in before] == [(n, p.shape) for n, p in after]
+        for (_, _, value), (_, p) in zip(before, after):
+            assert p.value.dtype == np.float64
+            np.testing.assert_array_equal(p.value, value.astype(np.float64))
+        assert block(Tensor(rng.standard_normal((4, 6, 4)))).dtype == np.float64
+
     def test_padding_does_not_leak_into_valid_tokens(self, rng):
         # growing the pad region must not change outputs at valid positions
         block = SwinBlock(4, 1, (4, 4), shifted=False, rng=rng)

@@ -402,6 +402,45 @@ def test_bad_count_or_extent_is_usage_error(tmp_path, capsys, argv):
     assert not out.exists() and not (tmp_path / "out.loss.csv").exists()
 
 
+# every seed flag: numpy rejects a negative seed, so the CLI must first
+_NEGATIVE_SEEDS = [
+    ("gen", "--out", "out", "--seed", "-1"),
+    ("train-toy", "--steps", "1", "--ckpt", "out", "--seed", "-1"),
+    ("train-toy", "--steps", "1", "--ckpt", "out", "--data-seed", "-1"),
+    ("gradcheck", "--seed", "-1"),
+    ("bench-memread", "--out", "out", "--seed", "-1"),
+]
+
+
+@pytest.mark.parametrize("argv", _NEGATIVE_SEEDS, ids=" ".join)
+def test_negative_seed_is_usage_error(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert "seed must be at least 0" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("flags", [("--ckpt", "missing/c.hst"),
+                                   ("--ckpt", "c.hst", "--loss-csv", "missing/l.csv")])
+def test_train_missing_output_directory_fails_before_training(tmp_path, capsys,
+                                                              monkeypatch, flags):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, "train-toy", "--steps", "1", *flags)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1 and "missing" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_huge_tolerance_stays_valid(tmp_path, capsys):
+    report = tmp_path / "report.tsv"
+    code, _, _ = run(capsys, "eval", *_eval_inputs(tmp_path, capsys),
+                     "--tolerance", "1000000000", "--out", str(report))
+    assert code == 0
+    assert report.read_text().splitlines()[-1].split() == ["J&F", "-", "1.000000"]
+
+
 def test_eval_ground_truth_without_objects_is_data_error(tmp_path, capsys):
     from swinvos.data import read_pgm, write_pgm
 

@@ -50,7 +50,7 @@ class TestDecoder:
     def test_gradient_through_refinement_stage(self, rng):
         # one refinement stage end to end, finite differences in f64
         from swinvos.decoder import RefinementStage
-        stage = RefinementStage(4, 6, np.random.default_rng(0), dtype=np.float64)
+        stage = RefinementStage(4, 6, np.random.default_rng(0)).astype(np.float64)
         probe = rng.standard_normal((6, 4, 4))
 
         def fn(coarse, skip):

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from oracles import dilate_chebyshev_loops
 
 from swinvos.errors import DataError, DimensionError
 from swinvos.metrics import (
+    _dilate_chebyshev,
     boundary_pixels,
     contour_accuracy,
     default_tolerance,
@@ -91,6 +93,18 @@ class TestContourAccuracy:
             a = rng.random((20, 20)) > 0.6
             b = rng.random((20, 20)) > 0.6
             assert abs(contour_accuracy(a, b, tol) - oracle_boundary_f(a, b, tol)) < 1e-9
+
+    def test_separable_dilation_matches_nested_loops(self, rng):
+        for radius in range(6):
+            mask = rng.random((13, 9)) > 0.85
+            np.testing.assert_array_equal(_dilate_chebyshev(mask, radius),
+                                          dilate_chebyshev_loops(mask, radius))
+
+    def test_tolerance_beyond_the_frame_is_clamped(self, rng):
+        # 10**9 unclamped would pad the mask to ~4e18 pixels
+        a = rng.random((12, 20)) > 0.5
+        b = box(12, 20, 2, 5, 14, 18)
+        assert contour_accuracy(a, b, 10**9) == contour_accuracy(a, b, 20)
 
     def test_monotone_in_tolerance(self, rng):
         a = rng.random((24, 24)) > 0.5

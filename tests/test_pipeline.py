@@ -168,6 +168,8 @@ class TestInitModel:
             frozen = json.load(fh)[variant]
         model = init_model(ModelConfig(variant=variant), seed=0)
         assert [[name, list(p.shape)] for name, p in model.named_parameters()] == frozen
+        # every parameter is built in the one parameter dtype
+        assert {p.dtype for p in model.parameters()} == {np.dtype(np.float32)}
 
     def test_nano_parameter_count_under_1e6(self, nano_model):
         assert parameter_count(nano_model) < 1_000_000
@@ -657,7 +659,7 @@ class TestCheckpoint:
         loaded = load_checkpoint(path)
         for (na, pa), (nb, pb) in zip(nano_model.named_parameters(),
                                       loaded.named_parameters()):
-            assert na == nb
+            assert na == nb and pb.dtype == np.float32
             np.testing.assert_array_equal(pa.value, pb.value)
         sample = synth_moving_shapes(3, 2, 64, 1)
         out_a, _ = run_sequence(nano_model, sample.frames, sample.masks[0])
@@ -678,6 +680,18 @@ class TestCheckpoint:
         for (name, p), (_, q) in zip(model.named_parameters(), loaded.named_parameters()):
             assert q.value.tobytes() == p.value.tobytes() == saved[name].tobytes()
             assert q.value.dtype == p.value.dtype and q.value.flags.writeable
+
+    def test_f64_records_load_rounded_to_float32(self, tmp_path):
+        model = init_model(NANO, seed=4).astype(np.float64)
+        for p in model.parameters():
+            p.value += 1e-12  # moves values off the float32 grid, so the load rounds
+        path = tmp_path / "m.hst"
+        save_checkpoint(model, path)
+        assert {v.dtype for v in read_checkpoint(path)[1].values()} == {np.dtype("<f8")}
+        for (na, pa), (nb, pb) in zip(model.named_parameters(),
+                                      load_checkpoint(path).named_parameters()):
+            assert na == nb and pb.dtype == np.float32
+            assert pb.value.tobytes() == pa.value.astype(np.float32).tobytes()
 
     @pytest.mark.parametrize("edit, message", [
         (lambda params: params.pop("decoder.head.bias"), "parameter set mismatch"),
