@@ -802,7 +802,7 @@ class Module:
         return [p for _, p in self.named_parameters()]
 
     def astype(self, dtype):
-        """Cast every parameter to ``dtype`` in place (float64 for gradient checks); returns self."""
+        """Cast each parameter to ``dtype`` in place (float64 for gradchecks); returns self."""
         for p in self.parameters():
             p.value = p.value.astype(dtype)
         return self
