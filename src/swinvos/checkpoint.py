@@ -133,7 +133,8 @@ def load_checkpoint(path):
     """Rebuild a model from a checkpoint.
 
     The model is built without weight draws, and each parameter adopts its
-    parsed array, rounded to the model's float32 when the record is f64.
+    parsed array, rounded to the model's float32 when the record is f64;
+    a finite f64 value that rounds to a non-finite float32 is a DataError.
     """
     config, params = read_checkpoint(path)
     model = Model(config, None)
@@ -148,5 +149,10 @@ def load_checkpoint(path):
         if target.value.shape != value.shape:
             raise DataError(f"{path}: shape mismatch for {name}: "
                             f"file {value.shape} vs model {target.value.shape}")
-        target.value = value.astype(target.value.dtype, copy=False)
+        with np.errstate(over="ignore"):
+            cast = value.astype(target.value.dtype, copy=False)
+        if cast is not value and np.any(np.isfinite(value) & ~np.isfinite(cast)):
+            raise DataError(f"{path}: {name} holds a finite value outside "
+                            f"the {cast.dtype} range")
+        target.value = cast
     return model

@@ -19,6 +19,9 @@ _SUPPORTED_DTYPES = (np.float32, np.float64)
 LN_EPS = 1e-5  # added to the layer-norm variance
 INIT_STD = 0.02  # std of the truncated-normal weight draws
 FD_STEP = 1e-5  # central-difference step of finite_difference
+# elements per pass of the chunked weight draws and GELU forward: 512 KB of
+# float64, so a chunk and its temporaries stay in L2
+_CHUNK = 1 << 16
 
 # Enabled by the test suite and by `swinvos gradcheck`; verifies that every
 # op keeps finite inputs finite. Off by default to keep big reads cheap.
@@ -355,19 +358,29 @@ _GELU_C = math.sqrt(2.0 / math.pi)
 def gelu(a):
     """Tanh-approximation GELU, applied elementwise.
 
-    The forward reuses one temporary for the tanh argument and one for the
-    output; the operations and their order are those of the formula.
+    The forward runs over a flat view in ``_CHUNK``-sized pieces, with one
+    temporary for the tanh argument; the operations and their order are
+    those of the formula. The tanh argument is kept at full size only when
+    the op is recorded, because the backward reads it.
     """
     a = as_tensor(a)
     x = a.data
-    t = np.multiply(x, x, out=np.empty_like(x))  # 0-d arrays stay arrays
-    t *= x
-    t *= 0.044715
-    t += x
-    t *= _GELU_C
-    np.tanh(t, out=t)
-    out = np.multiply(x, 0.5)
-    out *= 1.0 + t
+    keep = recording((a,))
+    out = np.empty(x.shape, x.dtype)
+    t = np.empty(x.shape if keep else min(x.size, _CHUNK), x.dtype)
+    xf, of, tf = x.reshape(-1), out.reshape(-1), t.reshape(-1)
+    for start in range(0, x.size, _CHUNK):
+        xc = xf[start:start + _CHUNK]
+        oc = of[start:start + _CHUNK]
+        tc = tf[start:start + xc.size] if keep else tf[:xc.size]
+        np.multiply(xc, xc, out=tc)
+        tc *= xc
+        tc *= 0.044715
+        tc += xc
+        tc *= _GELU_C
+        np.tanh(tc, out=tc)
+        np.multiply(xc, 0.5, out=oc)
+        oc *= 1.0 + tc
 
     def bwd(g):
         d_inner = _GELU_C * (1.0 + 3 * 0.044715 * x ** 2)
@@ -772,13 +785,33 @@ def adam_step(params, lr):
 # initialization and module plumbing
 
 def trunc_normal(rng, shape):
-    """Zero-mean normal truncated to +-2 std, resampling rejected draws."""
-    out = rng.normal(0.0, INIT_STD, size=shape)
-    bad = np.abs(out) > 2 * INIT_STD
-    while bad.any():
-        out[bad] = rng.normal(0.0, INIT_STD, size=int(bad.sum()))
-        bad = np.abs(out) > 2 * INIT_STD
-    return out.astype(DEFAULT_DTYPE)
+    """Zero-mean normal truncated to +-2 std, resampling rejected draws.
+
+    Values are drawn in float64, ``_CHUNK`` at a time, checked and cast
+    into the float32 output while in cache; then only the rejected
+    positions are redrawn, in ascending index order, until none is left.
+    The draws, their order and the generator state afterwards are those
+    of one ``rng.normal`` over the whole shape followed by boolean-mask
+    redraw rounds, so the bytes are too.
+    """
+    out = np.empty(shape, dtype=DEFAULT_DTYPE)
+    flat = out.reshape(-1)
+    buf = np.empty(min(flat.size, _CHUNK))
+    bound = 2 * INIT_STD
+    rejected = [np.empty(0, np.intp)]
+    for start in range(0, flat.size, _CHUNK):
+        z = buf[:flat.size - start]
+        rng.standard_normal(out=z)
+        z *= INIT_STD
+        z += 0.0  # loc + scale * z, as rng.normal forms it (-0.0 becomes 0.0)
+        flat[start:start + z.size] = z
+        rejected.append(start + np.flatnonzero(np.abs(z) > bound))
+    idx = np.concatenate(rejected)
+    while idx.size:
+        redraw = rng.normal(0.0, INIT_STD, size=idx.size)
+        flat[idx] = redraw
+        idx = idx[np.abs(redraw) > bound]
+    return out
 
 
 def init_weight(rng, shape):

@@ -187,6 +187,18 @@ def dilate_chebyshev_loops(mask, radius):
     return out
 
 
+def trunc_normal_loop(rng, shape):
+    """Reference truncated-normal draw: one ``rng.normal`` over the whole
+    float64 shape, then boolean-mask rounds that redraw every rejected
+    position until none is outside +-2 std, then one cast to float32."""
+    out = rng.normal(0.0, engine.INIT_STD, size=shape)
+    bad = np.abs(out) > 2 * engine.INIT_STD
+    while bad.any():
+        out[bad] = rng.normal(0.0, engine.INIT_STD, size=int(bad.sum()))
+        bad = np.abs(out) > 2 * engine.INIT_STD
+    return out.astype(engine.DEFAULT_DTYPE)
+
+
 def conv2d_taps(x, w, b=None):
     """Reference 3x3 conv as nine tap GEMMs, each on its own patch copy,
     accumulated in (dy, dx) order; forward only."""

@@ -2,12 +2,15 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import swinvos
 
+from swinvos.checkpoint import save_checkpoint
 from swinvos.cli import main
 from swinvos.config import ModelConfig
+from swinvos.model import init_model
 
 
 def run(capsys, *argv):
@@ -238,6 +241,19 @@ class TestInferAndEval:
                            "--seq", str(seq), "--out", str(root / "z"))
         assert code == 2
         assert "error:" in err
+
+    def test_infer_f64_record_past_float32_range_is_data_error(self, trained, tmp_path,
+                                                                capsys):
+        _, seq, _ = trained
+        model = init_model(ModelConfig(variant="nano"), seed=0).astype(np.float64)
+        dict(model.named_parameters())["decoder.head.bias"].value[0] = 1e300
+        ckpt = tmp_path / "f64.hst"
+        save_checkpoint(model, ckpt)
+        code, out, err = run(capsys, "infer", "--ckpt", str(ckpt), "--seq", str(seq),
+                             "--out", str(tmp_path / "pred"))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert sorted(os.listdir(tmp_path)) == ["f64.hst"]
 
     def test_infer_read_mode_switch(self, trained, capsys):
         root, seq, ckpt = trained

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import conv2d_taps
+from oracles import conv2d_taps, trunc_normal_loop
 
 from swinvos import engine
 from swinvos.engine import Parameter, Tape, Tensor
@@ -218,6 +218,28 @@ class TestGelu:
 
     def test_at_one(self):
         assert abs(engine.gelu(Tensor(1.0)).item() - 0.8412) < 1e-3
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("recorded", [False, True])
+    def test_chunked_forward_matches_whole_tensor_formula(self, rng, dtype, recorded):
+        # three chunks and a ragged tail: the bytes of the formula run once
+        # over the whole tensor, recorded (full-size tanh argument) or not
+        x = (3 * rng.standard_normal(3 * engine._CHUNK + 7)).astype(dtype).reshape(-1, 1)
+        t = np.tanh(engine._GELU_C * (x + 0.044715 * (x * x * x)))
+        want = np.multiply(x, 0.5)
+        want *= 1.0 + t
+        p = Parameter(x)
+        with Tape() as tape:
+            got = engine.gelu(p.tensor() if recorded else Tensor(x))
+            loss = engine.tsum(got)
+        assert got.watched == recorded
+        assert got.data.dtype == want.dtype and got.data.shape == want.shape
+        assert got.data.tobytes() == want.tobytes()
+        if recorded:  # the backward reads every chunk's tanh argument
+            engine.backward(loss, tape)
+            d_inner = engine._GELU_C * (1.0 + 3 * 0.044715 * x ** 2)
+            d = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * d_inner
+            assert p.grad.tobytes() == (np.ones_like(x) * d).tobytes()
 
 
 class TestLinear:
@@ -528,6 +550,20 @@ def test_finite_check_raises_on_overflow():
 def test_trunc_normal_bounded(rng):
     vals = engine.trunc_normal(rng, (1000,))
     assert np.abs(vals).max() <= 0.04 + 1e-9
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("shape", [
+    (0,), (1,), (7, 3), (3 * engine._CHUNK + 5,), (768, 3072), (256, 256, 3, 3),
+])
+def test_trunc_normal_matches_loop_reference(shape, seed):
+    # same bytes and the same generator stream as one whole-tensor draw
+    # with boolean-mask redraw rounds; (3 * chunk + 5,) has a ragged tail
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    got, want = engine.trunc_normal(rng, shape), trunc_normal_loop(ref_rng, shape)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+    assert rng.random() == ref_rng.random()
 
 
 class TestModulePlumbing:

@@ -1,14 +1,17 @@
+import hashlib
 import json
 import os
 import struct
 import tempfile
+import warnings
 import zlib
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import encoder_parameter_count, membership_law, parameter_count
+from oracles import (encoder_parameter_count, membership_law, parameter_count,
+                     trunc_normal_loop)
 
 from swinvos import checkpoint as checkpoint_module
 from swinvos import engine
@@ -170,6 +173,19 @@ class TestInitModel:
         assert [[name, list(p.shape)] for name, p in model.named_parameters()] == frozen
         # every parameter is built in the one parameter dtype
         assert {p.dtype for p in model.parameters()} == {np.dtype(np.float32)}
+
+    @pytest.mark.parametrize("variant", ["nano", "T"])
+    def test_parameters_match_loop_reference_draws(self, variant, monkeypatch):
+        # the weight-draw stream is part of the same-seed-same-bytes contract;
+        # digests keep one T model in memory at a time
+        def digests():
+            model = init_model(ModelConfig(variant=variant), seed=7)
+            return [(name, p.dtype, p.shape, hashlib.sha256(p.value.tobytes()).digest())
+                    for name, p in model.named_parameters()]
+
+        chunked = digests()
+        monkeypatch.setattr(engine, "trunc_normal", trunc_normal_loop)
+        assert chunked == digests()
 
     def test_nano_parameter_count_under_1e6(self, nano_model):
         assert parameter_count(nano_model) < 1_000_000
@@ -680,6 +696,23 @@ class TestCheckpoint:
         for (name, p), (_, q) in zip(model.named_parameters(), loaded.named_parameters()):
             assert q.value.tobytes() == p.value.tobytes() == saved[name].tobytes()
             assert q.value.dtype == p.value.dtype and q.value.flags.writeable
+
+    def test_checkpoint_matches_loop_reference_draws(self, tmp_path, monkeypatch):
+        chunked, reference = tmp_path / "a.hst", tmp_path / "b.hst"
+        save_checkpoint(init_model(NANO, seed=3), chunked)
+        monkeypatch.setattr(engine, "trunc_normal", trunc_normal_loop)
+        save_checkpoint(init_model(NANO, seed=3), reference)
+        assert chunked.read_bytes() == reference.read_bytes()
+
+    def test_f64_record_past_float32_range_is_data_error(self, tmp_path):
+        model = init_model(NANO, seed=4).astype(np.float64)
+        dict(model.named_parameters())["decoder.head.bias"].value[0] = 1e300
+        path = tmp_path / "m.hst"
+        save_checkpoint(model, path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no overflow RuntimeWarning escapes
+            with pytest.raises(DataError, match="decoder.head.bias"):
+                load_checkpoint(path)
 
     def test_f64_records_load_rounded_to_float32(self, tmp_path):
         model = init_model(NANO, seed=4).astype(np.float64)
