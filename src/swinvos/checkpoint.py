@@ -3,7 +3,7 @@
 Layout (all integers little-endian):
 
     magic  b"HSTC"
-    u32    format version (currently 1)
+    u32    format version (currently 2; any other version is refused)
     u32    config length, then that many bytes of canonical config text
     repeated parameter records:
         u32    name length, then the UTF-8 name
@@ -29,7 +29,7 @@ from .errors import DataError
 from .model import Model, ModelConfig
 
 MAGIC = b"HSTC"
-VERSION = 1
+VERSION = 2
 
 _DTYPE_TAGS = {np.dtype(np.float32): 0, np.dtype(np.float64): 1}
 _TAG_DTYPES = {0: np.dtype("<f4"), 1: np.dtype("<f8")}

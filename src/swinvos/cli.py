@@ -127,6 +127,9 @@ def _load_or_generate(args):
 
     if args.seq:
         frames, masks, n_objects = load_sequence(args.seq, need_all_masks=True)
+        if args.steps >= 1 and (n_objects < 1 or len(frames) < 3):  # no triplet to sample
+            raise DataError(f"{args.seq}: training needs 3 or more frames and an object, "
+                            f"got {len(frames)} frames and {n_objects} objects")
         return VideoSample(frames, masks, n_objects)
     return synth_moving_shapes(args.data_seed, 8, 64, 1)
 
@@ -147,10 +150,10 @@ def cmd_train_toy(args):
     for path in (args.ckpt, loss_csv):
         if not os.path.isdir(os.path.dirname(path) or "."):
             raise DataError(f"no directory to write {path} into")
+    sample = _load_or_generate(args)
     _print_config(args, ("steps", "lr"))
     sys.stdout.write(config.canonical())
     model = init_model(config, args.seed)
-    sample = _load_or_generate(args)
     curve = train_toy(model, sample, args.steps, args.lr, seed=args.seed,
                       curriculum=not args.no_curriculum)
     save_checkpoint(model, args.ckpt)
@@ -171,6 +174,10 @@ def cmd_infer(args):
     from .model import run_sequence
 
     _require_paths(args, ("seq", "out"))
+    if not args.dump_config:
+        frames, masks, _ = load_sequence(args.seq)
+        if masks[0].max() < 1:
+            raise DataError(f"{args.seq}: the first mask labels no objects")
     model = load_checkpoint(args.ckpt)
     # the checkpoint fixes the structure; the read is chosen here
     model.config = replace(model.config, k=args.k, memory_policy=args.memory_policy,
@@ -180,7 +187,6 @@ def cmd_infer(args):
         return 0
     _print_config(args, ("ckpt", "seq", "out"))
     sys.stdout.write(model.config.canonical())
-    frames, masks, _ = load_sequence(args.seq)
     labels, timings = run_sequence(model, frames, masks[0])
     os.makedirs(args.out, exist_ok=True)
     for i in range(1, len(labels)):

@@ -24,6 +24,7 @@ VARIANTS = {
 }
 
 MEMORY_POLICIES = ("every8", "firstprev")
+MEMORY_STRIDE = 8  # every8 keeps the frames whose index is a multiple of this
 ENCODER_MODES = ("full", "image_only")
 READ_MODES = ("hierarchical_topk", "last_stage_only", "dense_all")
 GRADCHECK_SEED = 1234  # default seed of the gradient-check suite
@@ -41,7 +42,6 @@ class ModelConfig:
     decoder_width: int = field(init=False)
     k: int = 128
     memory_policy: str = "every8"
-    memory_stride: int = 8
     other_mask_enabled: bool = True
     encoder_mode: str = "full"
     read_mode: str = "hierarchical_topk"
@@ -56,8 +56,6 @@ class ModelConfig:
             raise ConfigError(f"k must be at least 1, got {self.k}")
         if self.memory_policy not in MEMORY_POLICIES:
             raise ConfigError(f"memory policy must be one of {MEMORY_POLICIES}")
-        if self.memory_stride < 1:
-            raise ConfigError(f"memory stride must be positive, got {self.memory_stride}")
         if self.encoder_mode not in ENCODER_MODES:
             raise ConfigError(f"encoder mode must be one of {ENCODER_MODES}")
         if self.read_mode not in READ_MODES:

@@ -321,11 +321,6 @@ def div(a, b):
     return record_op(out, (a, b), bwd)
 
 
-def neg(a):
-    a = as_tensor(a)
-    return record_op(-a.data, (a,), lambda g: (-g,))
-
-
 def maximum(a, b):
     """Elementwise max; at ties the gradient routes to the first operand."""
     a, b = _binary_operands(a, b)
@@ -431,7 +426,7 @@ def concat(tensors, axis):
 
 
 def getitem(a, key):
-    """Basic (slice/ellipsis/int) indexing; gradient scatters into zeros."""
+    """Basic indexing or an index-array tuple of distinct positions; gradient fills zeros."""
     a = as_tensor(a)
     out = a.data[key]
 
@@ -517,22 +512,6 @@ def take(a, indices):
     return record_op(out, (a,), bwd)
 
 
-def take_along(a, indices):
-    """np.take_along_axis on axis 0 (a row per column) with scatter-add gradient."""
-    a = as_tensor(a)
-    indices = np.asarray(indices)
-    out = np.take_along_axis(a.data, indices, axis=0)
-
-    def bwd(g):
-        full = np.zeros(a.shape, dtype=g.dtype)
-        grids = list(np.indices(indices.shape, sparse=True))
-        grids[0] = indices
-        np.add.at(full, tuple(grids), g)
-        return (full,)
-
-    return record_op(out, (a,), bwd)
-
-
 # ---------------------------------------------------------------------------
 # reductions
 
@@ -548,12 +527,6 @@ def tsum(a, axis=None, keepdims=False):
         return (np.broadcast_to(g, a.shape).astype(g.dtype, copy=True),)
 
     return record_op(out, (a,), bwd)
-
-
-def tmean(a):
-    """Mean over every element."""
-    a = as_tensor(a)
-    return mul(tsum(a), 1.0 / a.size)
 
 
 # ---------------------------------------------------------------------------

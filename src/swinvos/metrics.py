@@ -9,7 +9,7 @@ its mask is given.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -83,9 +83,9 @@ def contour_accuracy(pred, gt, tolerance_px=None):
 @dataclass
 class EvalReport:
     """Per-object, per-frame J and F plus sequence-level means."""
-    per_object: dict = field(default_factory=dict)  # obj -> [(frame, J, F)]
-    mean_j: float = 0.0
-    mean_f: float = 0.0
+    per_object: dict  # obj -> [(frame, J, F)]
+    mean_j: float
+    mean_f: float
 
     @property
     def j_and_f(self):
@@ -113,7 +113,7 @@ def evaluate_sequence(pred_masks, gt_masks, n_objects=None, tolerance_px=None):
         n_objects = int(max(m.max() for m in gt_masks))
     if n_objects < 1:
         raise DataError(f"ground truth labels no object (object count {n_objects})")
-    report = EvalReport()
+    per_object = {}
     js, fs = [], []
     for frame in range(1, len(gt_masks)):
         pred, gt = np.asarray(pred_masks[frame]), np.asarray(gt_masks[frame])
@@ -125,9 +125,7 @@ def evaluate_sequence(pred_masks, gt_masks, n_objects=None, tolerance_px=None):
         for obj in range(1, n_objects + 1):
             j = region_similarity(pred == obj, gt == obj)
             f = contour_accuracy(pred == obj, gt == obj, tolerance_px)
-            report.per_object.setdefault(obj, []).append((frame, j, f))
+            per_object.setdefault(obj, []).append((frame, j, f))
             js.append(j)
             fs.append(f)
-    report.mean_j = float(np.mean(js))
-    report.mean_f = float(np.mean(fs))
-    return report
+    return EvalReport(per_object, float(np.mean(js)), float(np.mean(fs)))

@@ -12,8 +12,8 @@ decoding stay per object. When memory features are per-frame
 (one-frame temporal windows, or the image-only path), each memory frame is
 encoded once and its key/value maps are cached by frame key; 3D-window
 encoders encode the memory frames jointly. Inference walks a sequence
-frame by frame: the ``MemoryBank`` keeps the first frame, the previous
-frame, and every stride-th frame, and holds the cache across frames.
+frame by frame: the ``MemoryBank`` keeps the given first frame, the
+previous frame and (every8) every 8th frame, and holds the cache across frames.
 Training follows the three-frame protocol: ground truth seeds the memory,
 frame 1's prediction is both a loss term and the memory for frame 2.
 ``ModelConfig`` and ``VARIANTS`` live in ``config`` and are re-exported here.
@@ -25,7 +25,7 @@ import time
 import numpy as np
 
 from . import engine
-from .config import MEMORY_POLICIES, VARIANTS, ModelConfig
+from .config import MEMORY_POLICIES, MEMORY_STRIDE, VARIANTS, ModelConfig
 from .decoder import CLAMP_EPS, Decoder, predict_labels, soft_aggregate
 from .encoders import (
     ImageEncoder,
@@ -85,64 +85,54 @@ def _object_probs(mask, n_objects):
 
 
 class MemoryBank:
-    """Retained past frames and per-object masks under the retention policy.
+    """Past frames and their per-object masks, kept by the retention policy.
 
-    Membership at time t: frame 0, frame t-1, and (every8 policy) every
-    stride-th frame, deduplicated and sorted by frame index. ``cache`` maps
-    a retained frame index to its per-object memory key/value maps when the
-    memory encoder is per-frame: ``_forward`` fills it and ``admit`` drops
-    frames that leave membership. A bank serves one model.
+    After frame t is admitted the bank holds frame 0 (always the given
+    mask), frame t and, under every8, each admitted multiple of
+    ``MEMORY_STRIDE``. ``cache`` maps a retained index to its per-object
+    memory key/value maps when the memory encoder is per-frame: ``_forward``
+    fills it and ``admit`` prunes it. A bank serves one model.
     """
 
-    def __init__(self, policy="every8", stride=8):
+    def __init__(self, policy="every8"):
         if policy not in MEMORY_POLICIES:
             raise ConfigError(f"memory policy must be one of {MEMORY_POLICIES}")
-        if stride < 1:
-            raise ConfigError(f"memory stride must be positive, got {stride}")
         self.policy = policy
-        self.stride = stride
-        self._permanent = {}
-        self._previous = None
+        self._entries = {}  # frame index -> (frame, per-object probs)
         self.cache = {}
-
-    @property
-    def initialized(self):
-        return 0 in self._permanent
 
     def initialize(self, frame, first_mask):
         """Seed with frame 0 and its ground-truth label map."""
         n_objects = int(np.max(first_mask))
         if n_objects < 1:
             raise UsageError("first mask labels no objects")
-        self._permanent = {0: (np.asarray(frame), _object_probs(first_mask, n_objects))}
-        self._previous = None
+        self._entries = {0: (np.asarray(frame), _object_probs(first_mask, n_objects))}
         self.cache = {}
 
     def admit(self, index, frame, probs):
-        """Record a segmented frame: becomes the previous frame, and is
-        retained permanently when the policy keeps it. Cached maps of
-        frames that leave membership are dropped."""
-        if not self.initialized:
+        """Record segmented frame ``index`` (1 or more); frames that leave the
+        bank lose their cached maps, and so does ``index``, whose masks are new."""
+        _check_index(index)
+        if 0 not in self._entries:
             raise UsageError("memory bank not initialized with frame 0")
-        entry = (np.asarray(frame), np.asarray(probs))
-        self._previous = (index, entry)
-        if self.policy == "every8" and index % self.stride == 0:
-            self._permanent[index] = entry
-        # a re-admitted index carries new masks, so its old maps go too
-        keep = set(self.frame_indices()) - {index}
-        self.cache = {i: kv for i, kv in self.cache.items() if i in keep}
+        self._entries[index] = (np.asarray(frame), np.asarray(probs))
+        self._entries = {i: e for i, e in self._entries.items() if i in (0, index)
+                         or (self.policy == "every8" and i % MEMORY_STRIDE == 0)}
+        self.cache = {i: kv for i, kv in self.cache.items() if i in self._entries and i != index}
 
     def entries(self):
-        """Sorted, deduplicated (index, frame, probs) list."""
-        if not self.initialized:
+        """(index, frame, probs) of each retained frame, sorted by index."""
+        if 0 not in self._entries:
             raise UsageError("memory bank not initialized with frame 0")
-        merged = dict(self._permanent)
-        if self._previous is not None:
-            merged.setdefault(self._previous[0], self._previous[1])
-        return [(i,) + merged[i] for i in sorted(merged)]
+        return [(i,) + self._entries[i] for i in sorted(self._entries)]
 
     def frame_indices(self):
         return [i for i, _, _ in self.entries()]
+
+
+def _check_index(index):
+    if index < 1:
+        raise UsageError(f"frame index {index} is below 1: frame 0 is the given mask")
 
 
 def _mask_pairs(probs, other_enabled):
@@ -213,16 +203,15 @@ def _forward(model, frame, memory, cache):
 
 
 def segment_frame(model, bank, frame, index):
-    """Segment one frame against the bank; admit the prediction.
+    """Segment frame ``index`` (1 or more) against the bank; admit the prediction.
 
     Per-frame memory encoders reuse the maps the bank caches for each
     retained frame, so each call encodes only the newly retained frame;
     3D-window encoders re-encode all retained frames jointly.
     Returns (label map [H, W], per-object aggregated probabilities
-    [M, H, W], updated bank).
+    [M, H, W]).
     """
-    if not bank.initialized:
-        raise UsageError("memory bank must be initialized with frame 0 first")
+    _check_index(index)
     frame = np.asarray(frame)
     memory = [(i, f, Tensor(p, dtype=DEFAULT_DTYPE)) for i, f, p in bank.entries()]
     dist = _forward(model, frame, memory, bank.cache)
@@ -231,7 +220,7 @@ def segment_frame(model, bank, frame, index):
     labels = predict_labels(dist)
     object_probs = dist.data[1:]
     bank.admit(index, frame, object_probs)
-    return labels, object_probs, bank
+    return labels, object_probs
 
 
 def run_sequence(model, frames, first_mask):
@@ -247,7 +236,7 @@ def run_sequence(model, frames, first_mask):
     if frames[0].shape[:2] != first_mask.shape:
         raise DimensionError(
             f"first frame {frames[0].shape[:2]} vs mask {first_mask.shape}")
-    bank = MemoryBank(model.config.memory_policy, model.config.memory_stride)
+    bank = MemoryBank(model.config.memory_policy)
     bank.initialize(frames[0], first_mask)
     labels = [first_mask.astype(np.int64)]
     timings = [0.0]
@@ -256,7 +245,7 @@ def run_sequence(model, frames, first_mask):
             raise DimensionError(
                 f"frame {t} extents {frames[t].shape} differ from frame 0")
         t0 = time.perf_counter()
-        out, _, bank = segment_frame(model, bank, frames[t], t)
+        out, _ = segment_frame(model, bank, frames[t], t)
         timings.append(time.perf_counter() - t0)
         labels.append(out)
     return labels, timings
@@ -270,8 +259,9 @@ def cross_entropy(class_dist, labels):
         raise DimensionError(
             f"label {labels.max()} out of range for {n_classes} classes")
     flat = engine.reshape(class_dist, (n_classes, -1))
-    picked = engine.take_along(flat, labels.reshape(1, -1))
-    return engine.neg(engine.tmean(engine.log(picked)))
+    n = flat.shape[1]
+    picked = engine.getitem(flat, (labels.reshape(-1), np.arange(n)))
+    return engine.mul(engine.tsum(engine.log(picked)), -1.0 / n)
 
 
 def train_step(model, frames, masks, lr):

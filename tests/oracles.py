@@ -7,10 +7,13 @@ plumbing (bank, key/value cache, mask-pair builder).
 """
 
 import math
+import struct
+import zlib
 
 import numpy as np
 
 from swinvos import engine, memread
+from swinvos.checkpoint import save_checkpoint
 from swinvos.decoder import predict_labels, soft_aggregate
 from swinvos.encoders import KeyValueMaps
 from swinvos.engine import Tensor
@@ -79,13 +82,13 @@ def topk_set_for_query(index_set, stage, qx, qy):
     return index_set.expand(stage)[cell]
 
 
-def membership_law(t, policy="every8", stride=8):
+def membership_law(t, policy="every8"):
     """Reference predicate: which frame indices are in memory at time t."""
     members = {0}
     if t >= 1:
         members.add(t - 1)
     if policy == "every8":
-        members.update(i for i in range(0, t, stride))
+        members.update(i for i in range(0, t, 8))
     return sorted(members)
 
 
@@ -116,7 +119,7 @@ def joint_reencode_segment(model, frames, first_mask):
                           for m in range(n_objects)])}
     labels, object_probs = [first_mask], []
     for t in range(1, len(frames)):
-        members = membership_law(t, cfg.memory_policy, cfg.memory_stride)
+        members = membership_law(t, cfg.memory_policy)
         mem_frames = Tensor(np.stack([frames[i] for i in members]).astype(dtype))
         mem_probs = np.stack([probs[i] for i in members]).astype(dtype)
         query = model.query_encoder(Tensor(frames[t].astype(dtype)))
@@ -341,3 +344,15 @@ def composed_topk_read(kq, vq, km, vm, omega, stage, geom):
         outs.append(engine.matmul(engine.softmax(s, axis=-1), vg))
     readout = memread._from_cell_blocks(engine.concat(outs, axis=0), geom, r, cv)
     return engine.concat([vq, readout], axis=0)
+
+
+def write_version_1_checkpoint(model, path):
+    """Write ``model`` as format version 1 did: the records of today's
+    format after a config block with the ``memory_stride=8`` line that
+    version's canonical text had."""
+    save_checkpoint(model, path)
+    blob = path.read_bytes()
+    n = struct.unpack("<I", blob[8:12])[0]
+    config = blob[12:12 + n].replace(b"\nother_mask", b"\nmemory_stride=8\nother_mask")
+    body = struct.pack("<II", 1, len(config)) + config + blob[12 + n:-4]
+    path.write_bytes(b"HSTC" + body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF))

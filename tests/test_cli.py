@@ -255,6 +255,19 @@ class TestInferAndEval:
         assert err.startswith("error: ") and len(err.splitlines()) == 1
         assert sorted(os.listdir(tmp_path)) == ["f64.hst"]
 
+    def test_infer_version_1_checkpoint_is_data_error(self, trained, tmp_path, capsys):
+        from oracles import write_version_1_checkpoint
+
+        _, seq, _ = trained
+        ckpt = tmp_path / "v1.hst"
+        write_version_1_checkpoint(init_model(ModelConfig(variant="nano"), seed=0), ckpt)
+        code, out, err = run(capsys, "infer", "--ckpt", str(ckpt), "--seq", str(seq),
+                             "--out", str(tmp_path / "pred"))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert "unsupported format version 1," in err
+        assert sorted(os.listdir(tmp_path)) == ["v1.hst"]
+
     def test_infer_read_mode_switch(self, trained, capsys):
         root, seq, ckpt = trained
         code, _, _ = run(capsys, "infer", "--ckpt", str(ckpt), "--seq", str(seq),
@@ -501,6 +514,11 @@ def test_train_zero_steps_stays_valid(tmp_path, capsys):
     code, out, _ = run(capsys, "train-toy", "--steps", "0", "--ckpt", str(ckpt))
     assert code == 0 and "trained 0 steps" in out
     assert ckpt.exists()
+    # with no step to take, a sequence too short to train on is no error
+    seq = _unusable_sequence(tmp_path, "two-frames")
+    code, _, _ = run(capsys, "train-toy", "--seq", str(seq), "--steps", "0",
+                     "--ckpt", str(tmp_path / "short.hst"))
+    assert code == 0 and (tmp_path / "short.hst").exists()
 
 
 def test_zero_tolerance_and_threads_stay_valid(tmp_path, capsys):
@@ -513,3 +531,40 @@ def test_zero_tolerance_and_threads_stay_valid(tmp_path, capsys):
                      "--frames", "1")
     assert code == 0 and (tmp_path / "s" / "frames" / "00000.ppm").exists()
 
+
+def _unusable_sequence(root, case):
+    """A sequence that cannot seed a run: no object, or too short to train on."""
+    from swinvos.data import read_pgm, write_pgm
+
+    seq = root / "seq"
+    main(["gen", "--out", str(seq), "--frames", "2" if case == "two-frames" else "4"])
+    if case == "no-object":
+        for path in (seq / "masks").iterdir():
+            write_pgm(read_pgm(path) * 0, path)
+    return seq
+
+
+@pytest.mark.parametrize("command, case", [("infer", "no-object"),
+                                           ("train-toy", "no-object"),
+                                           ("train-toy", "two-frames")])
+def test_unusable_sequence_is_data_error_before_the_model(trained, tmp_path, capsys,
+                                                           monkeypatch, command, case):
+    import swinvos.checkpoint as checkpoint_module
+    import swinvos.model as model_module
+
+    seq = _unusable_sequence(tmp_path, case)
+    out = tmp_path / "out"
+    capsys.readouterr()
+
+    def no_model(*args):
+        raise AssertionError("the model was built before the sequence was checked")
+
+    monkeypatch.setattr(model_module, "init_model", no_model)
+    monkeypatch.setattr(checkpoint_module, "load_checkpoint", no_model)
+    inputs = {"infer": ("--ckpt", str(trained[2]), "--out", str(out)),
+              "train-toy": ("--steps", "1", "--ckpt", str(out))}
+    code, stdout, err = run(capsys, command, "--seq", str(seq), *inputs[command])
+    assert code == 2 and stdout == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert str(seq) in err
+    assert sorted(os.listdir(tmp_path)) == ["seq"]

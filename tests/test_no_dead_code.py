@@ -1,5 +1,5 @@
 """Every top-level function and class of the package has a caller, and
-every defaulted parameter is set by one.
+every defaulted parameter or dataclass field is set by one.
 
 A name counts as used when the package or the benchmark harness names it
 outside its own definition: as a name, an attribute, an import, or a word
@@ -105,4 +105,34 @@ def test_every_defaulted_parameter_is_set_by_a_caller():
                 if not any(param in keywords or (index is not None and n > index)
                            for n, keywords in calls[name]):
                     unset.append(f"{path.stem}.{name}({param})")
+    assert unset == []
+
+
+def _defaulted_fields(tree):
+    """(class, field) of each dataclass field that a caller may leave out:
+    one with a default or a default factory; ``init=False`` fields are not
+    set by callers."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and any(
+                "dataclass" in ast.unparse(d) for d in node.decorator_list):
+            for item in node.body:
+                if not (isinstance(item, ast.AnnAssign) and item.value is not None):
+                    continue
+                if isinstance(item.value, ast.Call) and ast.unparse(item.value.func) == "field":
+                    keywords = {k.arg: ast.unparse(k.value) for k in item.value.keywords}
+                    if keywords.get("init") == "False" \
+                            or not {"default", "default_factory"} & set(keywords):
+                        continue
+                yield node.name, item.target.id
+
+
+def test_every_defaulted_dataclass_field_is_set_by_a_caller():
+    # a field no call sets, by keyword in a call of its class or of
+    # dataclasses.replace, is a knob with one value: a constant
+    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in CALLERS}
+    calls = _calls(trees.values())
+    unset = [f"{path.stem}.{cls}.{name}"
+             for path in sorted(PACKAGE.glob("*.py"))
+             for cls, name in _defaulted_fields(trees[path])
+             if not any(name in keywords for _, keywords in calls[cls] + calls["replace"])]
     assert unset == []

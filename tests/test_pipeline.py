@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (encoder_parameter_count, membership_law, parameter_count,
-                     trunc_normal_loop)
+                     trunc_normal_loop, write_version_1_checkpoint)
 
 from swinvos import checkpoint as checkpoint_module
 from swinvos import engine
@@ -129,7 +129,7 @@ class TestModelConfig:
         # texts are what earlier checkpoints were written with
         with open(os.path.join(os.path.dirname(__file__), "canonical_configs.json")) as fh:
             frozen = json.load(fh)[variant]
-        changed = dict(k=7, memory_policy="firstprev", memory_stride=3,
+        changed = dict(k=7, memory_policy="firstprev",
                        other_mask_enabled=False, encoder_mode="image_only",
                        read_mode="dense_all")
         for key, cfg in (("default", ModelConfig(variant=variant)),
@@ -249,13 +249,53 @@ class TestMemoryBank:
             bank.initialize(np.zeros((8, 8, 3), np.float32),
                             np.zeros((8, 8), np.int64))
 
-    @pytest.mark.parametrize("stride", [0, -2])
-    def test_stride_below_one_is_config_error(self, stride):
-        with pytest.raises(ConfigError):
-            MemoryBank("every8", stride)
+
+    @pytest.mark.parametrize("policy", ["every8", "firstprev"])
+    @pytest.mark.parametrize("index", [0, -1])
+    def test_admit_below_one_refused_and_frame_zero_kept(self, policy, index):
+        bank = MemoryBank(policy)
+        mask = np.zeros((8, 8), np.int64)
+        mask[2:4, 2:4] = 1
+        first = np.zeros((8, 8, 3), np.float32)
+        bank.initialize(first, mask)
+        bank.admit(1, np.ones((8, 8, 3), np.float32), np.ones((1, 8, 8), np.float32))
+        with pytest.raises(UsageError, match="frame 0 is the given mask"):
+            bank.admit(index, np.ones((8, 8, 3), np.float32), np.ones((1, 8, 8), np.float32))
+        assert bank.frame_indices() == [0, 1]
+        _, frame, probs = bank.entries()[0]
+        np.testing.assert_array_equal(frame, first)
+        np.testing.assert_array_equal(probs, (mask == 1)[None].astype(np.float32))
+
+    @pytest.mark.parametrize("policy, kept", [("every8", {0, 8}), ("firstprev", {0})])
+    def test_admit_drops_the_maps_of_a_readmitted_index(self, policy, kept):
+        bank = MemoryBank(policy)
+        bank.initialize(np.zeros((8, 8, 3), np.float32), np.ones((8, 8), np.int64))
+        for t in range(1, 10):
+            bank.admit(t, np.zeros((8, 8, 3), np.float32), np.zeros((1, 8, 8), np.float32))
+        bank.cache = {i: f"maps of {i}" for i in bank.frame_indices()}
+        bank.admit(9, np.ones((8, 8, 3), np.float32), np.ones((1, 8, 8), np.float32))
+        assert set(bank.cache) == kept and bank.frame_indices() == sorted(kept | {9})
+        assert bank.entries()[-1][2].max() == 1.0  # the new masks replaced the old
 
 
 class TestSegmentFrame:
+    @pytest.mark.parametrize("policy", ["every8", "firstprev"])
+    def test_frame_zero_refused_before_any_work(self, nano_model, monkeypatch, policy):
+        sample = synth_moving_shapes(0, 2, 64, 1)
+        bank = MemoryBank(policy)
+        bank.initialize(sample.frames[0], sample.masks[0])
+        before = bank.entries()
+
+        def no_forward(*args):
+            raise AssertionError("a refused frame ran the forward pass")
+
+        monkeypatch.setattr(model_module, "_forward", no_forward)
+        with pytest.raises(UsageError, match="frame 0 is the given mask"):
+            segment_frame(nano_model, bank, sample.frames[1], 0)
+        after = bank.entries()
+        assert [i for i, _, _ in after] == [0] and bank.cache == {}
+        assert after[0][1] is before[0][1] and after[0][2] is before[0][2]
+
     def test_uninitialized_bank_rejected(self, nano_model):
         with pytest.raises(UsageError):
             segment_frame(nano_model, MemoryBank(),
@@ -265,7 +305,7 @@ class TestSegmentFrame:
         sample = synth_moving_shapes(0, 3, 64, 1)
         bank = MemoryBank()
         bank.initialize(sample.frames[0], sample.masks[0])
-        labels, probs, bank = segment_frame(nano_model, bank, sample.frames[1], 1)
+        labels, probs = segment_frame(nano_model, bank, sample.frames[1], 1)
         assert labels.shape == (64, 64)
         assert probs.shape == (1, 64, 64)
         assert set(np.unique(labels)) <= {0, 1}
@@ -275,7 +315,7 @@ class TestSegmentFrame:
         sample = synth_moving_shapes(1, 2, 64, 2)
         bank = MemoryBank()
         bank.initialize(sample.frames[0], sample.masks[0])
-        labels, probs, _ = segment_frame(nano_model, bank, sample.frames[1], 1)
+        labels, probs = segment_frame(nano_model, bank, sample.frames[1], 1)
         assert probs.shape[0] == 2
         assert labels.max() <= 2
 
@@ -626,7 +666,7 @@ def _stamped(body):
     return b"HSTC" + body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF)
 
 
-def _checkpoint_body(config_text, records, version=1):
+def _checkpoint_body(config_text, records, version=checkpoint_module.VERSION):
     """records: (name bytes, extents, dtype tag, payload bytes)."""
     body = struct.pack("<II", version, len(config_text)) + config_text
     for name, extents, tag, payload in records:
@@ -658,7 +698,8 @@ def _checkpoint_bodies(draw):
         payload = draw(st.one_of(st.just(bytes(count * 8 if tag == 1 else count * 4)),
                                  st.binary(max_size=16)))
         records.append((name, extents, tag, payload))
-    body = _checkpoint_body(config, records, 2 if rarely() else 1)
+    version = checkpoint_module.VERSION
+    body = _checkpoint_body(config, records, version + 1 if rarely() else version)
     if rarely():
         body = body[:draw(st.integers(0, len(body)))]
     if rarely():
@@ -767,12 +808,18 @@ class TestCheckpoint:
         path = tmp_path / "m.hst"
         save_checkpoint(nano_model, path)
         blob = bytearray(path.read_bytes())
-        blob[4:8] = struct.pack("<I", 2)
+        blob[4:8] = struct.pack("<I", checkpoint_module.VERSION + 1)
         body = bytes(blob[4:-4])
         blob[-4:] = struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF)
         path.write_bytes(bytes(blob))
         with pytest.raises(DataError, match="version"):
             read_checkpoint(path)
+
+    def test_version_1_file_is_data_error(self, tmp_path, nano_model):
+        path = tmp_path / "m.hst"
+        write_version_1_checkpoint(nano_model, path)
+        with pytest.raises(DataError, match="unsupported format version 1,"):
+            load_checkpoint(path)
 
     def test_corrupted_payload_fails_checksum(self, tmp_path, nano_model):
         path = tmp_path / "m.hst"
