@@ -156,34 +156,13 @@ def sample_training_triplet(n_frames, max_interval, rng):
     uniform over all valid triples."""
     if n_frames < 3:
         raise UsageError(f"triplet sampling needs >= 3 frames, got {n_frames}")
-    cap = max(1, int(max_interval))
-    last = n_frames - 1
-
-    def thirds(b):
-        """Valid c for a given b."""
-        return min(cap, last - b)
-
-    def pairs(a):
-        """Valid (b, c) for a given a: cap choices of c while b <= last - cap,
-        then last - b."""
-        hi = min(a + cap, last)
-        full = max(0, min(hi, last - cap) - a)
-        lo = max(a + 1, last - cap + 1)
-        tail = (2 * last - lo - hi) * (hi - lo + 1) // 2 if hi >= lo else 0
-        return full * cap + tail
-
-    # unrank one draw over the triples in lexicographic order
-    counts = [pairs(a) for a in range(n_frames - 2)]
-    index = int(rng.integers(0, sum(counts)))
-    a = 0
-    while index >= counts[a]:
-        index -= counts[a]
-        a += 1
-    b = a + 1
-    while index >= thirds(b):
-        index -= thirds(b)
-        b += 1
-    return a, b, b + 1 + index
+    # a gap above n_frames - 2 leaves no room for the other one
+    gaps = np.arange(1, min(max(1, int(max_interval)), n_frames - 2) + 1)
+    # valid[a, gap 1, gap 2]; row-major order is the triples' lexicographic order
+    valid = (np.arange(n_frames - 2)[:, None, None] + gaps[:, None] + gaps) < n_frames
+    chosen = np.flatnonzero(valid)[int(rng.integers(0, np.count_nonzero(valid)))]
+    a, g1, g2 = (int(i) for i in np.unravel_index(chosen, valid.shape))
+    return a, a + g1 + 1, a + g1 + g2 + 2
 
 
 # ---------------------------------------------------------------------------

@@ -160,32 +160,26 @@ class KeyValueProjector(Module):
             self.keys.append(Linear(dim, dim // 8, rng, bias=False))
             self.values.append(Linear(dim, dim // 2, rng, bias=False))
 
-    def __call__(self, features, stage):
-        """Project stage ``stage`` (1..4) of an encoder's stage list.
+    def __call__(self, features):
+        """Project an encoder's four stage maps.
 
-        A query map [H_i, W_i, C] gives one KeyValueMaps. A memory map
-        [M, T, H_i, W_i, C] leads with an object axis and gives a list of M
-        KeyValueMaps, one per object.
+        A memory map [M, T, H_i, W_i, C] leads with an object axis; a query
+        map [H_i, W_i, C] counts as one object. Returns, per object, the
+        list of its four stages' KeyValueMaps.
         """
-        if not 1 <= stage <= N_STAGES:
-            raise UsageError(f"stage must be 1..4, got {stage}")
-        f = features[stage - 1]
-        keys, values = self.keys[stage - 1], self.values[stage - 1]
-        if f.ndim == 5:
-            flat = engine.reshape(f, (f.shape[0], -1, f.shape[-1]))
-            return [KeyValueMaps(k, v) for k, v in
-                    zip(engine.unstack(_project_objects(flat, keys.weight.tensor())),
-                        engine.unstack(_project_objects(flat, values.weight.tensor())))]
-        flat = engine.reshape(f, (-1, f.shape[-1]))
-        return KeyValueMaps(engine.transpose(keys(flat), (1, 0)),
-                            engine.transpose(values(flat), (1, 0)))
+        per_stage = []
+        for f, keys, values in zip(features, self.keys, self.values):
+            flat = engine.reshape(f, (f.shape[0] if f.ndim == 5 else 1, -1, f.shape[-1]))
+            per_stage.append(zip(engine.unstack(_project_objects(flat, keys.weight.tensor())),
+                                 engine.unstack(_project_objects(flat, values.weight.tensor()))))
+        return [[KeyValueMaps(k, v) for k, v in maps] for maps in zip(*per_stage)]
 
 
 def _project_objects(x, weight):
     """[M, N, C] @ [C, n] as one op of M GEMMs, one per object: a GEMM's
     bytes can depend on its row count, and an object's must not depend on
     M. Returns [M, n, N], each object's map the transposed view of its
-    contiguous [N, n] product, the layout of a query map."""
+    contiguous [N, n] product: ``dense_read``'s bytes depend on that layout."""
     out = np.matmul(x.data, weight.data)  # numpy runs one GEMM per object
 
     def bwd(g):

@@ -886,7 +886,8 @@ def gradcheck(fn, arrays):
     """Compare taped gradients of ``fn`` against central differences (f64).
 
     ``fn`` maps Tensors to a scalar Tensor. Returns the worst relative
-    error, for the caller to hold against its tolerance.
+    error, for the caller to hold against its tolerance; inf when an error
+    is not finite (a NaN gradient would otherwise lose every comparison).
     Relative error is |analytic - numeric| / max(1, |numeric|) per element.
     """
     arrays = [np.asarray(a, dtype=np.float64) for a in arrays]
@@ -905,5 +906,7 @@ def gradcheck(fn, arrays):
     for a, n in zip(analytic, numeric):
         denom = np.maximum(1.0, np.abs(n))
         rel = np.abs(a - n) / denom
+        if not np.isfinite(rel).all():
+            return math.inf
         worst = max(worst, float(rel.max()) if rel.size else 0.0)
     return worst

@@ -12,6 +12,7 @@ from . import engine
 from .attention import SwinBlock, window_msa
 from .config import GRADCHECK_SEED
 from .decoder import RefinementStage, soft_aggregate
+from .encoders import _project_objects
 from .engine import Tensor
 from .memread import ReadGeometry, TopKIndexSet, dense_read, topk_read
 from .model import cross_entropy
@@ -85,6 +86,18 @@ def _check_gather_rows(rng):
         _scalarized(lambda x, fill: engine.gather_rows(x, rows, inverse, (2, 4, 3), fill),
                     _probe((2, 4, 3), 15)),
         [rng.standard_normal((2, 3, 3)), rng.standard_normal(3)])
+
+
+def _check_project_objects(rng):
+    # three objects, each piece taken with unstack, as the k/v projection does
+    probe = _probe((3, 2, 4), 16)
+
+    def fn(x, weight):
+        pieces = engine.unstack(_project_objects(x, weight))
+        sums = [engine.tsum(engine.mul(piece, Tensor(p))) for piece, p in zip(pieces, probe)]
+        return engine.add(engine.add(sums[0], sums[1]), sums[2])
+
+    return engine.gradcheck(fn, [rng.standard_normal((3, 4, 5)), rng.standard_normal((5, 2))])
 
 
 def _check_window_msa(rng):
@@ -208,6 +221,7 @@ SUITE = [
     ("conv2d", _check_conv2d, PRIMITIVE_TOL),
     ("bilinear_upsample", _check_bilinear_upsample, PRIMITIVE_TOL),
     ("gather_rows", _check_gather_rows, PRIMITIVE_TOL),
+    ("project_objects", _check_project_objects, PRIMITIVE_TOL),
     ("window_msa", _check_window_msa, COMPOSED_TOL),
     ("swin_block", _check_swin_block, COMPOSED_TOL),
     ("swin_block_objects", _check_swin_block_objects, COMPOSED_TOL),

@@ -116,23 +116,18 @@ def dense_read_stage4(kq, vq, km, vm):
 def _dense_read_impl(kq, vq, km, vm, want_raw):
     _check_kv(kq, vq, km, vm)
     nq = kq.shape[1]
-    nm = km.shape[1]
     kq_t = engine.transpose(kq, (1, 0))
-    chunk = max(1, _CHUNK_ELEMS // max(nm, 1))
+    chunk = max(1, _CHUNK_ELEMS // max(km.shape[1], 1))
     if want_raw or nq <= chunk:
-        s = engine.matmul(kq_t, km)  # [Nq, Nm]
-        w = engine.softmax(s, axis=1)
-        readout = engine.transpose(engine.matmul(w, engine.transpose(vm, (1, 0))), (1, 0))
-        y = engine.concat([vq, readout], axis=0)
-        return y, (s.data if want_raw else None)
+        chunk = max(nq, 1)  # one chunk; an empty query still takes one pass
     parts = []
-    for start in range(0, nq, chunk):
-        rows = kq_t[start:start + chunk]
-        s = engine.matmul(rows, km)
+    for start in range(0, max(nq, 1), chunk):
+        rows = kq_t if chunk >= nq else kq_t[start:start + chunk]
+        s = engine.matmul(rows, km)  # [rows, Nm]
         w = engine.softmax(s, axis=1)
         parts.append(engine.matmul(w, engine.transpose(vm, (1, 0))))
     readout = engine.transpose(engine.concat(parts, axis=0), (1, 0))
-    return engine.concat([vq, readout], axis=0), None
+    return engine.concat([vq, readout], axis=0), (s.data if want_raw else None)
 
 
 def select_topk(s_raw, k):

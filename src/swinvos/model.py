@@ -10,12 +10,12 @@ objects: their masks ride a leading object axis through the encoder and
 the k/v projection, and no attention window spans two objects; reads and
 decoding stay per object. When memory features are per-frame
 (one-frame temporal windows, or the image-only path), each memory frame is
-encoded once and its key/value maps are cached by frame key; 3D-window
+encoded once and its key/value maps are cached by frame index; 3D-window
 encoders encode the memory frames jointly. Inference walks a sequence
 frame by frame: the ``MemoryBank`` keeps the given first frame, the
 previous frame and (every8) every 8th frame, and holds the cache across frames.
-Training follows the three-frame protocol: ground truth seeds the memory,
-frame 1's prediction is both a loss term and the memory for frame 2.
+Training follows the three-frame protocol: ground truth seeds a bank as in
+inference, frame 1's prediction is both a loss term and the memory for frame 2.
 ``ModelConfig`` and ``VARIANTS`` live in ``config`` and are re-exported here.
 """
 
@@ -78,52 +78,39 @@ def init_model(config, seed):
     return Model(config, np.random.default_rng(seed))
 
 
-def _object_probs(mask, n_objects):
-    """One-hot [M, H, W] float32 maps of labels 1..M of a label map."""
-    mask = np.asarray(mask)
-    return np.stack([(mask == m + 1).astype(np.float32) for m in range(n_objects)])
-
-
 class MemoryBank:
     """Past frames and their per-object masks, kept by the retention policy.
 
-    After frame t is admitted the bank holds frame 0 (always the given
-    mask), frame t and, under every8, each admitted multiple of
+    The bank starts with frame 0 and the one-hot maps of labels
+    1..``n_objects`` of its mask. After frame t is admitted it holds frame
+    0, frame t and, under every8, each admitted multiple of
     ``MEMORY_STRIDE``. ``cache`` maps a retained index to its per-object
     memory key/value maps when the memory encoder is per-frame: ``_forward``
     fills it and ``admit`` prunes it. A bank serves one model.
     """
 
-    def __init__(self, policy="every8"):
+    def __init__(self, policy, frame, first_mask, n_objects):
         if policy not in MEMORY_POLICIES:
             raise ConfigError(f"memory policy must be one of {MEMORY_POLICIES}")
-        self.policy = policy
-        self._entries = {}  # frame index -> (frame, per-object probs)
-        self.cache = {}
-
-    def initialize(self, frame, first_mask):
-        """Seed with frame 0 and its ground-truth label map."""
-        n_objects = int(np.max(first_mask))
         if n_objects < 1:
-            raise UsageError("first mask labels no objects")
-        self._entries = {0: (np.asarray(frame), _object_probs(first_mask, n_objects))}
+            raise UsageError(f"a memory bank needs at least one object, got {n_objects}")
+        self.policy = policy
+        labels = np.arange(1, n_objects + 1)[:, None, None]
+        self._entries = {0: (np.asarray(frame), Tensor(np.asarray(first_mask) == labels))}
         self.cache = {}
 
     def admit(self, index, frame, probs):
-        """Record segmented frame ``index`` (1 or more); frames that leave the
-        bank lose their cached maps, and so does ``index``, whose masks are new."""
+        """Record segmented frame ``index`` (1 or more) and its per-object
+        probabilities, an [M, H, W] Tensor; frames that leave the bank lose
+        their cached maps, and so does ``index``, whose masks are new."""
         _check_index(index)
-        if 0 not in self._entries:
-            raise UsageError("memory bank not initialized with frame 0")
-        self._entries[index] = (np.asarray(frame), np.asarray(probs))
+        self._entries[index] = (np.asarray(frame), probs)
         self._entries = {i: e for i, e in self._entries.items() if i in (0, index)
                          or (self.policy == "every8" and i % MEMORY_STRIDE == 0)}
         self.cache = {i: kv for i, kv in self.cache.items() if i in self._entries and i != index}
 
     def entries(self):
-        """(index, frame, probs) of each retained frame, sorted by index."""
-        if 0 not in self._entries:
-            raise UsageError("memory bank not initialized with frame 0")
+        """(index, frame, probs Tensor) of each retained frame, sorted by index."""
         return [(i,) + self._entries[i] for i in sorted(self._entries)]
 
     def frame_indices(self):
@@ -160,31 +147,30 @@ def _encode_memory_kv(model, memory):
     frames = Tensor(np.stack([f for _, f, _ in memory]).astype(DEFAULT_DTYPE))
     probs = engine.concat([engine.reshape(p, (1,) + p.shape) for _, _, p in memory], axis=0)
     feats = model.encode_memory(frames, *_mask_pairs(probs, model.config.other_mask_enabled))
-    per_stage = [model.memory_proj(feats, s) for s in (1, 2, 3, 4)]
-    return [list(kv) for kv in zip(*per_stage)]
+    return model.memory_proj(feats)
 
 
-def _forward(model, frame, memory, cache):
+def _forward(model, frame, bank):
     """The forward pass shared by inference and training.
 
-    ``frame`` is the query [H, W, 3]; ``memory`` is a frame-ordered list of
-    (key, frame [H, W, 3], probs [M, H, W] Tensor). Per-frame memory
-    encoders encode a memory frame only when its key is missing from the
-    dict ``cache``, and store the result there; 3D-window encoders encode
-    the memory frames jointly. Reads and decodes each object over the shared
-    query features and returns the soft-aggregated class distribution
-    [M+1, H, W].
+    ``frame`` is the query [H, W, 3], read against the retained entries of
+    the ``MemoryBank``. Per-frame memory encoders encode a memory frame
+    only when its index is missing from ``bank.cache``, and store the
+    result there; 3D-window encoders encode the memory frames jointly.
+    Reads and decodes each object over the shared query features and
+    returns the soft-aggregated class distribution [M+1, H, W].
     """
     hw = frame.shape[:2]
+    memory = bank.entries()
     for _, f, _ in memory:
         if f.shape[:2] != hw:
             raise DimensionError(f"frame extents {hw} differ from memory {f.shape[:2]}")
     query_feats = model.query_encoder(Tensor(frame.astype(DEFAULT_DTYPE)))
     if model.per_frame_memory:
-        for key, f, p in memory:
-            if key not in cache:
-                cache[key] = _encode_memory_kv(model, [(key, f, p)])
-        per_frame = [cache[key] for key, _, _ in memory]
+        for i, f, p in memory:
+            if i not in bank.cache:
+                bank.cache[i] = _encode_memory_kv(model, [(i, f, p)])
+        per_frame = [bank.cache[i] for i, _, _ in memory]
         # each object's time-major maps over all the frames
         memory_kv = [[KeyValueMaps(engine.concat([f[m][s].key for f in per_frame], axis=1),
                                    engine.concat([f[m][s].value for f in per_frame], axis=1))
@@ -192,7 +178,7 @@ def _forward(model, frame, memory, cache):
                      for m in range(len(per_frame[0]))]
     else:
         memory_kv = _encode_memory_kv(model, memory)
-    query_kv = [model.query_proj(query_feats, s) for s in (1, 2, 3, 4)]
+    (query_kv,) = model.query_proj(query_feats)
     h4, w4 = query_feats[3].shape[:2]
     geom = ReadGeometry(len(memory), h4, w4)
     per_object = []
@@ -213,14 +199,11 @@ def segment_frame(model, bank, frame, index):
     """
     _check_index(index)
     frame = np.asarray(frame)
-    memory = [(i, f, Tensor(p, dtype=DEFAULT_DTYPE)) for i, f, p in bank.entries()]
-    dist = _forward(model, frame, memory, bank.cache)
+    dist = _forward(model, frame, bank)
     if not np.isfinite(dist.data).all():
         raise NumericError(f"non-finite class distribution at frame {index}")
-    labels = predict_labels(dist)
-    object_probs = dist.data[1:]
-    bank.admit(index, frame, object_probs)
-    return labels, object_probs
+    bank.admit(index, frame, Tensor(dist.data[1:]))
+    return predict_labels(dist), dist.data[1:]
 
 
 def run_sequence(model, frames, first_mask):
@@ -236,8 +219,7 @@ def run_sequence(model, frames, first_mask):
     if frames[0].shape[:2] != first_mask.shape:
         raise DimensionError(
             f"first frame {frames[0].shape[:2]} vs mask {first_mask.shape}")
-    bank = MemoryBank(model.config.memory_policy)
-    bank.initialize(frames[0], first_mask)
+    bank = MemoryBank(model.config.memory_policy, frames[0], first_mask, int(first_mask.max()))
     labels = [first_mask.astype(np.int64)]
     timings = [0.0]
     for t in range(1, len(frames)):
@@ -267,28 +249,26 @@ def cross_entropy(class_dist, labels):
 def train_step(model, frames, masks, lr):
     """One optimization step on a temporally ordered triplet.
 
-    Frame 0's ground truth seeds the memory; frames 1 and 2 are predicted
-    in turn, with frame 1's prediction entering the memory (gradients flow
-    through it). Per-frame memory encoders encode frame 0 once for both
-    predictions. Returns the scalar loss; raises NumericError, leaving the
-    parameters as they were, when the loss is not finite or when no
-    touched parameter has a non-zero gradient.
+    Frame 0's ground truth seeds a ``MemoryBank`` with every object the
+    triplet labels; frames 1 and 2 are predicted in turn, and frame 1's
+    prediction is admitted to the bank (gradients flow through it). Per-frame
+    memory encoders encode frame 0 once for both predictions. Returns the
+    scalar loss; raises NumericError, leaving the parameters as they were,
+    when the loss is not finite or when no touched parameter has a non-zero
+    gradient.
     """
     if len(frames) != 3 or len(masks) != 3:
         raise UsageError("training consumes exactly three frames and masks")
-    n_objects = int(max(np.max(m) for m in masks))
-    if n_objects < 1:
-        raise UsageError("triplet labels no objects")
-    memory = [(0, frames[0], Tensor(_object_probs(masks[0], n_objects), dtype=DEFAULT_DTYPE))]
-    cache = {}
+    bank = MemoryBank(model.config.memory_policy, frames[0], masks[0],
+                      int(max(np.max(m) for m in masks)))
     with Tape() as tape:
         losses = []
         for step in (1, 2):
-            dist = _forward(model, frames[step], memory, cache)
+            dist = _forward(model, frames[step], bank)
             losses.append(cross_entropy(dist, masks[step]))
             if step == 1:
                 # feed the aggregated per-object maps back, as inference does
-                memory.append((step, frames[step], dist[1:]))
+                bank.admit(step, frames[step], dist[1:])
         loss = engine.mul(engine.add(losses[0], losses[1]), 0.5)
     value = float(loss.data)
     if not np.isfinite(value):
@@ -310,7 +290,9 @@ def train_toy(model, sample, steps, lr, seed=0, curriculum=True):
 
     The triplet-sampling interval cap grows linearly from 0 to
     ``MAX_INTERVAL`` (clamped to the sequence length) over the schedule;
-    with ``curriculum`` off the cap is fixed at its final value.
+    with ``curriculum`` off the cap is fixed at its final value. A triplet
+    whose three masks label no object is redrawn, so a sample must label
+    an object in some frame.
     """
     if steps < 0:
         raise UsageError(f"step count must not be negative, got {steps}")
@@ -318,6 +300,9 @@ def train_toy(model, sample, steps, lr, seed=0, curriculum=True):
         raise ConfigError(f"learning rate must be finite and positive, got {lr}")
     if steps == 0:
         return []
+    labelled = [bool(np.any(m)) for m in sample.masks]
+    if not any(labelled):
+        raise UsageError("training needs a sample that labels an object")
     rng = np.random.default_rng(seed)
     n = len(sample.frames)
     final_cap = max(1, min(MAX_INTERVAL, n - 1))
@@ -327,8 +312,10 @@ def train_toy(model, sample, steps, lr, seed=0, curriculum=True):
             cap = max(1, round(final_cap * step / (steps - 1)))
         else:
             cap = final_cap
-        i1, i2, i3 = sample_training_triplet(n, cap, rng)
-        frames = [sample.frames[i] for i in (i1, i2, i3)]
-        masks = [sample.masks[i] for i in (i1, i2, i3)]
+        triplet = sample_training_triplet(n, cap, rng)
+        while not any(labelled[i] for i in triplet):
+            triplet = sample_training_triplet(n, cap, rng)
+        frames = [sample.frames[i] for i in triplet]
+        masks = [sample.masks[i] for i in triplet]
         curve.append(train_step(model, frames, masks, lr))
     return curve

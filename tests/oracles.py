@@ -104,6 +104,18 @@ def encoder_parameter_count(model):
                if name.startswith(prefixes))
 
 
+def linear_query_kv(projector, features):
+    """Reference query projection: per stage, the bias-free ``Linear`` on
+    the [H_i*W_i, C] rows, then a transpose of each product, giving
+    KeyValueMaps of [C_i/8, N] and [C_i/2, N] views."""
+    maps = []
+    for f, keys, values in zip(features, projector.keys, projector.values):
+        flat = engine.reshape(f, (-1, f.shape[-1]))
+        maps.append(KeyValueMaps(engine.transpose(keys(flat), (1, 0)),
+                                 engine.transpose(values(flat), (1, 0))))
+    return maps
+
+
 def joint_reencode_segment(model, frames, first_mask):
     """Reference inference: on every frame, each object's memory is the
     whole retained set re-encoded in one joint encoder call of its own,
@@ -123,7 +135,7 @@ def joint_reencode_segment(model, frames, first_mask):
         mem_frames = Tensor(np.stack([frames[i] for i in members]).astype(dtype))
         mem_probs = np.stack([probs[i] for i in members]).astype(dtype)
         query = model.query_encoder(Tensor(frames[t].astype(dtype)))
-        query_kv = [model.query_proj(query, s) for s in (1, 2, 3, 4)]
+        (query_kv,) = model.query_proj(query)
         h4, w4 = query[3].shape[:2]
         geom = ReadGeometry(len(members), h4, w4)
         per_object = []
@@ -136,7 +148,7 @@ def joint_reencode_segment(model, frames, first_mask):
                 other = np.zeros_like(target)
             feats = model.encode_memory(mem_frames, Tensor(target[None, ..., None]),
                                         Tensor(other[None, ..., None]))
-            memory_kv = [model.memory_proj(feats, s)[0] for s in (1, 2, 3, 4)]
+            (memory_kv,) = model.memory_proj(feats)
             ys, _ = read_all(query_kv, memory_kv, geom, cfg.k, cfg.read_mode)
             per_object.append(model.decoder(ys, (h4, w4), frames[t].shape[:2]))
         dist = soft_aggregate(per_object)

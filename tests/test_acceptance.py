@@ -303,11 +303,10 @@ def test_criterion_9_roundtrips(tmp_path):
 
     # memory bank membership law, exhaustive to t = 100
     for policy in ("every8", "firstprev"):
-        bank = MemoryBank(policy=policy)
         first = np.zeros((8, 8), np.int64)
         first[0, 0] = 1
-        bank.initialize(np.zeros((8, 8, 3), np.float32), first)
-        probs = np.zeros((1, 8, 8), np.float32)
+        bank = MemoryBank(policy, np.zeros((8, 8, 3), np.float32), first, 1)
+        probs = Tensor(np.zeros((1, 8, 8), np.float32))
         for t in range(1, 101):
             ok &= bank.frame_indices() == membership_law(t, policy)
             bank.admit(t, np.zeros((8, 8, 3), np.float32), probs)

@@ -157,6 +157,25 @@ class TestTrainToy:
         assert "frame extents (64, 64) differ from memory (96, 96)" in err
 
 
+    def test_partly_labelled_sequence_trains(self, tmp_path, capsys):
+        # masks 0-2 label nothing, so most triplets of a 4-frame clip carry
+        # no object and are redrawn
+        from swinvos.data import read_pgm, write_pgm
+
+        seq = tmp_path / "seq"
+        run(capsys, "gen", "--out", str(seq), "--frames", "4", "--size", "64")
+        for i in range(3):
+            path = seq / "masks" / f"{i:05d}.pgm"
+            write_pgm(read_pgm(path) * 0, path)
+        ckpt = tmp_path / "m.hst"
+        code, _, err = run(capsys, "train-toy", "--seq", str(seq), "--steps", "30",
+                           "--ckpt", str(ckpt), "--k", "8")
+        assert code == 0, err
+        assert ckpt.exists()
+        lines = ckpt.with_name(ckpt.name + ".loss.csv").read_text().splitlines()
+        assert len(lines) == 31
+
+
 class TestInferAndEval:
     def test_infer_writes_masks_and_timing(self, trained, capsys):
         root, seq, ckpt = trained

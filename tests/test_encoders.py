@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from swinvos import engine
 from swinvos.attention import SwinBlock
 from swinvos.config import VARIANTS, ModelConfig
 from swinvos.encoders import (
@@ -167,33 +168,58 @@ class TestKeyValueProjector:
     def test_nano_stage1_rows(self, rng):
         proj = KeyValueProjector(8, rng)
         enc = ImageEncoder(NANO, rng)
-        feats = enc(Tensor(rng.random((32, 32, 3)).astype(np.float32)))
-        kv = proj(feats, 1)
-        assert kv.key.shape == (1, 64)    # C1/8 = 1, 8x8 grid
-        assert kv.value.shape == (4, 64)  # C1/2 = 4
+        (maps,) = proj(enc(Tensor(rng.random((32, 32, 3)).astype(np.float32))))
+        assert len(maps) == 4
+        assert maps[0].key.shape == (1, 64)    # C1/8 = 1, 8x8 grid
+        assert maps[0].value.shape == (4, 64)  # C1/2 = 4
 
     def test_full_scale_stage4_rows(self, rng):
         # C=128 pyramid has C4=1024: key rows 128, value rows 512
         proj = KeyValueProjector(128, rng)
-        f4 = Tensor(rng.standard_normal((2, 2, 1024)).astype(np.float32))
-        kv = proj([None, None, None, f4], 4)
-        assert kv.key.shape == (128, 4)
-        assert kv.value.shape == (512, 4)
+        feats = [Tensor(rng.standard_normal((2, 2, 128 * 2 ** i)).astype(np.float32))
+                 for i in range(4)]
+        (maps,) = proj(feats)
+        assert maps[3].key.shape == (128, 4)
+        assert maps[3].value.shape == (512, 4)
 
     def test_memory_flatten_order_delta_probe(self, rng):
-        # delta at (t, x, y) must land at column t*H*W + x*W + y
+        # delta at (t, x, y) of object 1 must land at column t*H*W + x*W + y
+        # of object 1's maps, and nowhere in object 0's
         proj = KeyValueProjector(8, rng)
-        t, h, w, c = 2, 3, 4, 8
-        feat = np.zeros((t, h, w, c), dtype=np.float32)
-        feat[1, 2, 3, :] = 1.0
-        kv = proj([Tensor(feat)], 1)
-        nonzero = np.nonzero(np.abs(kv.key.data).sum(axis=0))[0]
+        t, h, w = 2, 3, 4
+        feats = [np.zeros((2, t, h, w, 8 * 2 ** i), dtype=np.float32) for i in range(4)]
+        feats[0][1, 1, 2, 3, :] = 1.0
+        per_object = proj([Tensor(f) for f in feats])
+        assert len(per_object) == 2 and all(len(maps) == 4 for maps in per_object)
+        assert not per_object[0][0].key.data.any()
+        nonzero = np.nonzero(np.abs(per_object[1][0].key.data).sum(axis=0))[0]
         assert nonzero.tolist() == [1 * h * w + 2 * w + 3]
 
-    def test_stage_out_of_range(self, rng):
+    @pytest.mark.parametrize("extent", [32, 96])
+    def test_query_maps_match_linear_reference(self, rng, extent):
+        # dense_read's bytes depend on the layout of its maps: each must be
+        # the transposed view of a contiguous [N, n] product, as the
+        # Linear-and-transpose form gives; training needs the same gradients
+        from oracles import linear_query_kv
+
         proj = KeyValueProjector(8, rng)
-        with pytest.raises(UsageError):
-            proj(None, 5)
+        enc = ImageEncoder(NANO, rng)
+        frame = Tensor(rng.random((extent, extent, 3)).astype(np.float32))
+        runs = []
+        for project in (lambda f: proj(f)[0], lambda f: linear_query_kv(proj, f)):
+            with engine.Tape() as tape:
+                maps = [m for kv in project(enc(frame)) for m in (kv.key, kv.value)]
+                loss = engine.tsum(engine.concat(
+                    [engine.reshape(engine.mul(m, m), (-1,)) for m in maps], axis=0))
+            engine.backward(loss, tape)
+            runs.append((maps, [p.grad for p in tape.parameters]))
+        (got, got_grads), (want, want_grads) = runs
+        for a, b in zip(got, want, strict=True):
+            assert a.shape == b.shape and a.data.strides == b.data.strides
+            assert a.data.flags.f_contiguous
+            assert a.data.tobytes() == b.data.tobytes()
+        for a, b in zip(got_grads, want_grads, strict=True):
+            assert a.tobytes() == b.tobytes()
 
 
 def test_full_scale_stage4_extent():

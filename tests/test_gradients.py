@@ -144,3 +144,21 @@ def test_composed_mlp_block(seed):
           rng.standard_normal(8), rng.standard_normal((8, 3)),
           rng.standard_normal(3), rng.standard_normal(3) + 1.0,
           rng.standard_normal(3))
+
+
+def test_nan_gradient_reads_infinite():
+    # finite checks watch forward outputs only; a NaN backward must still fail
+    def doubled(x):
+        return engine.record_op(x.data * 2.0, (x,), lambda g: (np.full(x.shape, np.nan),))
+
+    assert gradcheck(lambda x: engine.tsum(doubled(x)), [RNG.standard_normal(3)]) == np.inf
+
+
+def test_suite_checks_project_objects():
+    from swinvos.gradsuite import PRIMITIVE_TOL, SUITE
+
+    rows = {name: (check, tol) for name, check, tol in SUITE}
+    assert len(SUITE) == 17
+    check, tol = rows["project_objects"]
+    assert tol == PRIMITIVE_TOL
+    assert check(np.random.default_rng(0)) <= tol

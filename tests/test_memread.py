@@ -87,6 +87,22 @@ class TestDenseRead:
         chunked = dense_read(Tensor(kq), Tensor(vq), Tensor(km), Tensor(vm))
         np.testing.assert_allclose(chunked.data, full.data, atol=1e-12)
 
+    @pytest.mark.parametrize("chunk_elems", [1, 64, memread._CHUNK_ELEMS])
+    def test_query_without_columns_reads_empty(self, monkeypatch, chunk_elems):
+        kq, vq, km, vm = small_kv(9, stage=2)
+        monkeypatch.setattr(memread, "_CHUNK_ELEMS", chunk_elems)
+        y = dense_read(Tensor(kq[:, :0]), Tensor(vq[:, :0]), Tensor(km), Tensor(vm))
+        assert y.shape == (vq.shape[0] + vm.shape[0], 0)
+
+    def test_stage4_reads_in_one_chunk(self, monkeypatch):
+        # the raw affinities cover every query row whatever the chunk size
+        kq, vq, km, vm = small_kv(9, stage=2)
+        full, s_full = dense_read_stage4(Tensor(kq), Tensor(vq), Tensor(km), Tensor(vm))
+        monkeypatch.setattr(memread, "_CHUNK_ELEMS", 64)
+        y, s = dense_read_stage4(Tensor(kq), Tensor(vq), Tensor(km), Tensor(vm))
+        assert s.shape == (kq.shape[1], km.shape[1])
+        assert s.tobytes() == s_full.tobytes() and y.data.tobytes() == full.data.tobytes()
+
 
 class TestSelectTopk:
     def test_clamp_to_row_length(self, rng):

@@ -199,91 +199,96 @@ class TestInitModel:
         del model
 
 
-class TestMemoryBank:
-    def test_must_initialize_first(self):
-        bank = MemoryBank()
-        with pytest.raises(UsageError):
-            bank.entries()
+def _corner_mask():
+    mask = np.zeros((8, 8), np.int64)
+    mask[0, 0] = 1
+    return mask
 
+
+class TestMemoryBank:
     def test_policy_at_start(self):
-        bank = MemoryBank()
         mask = np.zeros((8, 8), np.int64)
         mask[2:4, 2:4] = 1
-        bank.initialize(np.zeros((8, 8, 3), np.float32), mask)
+        bank = MemoryBank("every8", np.zeros((8, 8, 3), np.float32), mask, 1)
         assert bank.frame_indices() == [0]
+        assert bank.cache == {}
+
+    @pytest.mark.parametrize("n_objects", [1, 2, 3])
+    def test_seed_maps_are_one_hot_labels(self, n_objects):
+        # labels above n_objects get no map; a label missing from the mask
+        # gets an all-zero one
+        mask = np.random.default_rng(n_objects).integers(0, 4, (8, 8))
+        mask[mask == 2] = 0
+        bank = MemoryBank("every8", np.zeros((8, 8, 3), np.float32), mask, n_objects)
+        (_, _, probs), = bank.entries()
+        assert isinstance(probs, engine.Tensor) and probs.dtype == np.float32
+        expected = np.stack([(mask == m + 1).astype(np.float32) for m in range(n_objects)])
+        assert probs.data.tobytes() == expected.tobytes()
 
     def test_policy_simulation_frame_20(self):
-        bank = MemoryBank()
-        mask = np.zeros((8, 8), np.int64)
-        mask[2:4, 2:4] = 1
-        bank.initialize(np.zeros((8, 8, 3), np.float32), mask)
-        probs = np.zeros((1, 8, 8), np.float32)
+        bank = MemoryBank("every8", np.zeros((8, 8, 3), np.float32), _corner_mask(), 1)
+        probs = engine.Tensor(np.zeros((1, 8, 8), np.float32))
         for t in range(1, 20):
             bank.admit(t, np.zeros((8, 8, 3), np.float32), probs)
         assert bank.frame_indices() == [0, 8, 16, 19]
 
     def test_firstprev_policy(self):
-        bank = MemoryBank(policy="firstprev")
-        mask = np.zeros((8, 8), np.int64)
-        mask[0, 0] = 1
-        bank.initialize(np.zeros((8, 8, 3), np.float32), mask)
-        probs = np.zeros((1, 8, 8), np.float32)
+        bank = MemoryBank("firstprev", np.zeros((8, 8, 3), np.float32), _corner_mask(), 1)
+        probs = engine.Tensor(np.zeros((1, 8, 8), np.float32))
         for t in range(1, 30):
             bank.admit(t, np.zeros((8, 8, 3), np.float32), probs)
         assert bank.frame_indices() == [0, 29]
 
     def test_membership_law_exhaustive_to_100(self):
         for policy in ("every8", "firstprev"):
-            bank = MemoryBank(policy=policy)
-            mask = np.zeros((8, 8), np.int64)
-            mask[0, 0] = 1
-            bank.initialize(np.zeros((8, 8, 3), np.float32), mask)
-            probs = np.zeros((1, 8, 8), np.float32)
+            bank = MemoryBank(policy, np.zeros((8, 8, 3), np.float32), _corner_mask(), 1)
+            probs = engine.Tensor(np.zeros((1, 8, 8), np.float32))
             for t in range(1, 101):
                 assert bank.frame_indices() == membership_law(t, policy), f"t={t}"
                 bank.admit(t, np.zeros((8, 8, 3), np.float32), probs)
 
     def test_first_mask_must_label_an_object(self):
-        bank = MemoryBank()
-        with pytest.raises(UsageError):
-            bank.initialize(np.zeros((8, 8, 3), np.float32),
-                            np.zeros((8, 8), np.int64))
+        with pytest.raises(UsageError, match="at least one object"):
+            MemoryBank("every8", np.zeros((8, 8, 3), np.float32), np.zeros((8, 8), np.int64), 0)
 
+    def test_unknown_policy_is_config_error(self):
+        with pytest.raises(ConfigError):
+            MemoryBank("every9", np.zeros((8, 8, 3), np.float32), _corner_mask(), 1)
 
     @pytest.mark.parametrize("policy", ["every8", "firstprev"])
     @pytest.mark.parametrize("index", [0, -1])
     def test_admit_below_one_refused_and_frame_zero_kept(self, policy, index):
-        bank = MemoryBank(policy)
         mask = np.zeros((8, 8), np.int64)
         mask[2:4, 2:4] = 1
         first = np.zeros((8, 8, 3), np.float32)
-        bank.initialize(first, mask)
-        bank.admit(1, np.ones((8, 8, 3), np.float32), np.ones((1, 8, 8), np.float32))
+        bank = MemoryBank(policy, first, mask, 1)
+        ones = engine.Tensor(np.ones((1, 8, 8), np.float32))
+        bank.admit(1, np.ones((8, 8, 3), np.float32), ones)
         with pytest.raises(UsageError, match="frame 0 is the given mask"):
-            bank.admit(index, np.ones((8, 8, 3), np.float32), np.ones((1, 8, 8), np.float32))
+            bank.admit(index, np.ones((8, 8, 3), np.float32), ones)
         assert bank.frame_indices() == [0, 1]
         _, frame, probs = bank.entries()[0]
         np.testing.assert_array_equal(frame, first)
-        np.testing.assert_array_equal(probs, (mask == 1)[None].astype(np.float32))
+        np.testing.assert_array_equal(probs.data, (mask == 1)[None].astype(np.float32))
 
     @pytest.mark.parametrize("policy, kept", [("every8", {0, 8}), ("firstprev", {0})])
     def test_admit_drops_the_maps_of_a_readmitted_index(self, policy, kept):
-        bank = MemoryBank(policy)
-        bank.initialize(np.zeros((8, 8, 3), np.float32), np.ones((8, 8), np.int64))
+        bank = MemoryBank(policy, np.zeros((8, 8, 3), np.float32), np.ones((8, 8), np.int64), 1)
         for t in range(1, 10):
-            bank.admit(t, np.zeros((8, 8, 3), np.float32), np.zeros((1, 8, 8), np.float32))
+            bank.admit(t, np.zeros((8, 8, 3), np.float32),
+                       engine.Tensor(np.zeros((1, 8, 8), np.float32)))
         bank.cache = {i: f"maps of {i}" for i in bank.frame_indices()}
-        bank.admit(9, np.ones((8, 8, 3), np.float32), np.ones((1, 8, 8), np.float32))
+        bank.admit(9, np.ones((8, 8, 3), np.float32),
+                   engine.Tensor(np.ones((1, 8, 8), np.float32)))
         assert set(bank.cache) == kept and bank.frame_indices() == sorted(kept | {9})
-        assert bank.entries()[-1][2].max() == 1.0  # the new masks replaced the old
+        assert bank.entries()[-1][2].data.max() == 1.0  # the new masks replaced the old
 
 
 class TestSegmentFrame:
     @pytest.mark.parametrize("policy", ["every8", "firstprev"])
     def test_frame_zero_refused_before_any_work(self, nano_model, monkeypatch, policy):
         sample = synth_moving_shapes(0, 2, 64, 1)
-        bank = MemoryBank(policy)
-        bank.initialize(sample.frames[0], sample.masks[0])
+        bank = MemoryBank(policy, sample.frames[0], sample.masks[0], 1)
         before = bank.entries()
 
         def no_forward(*args):
@@ -296,25 +301,20 @@ class TestSegmentFrame:
         assert [i for i, _, _ in after] == [0] and bank.cache == {}
         assert after[0][1] is before[0][1] and after[0][2] is before[0][2]
 
-    def test_uninitialized_bank_rejected(self, nano_model):
-        with pytest.raises(UsageError):
-            segment_frame(nano_model, MemoryBank(),
-                          np.zeros((32, 32, 3), np.float32), 1)
-
     def test_returns_label_map_and_updates_bank(self, nano_model):
         sample = synth_moving_shapes(0, 3, 64, 1)
-        bank = MemoryBank()
-        bank.initialize(sample.frames[0], sample.masks[0])
+        bank = MemoryBank("every8", sample.frames[0], sample.masks[0], 1)
         labels, probs = segment_frame(nano_model, bank, sample.frames[1], 1)
         assert labels.shape == (64, 64)
         assert probs.shape == (1, 64, 64)
         assert set(np.unique(labels)) <= {0, 1}
         assert bank.frame_indices() == [0, 1]
+        admitted = bank.entries()[1][2]
+        assert isinstance(admitted, engine.Tensor) and admitted.data.tobytes() == probs.tobytes()
 
     def test_multi_object_labels(self, nano_model):
         sample = synth_moving_shapes(1, 2, 64, 2)
-        bank = MemoryBank()
-        bank.initialize(sample.frames[0], sample.masks[0])
+        bank = MemoryBank("every8", sample.frames[0], sample.masks[0], 2)
         labels, probs = segment_frame(nano_model, bank, sample.frames[1], 1)
         assert probs.shape[0] == 2
         assert labels.max() <= 2
@@ -352,8 +352,7 @@ class TestRunSequence:
         from swinvos.encoders import ImageEncoder
 
         sample = synth_moving_shapes(1, 2, 64, 2)
-        bank = MemoryBank()
-        bank.initialize(sample.frames[0], sample.masks[0])
+        bank = MemoryBank("every8", sample.frames[0], sample.masks[0], 2)
         calls = {"n": 0}
         original = ImageEncoder.__call__
 
@@ -423,8 +422,7 @@ class TestMemoryCache:
         model = init_model(ModelConfig(variant="nano", k=4), seed=0)
         sample = synth_moving_shapes(1, 18, 64, 2)
         encoded = _count_memory_frames(monkeypatch)
-        bank = MemoryBank()
-        bank.initialize(sample.frames[0], sample.masks[0])
+        bank = MemoryBank("every8", sample.frames[0], sample.masks[0], 2)
         for t in range(1, 18):
             encoded.clear()
             segment_frame(model, bank, sample.frames[t], t)
@@ -436,17 +434,13 @@ class TestMemoryCache:
         encoded = _count_memory_frames(monkeypatch)
         frame = np.zeros((8, 8, 3), np.float32)
         for policy in ("every8", "firstprev"):
-            bank = MemoryBank(policy=policy)
-            mask = np.zeros((8, 8), np.int64)
-            mask[0, 0] = 1
-            bank.initialize(frame, mask)
-            probs = np.zeros((1, 8, 8), np.float32)
+            bank = MemoryBank(policy, frame, _corner_mask(), 1)
+            probs = engine.Tensor(np.zeros((1, 8, 8), np.float32))
             for t in range(1, 101):
                 before = len(encoded)
-                memory = [(i, f, engine.Tensor(p)) for i, f, p in bank.entries()]
-                model_module._forward(model, frame, memory, bank.cache)
+                model_module._forward(model, frame, bank)
                 # the second pass is served from the cache
-                model_module._forward(model, frame, memory, bank.cache)
+                model_module._forward(model, frame, bank)
                 assert len(encoded) - before == 1, f"t={t}"
                 assert sorted(bank.cache) == bank.frame_indices()
                 bank.admit(t, frame, probs)
@@ -456,8 +450,7 @@ class TestMemoryCache:
     def test_segment_frame_cache_bounded_by_membership(self):
         model = init_model(ModelConfig(variant="nano", k=4), seed=0)
         sample = synth_moving_shapes(2, 18, 64, 1)
-        bank = MemoryBank()
-        bank.initialize(sample.frames[0], sample.masks[0])
+        bank = MemoryBank("every8", sample.frames[0], sample.masks[0], 1)
         for t in range(1, 18):
             segment_frame(model, bank, sample.frames[t], t)
             members = membership_law(t + 1)
@@ -493,8 +486,7 @@ class TestMemoryCache:
             return original(per_object)
 
         monkeypatch.setattr(model_module, "soft_aggregate", recording)
-        bank = MemoryBank()
-        bank.initialize(sample.frames[0], sample.masks[0])
+        bank = MemoryBank("every8", sample.frames[0], sample.masks[0], 2)
         segment_frame(model, bank, sample.frames[1], 1)
         train_step(model, sample.frames, sample.masks, lr=1e-4)
         assert len(dists) == 3
@@ -597,6 +589,40 @@ class TestTraining:
         assert curve == []
         for n, p in nano_model.named_parameters():
             np.testing.assert_array_equal(p.value, before[n])
+
+    def test_train_toy_refuses_a_sample_without_objects(self, nano_model):
+        from swinvos.data import VideoSample
+
+        sample = synth_moving_shapes(0, 4, 64, 1)
+        blank = VideoSample(sample.frames, [m * 0 for m in sample.masks], 1)
+        before = {n: p.value.copy() for n, p in nano_model.named_parameters()}
+        with pytest.raises(UsageError, match="labels an object"):
+            train_toy(nano_model, blank, 2, lr=1e-3)
+        for n, p in nano_model.named_parameters():
+            assert p.value.tobytes() == before[n].tobytes(), n
+
+    @pytest.mark.parametrize("labelled", [{3}, {0, 1, 2, 3, 4, 5}])
+    def test_train_toy_redraws_triplets_without_objects(self, monkeypatch, labelled):
+        # every step gets a triplet with an object; with every frame
+        # labelled, the triplets are the sampler's own draws
+        from swinvos.data import VideoSample, sample_training_triplet
+
+        sample = synth_moving_shapes(2, 6, 32, 1)
+        masks = [m if i in labelled else m * 0 for i, m in enumerate(sample.masks)]
+        seen = []
+
+        def recording(model, frames, masks, lr):
+            seen.append(tuple(next(i for i, f in enumerate(sample.frames) if f is frame)
+                              for frame in frames))
+            return 0.0
+
+        monkeypatch.setattr(model_module, "train_step", recording)
+        train_toy(None, VideoSample(sample.frames, masks, 1), 40, lr=1e-3, seed=3)
+        assert len(seen) == 40 and all(labelled & set(t) for t in seen)
+        if len(labelled) == 6:
+            rng = np.random.default_rng(3)
+            caps = [max(1, round(5 * s / 39)) for s in range(40)]
+            assert seen == [sample_training_triplet(6, cap, rng) for cap in caps]
 
     def test_curriculum_changes_sampled_triplets(self):
         # reproduce the sampler's draws under both schedules, same seed
