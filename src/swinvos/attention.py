@@ -117,26 +117,26 @@ def window_layout(dims, window, shifted):
 
 
 @functools.lru_cache(maxsize=16)
-def attention_mask(dims, window, shift, extents=None):
+def attention_mask(dims, window, shift, extents):
     """Additive mask [nW, 1, L, L]: exactly -1e9 on forbidden pairs, else 0.
 
     ``dims`` is the padded grid, rolled by -``shift``, so the token at slot
     position p came from pre-roll coordinate o = (p + s) % d on each axis.
     A pair is forbidden when the two tokens disagree on any axis about
     o < s (they come from different pre-shift windows), or when the key's
-    o lies outside ``extents``, the valid token extents (None means all of
-    ``dims``). One bit per axis is enough: windows start at multiples of w,
-    so on a shifted axis only the last window mixes regions, the wrapped
-    tokens (o < s) and those from [d - w + s, d); every other window holds
-    one region. Returns None when nothing is masked. Masks are cached per
-    geometry as read-only float32 arrays. A T frame at one bank size uses
-    14 geometries (7 in each encoder); a small cache keeps the masks of
-    earlier bank sizes from staying resident.
+    o lies outside ``extents``, the valid token extents. One bit per axis
+    is enough: windows start at multiples of w, so on a shifted axis only
+    the last window mixes regions, the wrapped tokens (o < s) and those
+    from [d - w + s, d); every other window holds one region. Returns None
+    when nothing is masked. Masks are cached per geometry as read-only
+    float32 arrays. A T frame at one bank size uses 14 geometries (7 in
+    each encoder); a small cache keeps the masks of earlier bank sizes
+    from staying resident.
     """
     origin = np.stack(np.meshgrid(*[(np.arange(d) + s) % d for d, s in zip(dims, shift)],
                                   indexing="ij"), axis=-1)  # [*dims, rank]
     wrapped = _partition_flat((origin < shift) @ (1 << np.arange(len(dims))), window)
-    inside = _partition_flat((origin < (extents or dims)).all(axis=-1), window)
+    inside = _partition_flat((origin < extents).all(axis=-1), window)
     forbidden = (wrapped[:, :, None] != wrapped[:, None, :]) | ~inside[:, None, :]
     if not forbidden.any():
         return None
@@ -159,7 +159,7 @@ def _window_groups(n_windows, period, fit):
             for p in range(0, n_windows, period) for s in range(p, p + period, fit)]
 
 
-def window_msa(qkv, heads, bias=None, mask=None):
+def window_msa(qkv, heads, bias, mask):
     """Multi-head self-attention within each window, over projected tokens.
 
     qkv: [nW, L, 3C] (queries, keys and values side by side, each split
@@ -190,13 +190,12 @@ def window_msa(qkv, heads, bias=None, mask=None):
     scale = qkv.dtype.type(1.0 / math.sqrt(head_dim))
     split = (n_windows, length, 3, heads, head_dim)
     q, k, v = qkv.data.reshape(split).transpose(2, 0, 3, 1, 4)  # [nW, heads, L, hd]
-    inputs = (qkv,) if bias is None else (qkv, bias)
-    keep = engine.recording(inputs)
+    keep = engine.recording((qkv, bias))
     fit = max(1, _LOGITS_BYTES // (heads * length * length * qkv.dtype.itemsize))
     groups = _window_groups(n_windows, period, fit)
     # added once per group: a contiguous copy reads faster than the
     # transposed table view that RelativePositionBias returns
-    bias_data = None if bias is None else np.ascontiguousarray(bias.data)
+    bias_data = np.ascontiguousarray(bias.data)
     out = np.empty((n_windows, length, heads, head_dim), dtype=qkv.dtype)
     saved = []
     buf = None
@@ -205,8 +204,7 @@ def window_msa(qkv, heads, bias=None, mask=None):
         weights = np.matmul(q[start:stop], k[start:stop].swapaxes(-1, -2),
                             out=None if buf is None else buf[:stop - start])
         weights *= scale
-        if bias_data is not None:
-            weights += bias_data  # broadcast over windows
+        weights += bias_data  # broadcast over windows
         if mask is not None:
             if stop - start > period:  # whole periods
                 periods = weights.reshape((-1, period) + weights.shape[1:])
@@ -233,7 +231,7 @@ def window_msa(qkv, heads, bias=None, mask=None):
             g_logits = np.matmul(g_out[window], v[window].swapaxes(-1, -2))
             g_logits -= (g_logits * weights).sum(axis=-1, keepdims=True)
             g_logits *= weights
-            if bias is not None and bias.watched:
+            if bias.watched:
                 # numpy sums the window axis in order; continue that order
                 if g_bias is None:
                     g_bias = g_logits.sum(axis=0)
@@ -245,7 +243,7 @@ def window_msa(qkv, heads, bias=None, mask=None):
             np.matmul(g_logits.swapaxes(-1, -2), q[window], out=g_k[window])
         return g_qkv.reshape(qkv.shape), g_bias
 
-    return engine.record_op(out.reshape(n_windows, length, c), inputs, bwd)
+    return engine.record_op(out.reshape(n_windows, length, c), (qkv, bias), bwd)
 
 
 class WindowAttention(Module):
@@ -287,7 +285,7 @@ class SwinBlock(Module):
         self.window = tuple(window)
         self.shifted = shifted
 
-    def __call__(self, x, valid=None):
+    def __call__(self, x, valid):
         """``valid``: the valid extents of every axis of x but the last."""
         dims = tuple(x.shape[:-1])
         c = x.shape[-1]
@@ -296,9 +294,8 @@ class SwinBlock(Module):
         layout = window_layout(dims, (1,) * lead + self.window, self.shifted)
         window = layout.window[lead:]
         length = math.prod(window)
-        extents = dims if valid is None else tuple(int(e) for e in valid)
         mask = attention_mask(layout.padded[lead:], window, layout.shift[lead:],
-                              extents[lead:])
+                              tuple(valid)[lead:])
         attn = self.attn
         h = engine.gather_rows(attn.qkv(self.norm1(x)), layout.slots, layout.tokens,
                                (layout.slots.size // length, length, 3 * c),
@@ -337,13 +334,12 @@ class PatchEmbedVideo(Module):
     the RGB patches are embedded once and broadcast over the objects.
     """
 
-    def __init__(self, dim, rng, use_other_mask=True):
+    def __init__(self, dim, rng, use_other_mask):
         p2 = PATCH * PATCH
         self.embed_rgb = Linear(p2 * 3, dim, rng)
         self.embed_target = Linear(p2, dim, rng)
         self.embed_other = Linear(p2, dim, rng) if use_other_mask else None
         self.norm = engine.LayerNorm(dim)
-        self.use_other_mask = use_other_mask
 
     def __call__(self, frames, target_masks, other_masks):
         if frames.shape[:3] != target_masks.shape[-4:-1] or \
@@ -356,7 +352,7 @@ class PatchEmbedVideo(Module):
             raise DimensionError(f"frame extents {h}x{w} not divisible by {PATCH}")
         tokens = self.embed_rgb(_patchify(frames, PATCH))
         tokens = engine.add(tokens, self.embed_target(_patchify(target_masks, PATCH)))
-        if self.use_other_mask:
+        if self.embed_other is not None:
             tokens = engine.add(tokens, self.embed_other(_patchify(other_masks, PATCH)))
         return self.norm(tokens)
 

@@ -9,7 +9,7 @@ Layout (all integers little-endian):
         u32    name length, then the UTF-8 name
         u32    rank
         u64[]  extents
-        u8     dtype tag (0 = f32, 1 = f64)
+        u8     dtype tag (0 = f32; no other tag is written or read)
         raw little-endian payload
     u32    CRC32 of everything after the magic
 
@@ -25,18 +25,18 @@ import zlib
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, UsageError
 from .model import Model, ModelConfig
 
 MAGIC = b"HSTC"
 VERSION = 2
 
-_DTYPE_TAGS = {np.dtype(np.float32): 0, np.dtype(np.float64): 1}
-_TAG_DTYPES = {0: np.dtype("<f4"), 1: np.dtype("<f8")}
+_F32_TAG = 0
+_F32 = np.dtype("<f4")
 
 
 def save_checkpoint(model, path):
-    """Serialize every named parameter of ``model`` to ``path``."""
+    """Serialize every named parameter of ``model``, each float32, to ``path``."""
     body = bytearray()
     body += struct.pack("<I", VERSION)
     config_text = model.config.canonical().encode("utf-8")
@@ -45,11 +45,13 @@ def save_checkpoint(model, path):
         encoded = name.encode("utf-8")
         body += struct.pack("<I", len(encoded)) + encoded
         value = param.value
+        if value.dtype != np.float32:
+            raise UsageError(f"checkpoints hold float32 parameters, {name} is {value.dtype}")
         body += struct.pack("<I", value.ndim)
         for extent in value.shape:
             body += struct.pack("<Q", extent)
-        body += struct.pack("<B", _DTYPE_TAGS[value.dtype])
-        body += value.astype(value.dtype.newbyteorder("<"), copy=False).tobytes()
+        body += struct.pack("<B", _F32_TAG)
+        body += value.astype(_F32, copy=False).tobytes()
     crc = zlib.crc32(bytes(body)) & 0xFFFFFFFF
     tmp = f"{path}.tmp.{os.getpid()}"
     with open(tmp, "wb") as fh:
@@ -117,12 +119,11 @@ def read_checkpoint(path):
         rank = reader.u32(f"{name} rank")
         shape = tuple(reader.u64(f"{name} extent") for _ in range(rank))
         tag = reader.take(1, f"{name} dtype tag")[0]
-        if tag not in _TAG_DTYPES:
+        if tag != _F32_TAG:
             raise DataError(f"{path}: unknown dtype tag {tag} for {name}")
-        dtype = _TAG_DTYPES[tag]
-        payload = reader.take(math.prod(shape) * dtype.itemsize, f"{name} payload")
+        payload = reader.take(math.prod(shape) * _F32.itemsize, f"{name} payload")
         try:
-            params[name] = np.frombuffer(payload, dtype).reshape(shape).copy()
+            params[name] = np.frombuffer(payload, _F32).reshape(shape).copy()
         except ValueError as err:
             raise DataError(f"{path}: extents {shape} of {name} "
                             f"cannot form an array: {err}") from err
@@ -133,8 +134,7 @@ def load_checkpoint(path):
     """Rebuild a model from a checkpoint.
 
     The model is built without weight draws, and each parameter adopts its
-    parsed array, rounded to the model's float32 when the record is f64;
-    a finite f64 value that rounds to a non-finite float32 is a DataError.
+    parsed float32 array.
     """
     config, params = read_checkpoint(path)
     model = Model(config, None)
@@ -149,10 +149,5 @@ def load_checkpoint(path):
         if target.value.shape != value.shape:
             raise DataError(f"{path}: shape mismatch for {name}: "
                             f"file {value.shape} vs model {target.value.shape}")
-        with np.errstate(over="ignore"):
-            cast = value.astype(target.value.dtype, copy=False)
-        if cast is not value and np.any(np.isfinite(value) & ~np.isfinite(cast)):
-            raise DataError(f"{path}: {name} holds a finite value outside "
-                            f"the {cast.dtype} range")
-        target.value = cast
+        target.value = value
     return model

@@ -27,7 +27,7 @@ MEMORY_POLICIES = ("every8", "firstprev")
 MEMORY_STRIDE = 8  # every8 keeps the frames whose index is a multiple of this
 ENCODER_MODES = ("full", "image_only")
 READ_MODES = ("hierarchical_topk", "last_stage_only", "dense_all")
-GRADCHECK_SEED = 1234  # default seed of the gradient-check suite
+GRADCHECK_SEED = 1234  # default seed of the gradcheck command
 
 
 @dataclass(frozen=True)

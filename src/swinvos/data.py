@@ -157,11 +157,20 @@ def sample_training_triplet(n_frames, max_interval, rng):
     if n_frames < 3:
         raise UsageError(f"triplet sampling needs >= 3 frames, got {n_frames}")
     # a gap above n_frames - 2 leaves no room for the other one
-    gaps = np.arange(1, min(max(1, int(max_interval)), n_frames - 2) + 1)
-    # valid[a, gap 1, gap 2]; row-major order is the triples' lexicographic order
-    valid = (np.arange(n_frames - 2)[:, None, None] + gaps[:, None] + gaps) < n_frames
-    chosen = np.flatnonzero(valid)[int(rng.integers(0, np.count_nonzero(valid)))]
-    a, g1, g2 = (int(i) for i in np.unravel_index(chosen, valid.shape))
+    g = min(max(1, int(max_interval)), n_frames - 2)
+    gaps = np.arange(1, g + 1)
+    # the first values of a take all g² gap pairs; the tail rows are listed as
+    # valid[a - full, gap 1, gap 2], whose row-major order is lexicographic
+    full = max(0, n_frames - 2 * g)
+    tail = (np.arange(full, n_frames - 2)[:, None, None] + gaps[:, None] + gaps) < n_frames
+    drawn = int(rng.integers(0, full * g * g + np.count_nonzero(tail)))
+    if drawn < full * g * g:
+        a, pair = divmod(drawn, g * g)
+        g1, g2 = divmod(pair, g)
+    else:
+        chosen = np.flatnonzero(tail)[drawn - full * g * g]
+        a, g1, g2 = (int(i) for i in np.unravel_index(chosen, tail.shape))
+        a += full
     return a, a + g1 + 1, a + g1 + g2 + 2
 
 

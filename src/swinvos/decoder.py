@@ -101,7 +101,7 @@ def soft_aggregate(probs):
     bg_odds = engine.div(bg, engine.sub(1.0, bg))
     stacked = engine.concat(
         [engine.reshape(o, (1,) + hw) for o in [bg_odds] + odds], axis=0)
-    total = engine.tsum(stacked, axis=0, keepdims=True)
+    total = engine.tsum(stacked, axis=0)
     return engine.div(stacked, total)
 
 

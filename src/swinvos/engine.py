@@ -51,10 +51,7 @@ class Tensor:
         if dtype is None and not (isinstance(data, (np.ndarray, np.generic))
                                   and data.dtype in _SUPPORTED_DTYPES):
             dtype = DEFAULT_DTYPE
-        arr = np.asarray(data, dtype)
-        if arr.dtype not in _SUPPORTED_DTYPES:
-            arr = arr.astype(DEFAULT_DTYPE)
-        self.data = arr
+        self.data = np.asarray(data, dtype)
         self.param = None
         self.watched = False
 
@@ -69,13 +66,6 @@ class Tensor:
     @property
     def dtype(self):
         return self.data.dtype
-
-    @property
-    def size(self):
-        return self.data.size
-
-    def item(self):
-        return float(self.data)
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, dtype={self.dtype.name})"
@@ -103,8 +93,6 @@ class Parameter:
 
     def __init__(self, value):
         self.value = np.asarray(value)
-        if self.value.dtype not in _SUPPORTED_DTYPES:
-            self.value = self.value.astype(DEFAULT_DTYPE)
         self.grad = None
         self.adam_m = None
         self.adam_v = None
@@ -114,10 +102,6 @@ class Parameter:
     @property
     def shape(self):
         return self.value.shape
-
-    @property
-    def dtype(self):
-        return self.value.dtype
 
     def tensor(self):
         """Wrap the current value for use in a forward pass."""
@@ -213,9 +197,6 @@ def backward(loss, tape):
         p.grad = np.zeros_like(p.value)
     seed = tape._node_by_out.get(id(loss))
     if seed is None:
-        if loss.param is not None:
-            loss.param.grad = np.ones_like(loss.param.value)
-            return
         raise UsageError("loss tensor was not recorded on this tape")
     seed.grad = np.ones((), dtype=loss.dtype)
     owned = set()  # ids of the nodes whose grad is a buffer summed here
@@ -515,15 +496,12 @@ def take(a, indices):
 # ---------------------------------------------------------------------------
 # reductions
 
-def tsum(a, axis=None, keepdims=False):
+def tsum(a, axis=None):
+    """Sum over every axis, or over ``axis``, which is kept with extent 1."""
     a = as_tensor(a)
-    out = a.data.sum(axis=axis, keepdims=keepdims)
+    out = a.data.sum(axis=axis, keepdims=axis is not None)
 
     def bwd(g):
-        if axis is None:
-            return (np.broadcast_to(g, a.shape).astype(g.dtype, copy=True),)
-        if not keepdims:
-            g = np.expand_dims(g, axis)
         return (np.broadcast_to(g, a.shape).astype(g.dtype, copy=True),)
 
     return record_op(out, (a,), bwd)
@@ -719,8 +697,6 @@ def bilinear_upsample(x, target):
     _, h, w = x.shape
     if th < h or tw < w:
         raise DimensionError(f"bilinear_upsample cannot shrink {x.shape[1:]} to {target}")
-    if (th, tw) == (h, w):
-        return x
     mr = _interp_matrix(h, th, x.dtype.type)  # [H', H]
     mc = _interp_matrix(w, tw, x.dtype.type)  # [W', W]
     # rows first: [C,H,W] -> [C,H',W], then columns: -> [C,H',W']

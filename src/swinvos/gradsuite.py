@@ -10,7 +10,6 @@ import numpy as np
 
 from . import engine
 from .attention import SwinBlock, window_msa
-from .config import GRADCHECK_SEED
 from .decoder import RefinementStage, soft_aggregate
 from .encoders import _project_objects
 from .engine import Tensor
@@ -233,7 +232,7 @@ SUITE = [
 ]
 
 
-def run_suite(seed=GRADCHECK_SEED):
+def run_suite(seed):
     """Returns [(op, passed, worst_rel_err, tolerance)]."""
     results = []
     for name, check, tol in SUITE:

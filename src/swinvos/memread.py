@@ -63,10 +63,6 @@ class TopKIndexSet:
     indices: np.ndarray  # [h4*w4, k_eff]
     geom: ReadGeometry
 
-    @property
-    def k(self):
-        return self.indices.shape[1]
-
     def expand(self, stage):
         """Map the stage-4 sets to stage ``stage``: each (t, x4, y4) becomes
         the r x r spatial block {t} x [x4*r, x4*r+r) x [y4*r, y4*r+r)."""
@@ -305,7 +301,7 @@ def random_kv(geom, base_dim, seed):
     return query, memory
 
 
-def bench(geom, base_dim, k, modes, seed=0):
+def bench(geom, base_dim, k, modes, seed):
     """Time each read stage per mode on seeded random key/value maps.
 
     Returns rows of (stage, mode, k, T, H, W, flops, wall_ns); stage "all"

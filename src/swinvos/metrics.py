@@ -57,9 +57,9 @@ def default_tolerance(shape):
     return math.ceil(0.0075 * math.hypot(*shape))
 
 
-def contour_accuracy(pred, gt, tolerance_px=None):
+def contour_accuracy(pred, gt, tolerance_px):
     """Boundary F-measure 2PR/(P+R); 1 when both boundaries are empty,
-    0 when P + R == 0."""
+    0 when P + R == 0. ``tolerance_px`` None takes ``default_tolerance``."""
     pred = np.asarray(pred, dtype=bool)
     gt = np.asarray(gt, dtype=bool)
     if pred.shape != gt.shape:
@@ -102,15 +102,13 @@ class EvalReport:
         return out
 
 
-def evaluate_sequence(pred_masks, gt_masks, n_objects=None, tolerance_px=None):
+def evaluate_sequence(pred_masks, gt_masks, n_objects, tolerance_px=None):
     """Score frames 1..N-1 of predicted label maps against ground truth."""
     if len(pred_masks) != len(gt_masks):
         raise DimensionError(
             f"{len(pred_masks)} predictions vs {len(gt_masks)} ground-truth masks")
     if len(gt_masks) < 2:
         raise DataError("need at least two frames to evaluate (frame 0 is given)")
-    if n_objects is None:
-        n_objects = int(max(m.max() for m in gt_masks))
     if n_objects < 1:
         raise DataError(f"ground truth labels no object (object count {n_objects})")
     per_object = {}

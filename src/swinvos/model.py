@@ -285,7 +285,7 @@ def train_step(model, frames, masks, lr):
     return value
 
 
-def train_toy(model, sample, steps, lr, seed=0, curriculum=True):
+def train_toy(model, sample, steps, lr, seed, curriculum=True):
     """Overfit on one synthetic video; returns the loss curve.
 
     The triplet-sampling interval cap grows linearly from 0 to

@@ -6,6 +6,8 @@ segmenter reference reuses the model's layers but none of the inference
 plumbing (bank, key/value cache, mask-pair builder).
 """
 
+import functools
+import itertools
 import math
 import struct
 import zlib
@@ -176,16 +178,22 @@ def chained_mask_pairs(probs, other_enabled):
     return engine.concat(targets, axis=0), engine.concat(others, axis=0)
 
 
-def listed_training_triplet(n_frames, max_interval, rng):
-    """Reference triplet draw: list every valid (a, b, c) in lexicographic
-    order, then index it with one ``rng.integers(0, count)`` draw."""
-    cap = max(1, int(max_interval))
-    triples = [(a, b, c)
+@functools.lru_cache(maxsize=1)
+def _listed_triples(n_frames, cap):
+    """Every valid (a, b, c) in lexicographic order, one per row."""
+    triples = ((a, b, c)
                for a in range(n_frames - 2)
                for b in range(a + 1, min(a + cap, n_frames - 1) + 1)
                for c in range(b + 1, min(b + cap, n_frames - 1) + 1)
-               if b - a <= cap and c - b <= cap]
-    return triples[int(rng.integers(0, len(triples)))]
+               if b - a <= cap and c - b <= cap)
+    return np.fromiter(itertools.chain.from_iterable(triples), np.int64).reshape(-1, 3)
+
+
+def listed_training_triplet(n_frames, max_interval, rng):
+    """Reference triplet draw: list every valid (a, b, c) in lexicographic
+    order, then index it with one ``rng.integers(0, count)`` draw."""
+    triples = _listed_triples(n_frames, max(1, int(max_interval)))
+    return tuple(int(i) for i in triples[int(rng.integers(0, len(triples)))])
 
 
 def dilate_chebyshev_loops(mask, radius):
@@ -274,7 +282,7 @@ def pad_roll_partition(a, win, shift, pad_to, fill=0):
     return a.reshape((math.prod(blocks), math.prod(win)) + a.shape[2 * rank:])
 
 
-def padded_swin_block(block, x, valid=None):
+def padded_swin_block(block, x, valid):
     """Reference SwinBlock: zero-pad the normed grid to window multiples,
     then run qkv, attention and proj on every padded token, and crop.
 
@@ -286,7 +294,7 @@ def padded_swin_block(block, x, valid=None):
     rank, c = len(dims), x.shape[-1]
     win, shift, pad_to = swin_geometry(dims, block.window, block.shifted)
     valid_grid = np.zeros(pad_to, dtype=bool)
-    valid_grid[tuple(slice(0, int(e)) for e in (valid or dims))] = True
+    valid_grid[tuple(slice(0, int(e)) for e in valid)] = True
     mask = _mask_from_grid(pad_to, win, shift, valid_grid)
     windows = pad_roll_partition(block.norm1(x).data, win, shift, pad_to)
     windows = block.attn.qkv(Tensor(windows))
@@ -367,4 +375,17 @@ def write_version_1_checkpoint(model, path):
     n = struct.unpack("<I", blob[8:12])[0]
     config = blob[12:12 + n].replace(b"\nother_mask", b"\nmemory_stride=8\nother_mask")
     body = struct.pack("<II", 1, len(config)) + config + blob[12 + n:-4]
+    path.write_bytes(b"HSTC" + body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF))
+
+
+def write_f64_checkpoint(model, path):
+    """Write ``model`` in today's layout with every record tagged 1 (f64), as
+    the writer did while records could be float64."""
+    config = model.config.canonical().encode("utf-8")
+    body = struct.pack("<II", 2, len(config)) + config
+    for name, param in model.named_parameters():
+        value = param.value.astype("<f8")
+        body += struct.pack("<I", len(name)) + name.encode("utf-8")
+        body += struct.pack("<I", value.ndim) + b"".join(struct.pack("<Q", e) for e in value.shape)
+        body += bytes([1]) + value.tobytes()
     path.write_bytes(b"HSTC" + body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF))

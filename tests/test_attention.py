@@ -185,10 +185,10 @@ def _mask_geometries(draw):
 
 class TestAttentionMask:
     def test_unshifted_no_mask(self):
-        assert attention_mask((4, 4), (2, 2), (0, 0)) is None
+        assert attention_mask((4, 4), (2, 2), (0, 0), (4, 4)) is None
 
     def test_shifted_2d_blocks_cross_origin(self):
-        mask = attention_mask((4, 4), (2, 2), (1, 1))
+        mask = attention_mask((4, 4), (2, 2), (1, 1), (4, 4))
         assert mask.shape == (4, 1, 4, 4) and mask.dtype == np.float32
         vals = np.unique(mask)
         assert set(vals.tolist()) <= {MASK_VALUE, 0.0}
@@ -199,7 +199,7 @@ class TestAttentionMask:
         # origin window in the displaced tiling, in unwrapped coordinates, is
         # (r+s)//w per axis. Pairs from different origins must be masked.
         dims, window, shift = (2, 4, 4), (2, 2, 2), (1, 1, 1)
-        mask = attention_mask(dims, window, shift)
+        mask = attention_mask(dims, window, shift, dims)
         coords = np.stack(np.meshgrid(*[np.arange(d) for d in dims], indexing="ij"), -1)
         pre = (coords + np.array(shift)) % np.array(dims)
         origin = (pre + np.array(shift)) // np.array(window)
@@ -210,7 +210,7 @@ class TestAttentionMask:
 
     def test_2d_mask_matches_bruteforce_origins(self):
         dims, window, shift = (8, 6), (4, 2), (2, 1)
-        mask = attention_mask(dims, window, shift)
+        mask = attention_mask(dims, window, shift, dims)
         coords = np.stack(np.meshgrid(*[np.arange(d) for d in dims], indexing="ij"), -1)
         pre = (coords + np.array(shift)) % np.array(dims)
         origin = (pre + np.array(shift)) // np.array(window)
@@ -270,13 +270,14 @@ class TestWindowMsa:
         dim, heads = 6, 2
         qkv = rng.standard_normal((3, 1, 3 * dim)).astype(np.float32)
         bias = Tensor(rng.standard_normal((heads, 1, 1)).astype(np.float32))
-        out = window_msa(Tensor(qkv), heads, bias=bias)
+        out = window_msa(Tensor(qkv), heads, bias=bias, mask=None)
         np.testing.assert_allclose(out.data, qkv[:, :, 2 * dim:], atol=1e-6)
 
     def test_hand_two_token_attention(self):
         # q = k = v = x, one window of two 2-dim tokens, one head
         x = np.array([[[1.0, 0.0], [0.0, 1.0]]], dtype=np.float32)
-        out = window_msa(Tensor(np.concatenate([x, x, x], axis=-1)), 1)
+        out = window_msa(Tensor(np.concatenate([x, x, x], axis=-1)), 1,
+                         bias=Tensor(np.zeros((1, 2, 2), np.float32)), mask=None)
         # logits row 0: [1,0]/sqrt(2) -> softmax; value rows are x
         s = np.array([1.0, 0.0]) / np.sqrt(2)
         w = np.exp(s - s.max())
@@ -286,7 +287,8 @@ class TestWindowMsa:
 
     def test_heads_must_divide(self):
         with pytest.raises(ConfigError):
-            window_msa(Tensor(np.zeros((1, 2, 15))), heads=2)
+            window_msa(Tensor(np.zeros((1, 2, 15))), heads=2,
+                       bias=Tensor(np.zeros((2, 2, 2))), mask=None)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_fused_equals_unfused_composition(self, dtype):
@@ -312,7 +314,7 @@ class TestWindowMsa:
     def test_one_tape_node(self, rng):
         qkv = engine.Parameter(rng.standard_normal((2, 4, 12)).astype(np.float32))
         with Tape() as tape:
-            window_msa(qkv.tensor(), 2)
+            window_msa(qkv.tensor(), 2, bias=Tensor(np.zeros((2, 4, 4), np.float32)), mask=None)
         assert len(tape.nodes) == 1
 
     # windows per group: one, within a mask period, one period, whole
@@ -340,9 +342,10 @@ class TestWindowMsa:
             assert grouped.tobytes() == whole.tobytes()
 
     def test_mask_windows_must_tile(self):
-        mask = attention_mask((6, 6), (3, 3), (1, 1))
+        mask = attention_mask((6, 6), (3, 3), (1, 1), (6, 6))
         with pytest.raises(DimensionError):
-            window_msa(Tensor(np.zeros((6, 9, 6))), 1, mask=mask)
+            window_msa(Tensor(np.zeros((6, 9, 6))), 1, bias=Tensor(np.zeros((1, 9, 9))),
+                       mask=mask)
 
 
 def _random_biases(block, rng):
@@ -355,7 +358,7 @@ def _random_biases(block, rng):
 # whose window clamps on T, a grid with invalid in-grid tokens that pads
 # 24 -> 28, where whole windows hold only padding and invalid tokens, a 3-D
 # grid that pads and shifts T (9 -> 16), and a small grid whose valid
-# extents leave windows with every key masked
+# extents leave windows with every key masked; None declares every token valid
 _ORACLE_CASES = [((32, 32), (7, 7), None), ((2, 8, 8), (8, 7, 7), None),
                  ((24, 24), (7, 7), (20, 20)), ((9, 8, 8), (8, 7, 7), None),
                  ((5, 6), (3, 3), (2, 4))]
@@ -369,6 +372,7 @@ class TestSwinBlockOracle:
         block = SwinBlock(12, 3, window, shifted=shifted, rng=rng)
         _random_biases(block, rng)
         x = Tensor(rng.standard_normal(dims + (12,)).astype(np.float32))
+        valid = dims if valid is None else valid
         out = block(x, valid=valid)
         np.testing.assert_array_equal(out.data, padded_swin_block(block, x, valid).data)
 
@@ -378,26 +382,27 @@ class TestSwinBlock:
         block = SwinBlock(8, 2, (2, 2), shifted=False, rng=rng)
         zero_output_projections(block)
         x = Tensor(rng.standard_normal((4, 4, 8)).astype(np.float32))
-        out = block(x)
+        out = block(x, valid=x.shape[:-1])
         np.testing.assert_array_equal(out.data, x.data)
 
     def test_output_shape_preserved(self, rng):
         for shifted in (False, True):
             block = SwinBlock(4, 2, (2, 2), shifted=shifted, rng=rng)
             x = Tensor(rng.standard_normal((6, 8, 4)).astype(np.float32))
-            assert block(x).shape == x.shape
+            assert block(x, valid=x.shape[:-1]).shape == x.shape
 
     def test_shifted_equals_unshifted_on_constant_input(self, rng):
         # H=W=M: the shift is a pure permutation, constant input sees no change
         blk_a = SwinBlock(4, 2, (4, 4), shifted=False, rng=np.random.default_rng(5))
         blk_b = SwinBlock(4, 2, (4, 4), shifted=True, rng=np.random.default_rng(5))
         x = Tensor(np.full((4, 4, 4), 0.7, dtype=np.float32))
-        np.testing.assert_allclose(blk_a(x).data, blk_b(x).data, atol=1e-6)
+        np.testing.assert_allclose(blk_a(x, valid=(4, 4)).data, blk_b(x, valid=(4, 4)).data,
+                                   atol=1e-6)
 
     def test_indivisible_input_padded_and_cropped(self, rng):
         block = SwinBlock(4, 2, (4, 4), shifted=True, rng=rng)
         x = Tensor(rng.standard_normal((6, 10, 4)).astype(np.float32))
-        out = block(x)
+        out = block(x, valid=(6, 10))
         assert out.shape == (6, 10, 4)
         assert np.isfinite(out.data).all()
 
@@ -411,13 +416,13 @@ class TestSwinBlock:
         for (_, _, value), (_, p) in zip(before, after):
             assert p.value.dtype == np.float64
             np.testing.assert_array_equal(p.value, value.astype(np.float64))
-        assert block(Tensor(rng.standard_normal((4, 6, 4)))).dtype == np.float64
+        assert block(Tensor(rng.standard_normal((4, 6, 4))), valid=(4, 6)).dtype == np.float64
 
     def test_padding_does_not_leak_into_valid_tokens(self, rng):
         # growing the pad region must not change outputs at valid positions
         block = SwinBlock(4, 1, (4, 4), shifted=False, rng=rng)
         x = rng.standard_normal((6, 6, 4)).astype(np.float32)
-        out_direct = block(Tensor(x))
+        out_direct = block(Tensor(x), valid=(6, 6))
         # same content declared valid inside a larger zero canvas
         canvas = np.zeros((8, 8, 4), dtype=np.float32)
         canvas[:6, :6] = x
@@ -434,25 +439,26 @@ class TestVideoSwinBlock:
         for (_, p2), (_, p3) in zip(b2.named_parameters(), b3.named_parameters()):
             p3.value[:] = p2.value.reshape(p3.value.shape)
         x = rng.standard_normal((8, 8, 8)).astype(np.float32)
-        out2 = b2(Tensor(x))
-        out3 = b3(Tensor(x[None]))
+        out2 = b2(Tensor(x), valid=(8, 8))
+        out3 = b3(Tensor(x[None]), valid=(1, 8, 8))
         np.testing.assert_allclose(out3.data[0], out2.data, atol=1e-6)
 
     def test_zeroed_projections_identity_3d(self, rng):
         block = SwinBlock(4, 2, (2, 2, 2), shifted=True, rng=rng)
         zero_output_projections(block)
         x = Tensor(rng.standard_normal((2, 4, 4, 4)).astype(np.float32))
-        np.testing.assert_array_equal(block(x).data, x.data)
+        np.testing.assert_array_equal(block(x, valid=(2, 4, 4)).data, x.data)
 
     def test_3d_shape_preserved(self, rng):
         block = SwinBlock(4, 2, (2, 4, 4), shifted=True, rng=rng)
         x = Tensor(rng.standard_normal((3, 8, 8, 4)).astype(np.float32))
-        assert block(x).shape == x.shape
+        assert block(x, valid=(3, 8, 8)).shape == x.shape
 
 
 class TestObjectAxis:
     """A leading object axis batches the grids of several objects."""
 
+    # valid extents of one object's grid; None declares every token valid
     @pytest.mark.parametrize("dims, window, valid", [
         ((3, 9, 8, 8), (8, 7, 7), None), ((2, 24, 24), (7, 7), (20, 20)),
         ((3, 2, 5, 6), (2, 3, 3), (2, 2, 4))])
@@ -462,7 +468,8 @@ class TestObjectAxis:
         block = SwinBlock(12, 3, window, shifted=shifted, rng=rng)
         _random_biases(block, rng)
         x = rng.standard_normal(dims + (12,)).astype(np.float32)
-        out = block(Tensor(x), valid=None if valid is None else (dims[0],) + valid)
+        valid = dims[1:] if valid is None else valid
+        out = block(Tensor(x), valid=(dims[0],) + valid)
         for m in range(dims[0]):
             alone = block(Tensor(x[m]), valid=valid)
             assert out.data[m].tobytes() == alone.data.tobytes()
@@ -478,7 +485,7 @@ class TestObjectAxis:
         assert attention_mask.cache_info().currsize == masks
 
     def test_video_embedding_broadcasts_frames_over_objects(self, rng):
-        embed = PatchEmbedVideo(4, rng)
+        embed = PatchEmbedVideo(4, rng, use_other_mask=True)
         frames = rng.random((2, 8, 8, 3)).astype(np.float32)
         target = rng.random((3, 2, 8, 8, 1)).astype(np.float32)
         other = rng.random((3, 2, 8, 8, 1)).astype(np.float32)
@@ -513,7 +520,7 @@ class TestPatchEmbed:
         np.testing.assert_array_equal(diff, 0.0)
 
     def test_video_zero_masks_match_image_only(self, rng):
-        embed = PatchEmbedVideo(8, rng)
+        embed = PatchEmbedVideo(8, rng, use_other_mask=True)
         frames = rng.random((2, 8, 8, 3)).astype(np.float32)
         zeros = np.zeros((2, 8, 8, 1), dtype=np.float32)
         out = embed(Tensor(frames), Tensor(zeros), Tensor(zeros))
@@ -521,7 +528,7 @@ class TestPatchEmbed:
         np.testing.assert_allclose(out.data, rgb_only.data, atol=1e-6)
 
     def test_video_temporal_extent_kept(self, rng):
-        embed = PatchEmbedVideo(4, rng)
+        embed = PatchEmbedVideo(4, rng, use_other_mask=True)
         t = 3
         out = embed(Tensor(rng.random((t, 8, 8, 3)).astype(np.float32)),
                     Tensor(np.zeros((t, 8, 8, 1), np.float32)),
@@ -529,7 +536,7 @@ class TestPatchEmbed:
         assert out.shape == (t, 2, 2, 4)
 
     def test_video_mask_pixel_touches_one_token(self, rng):
-        embed = PatchEmbedVideo(4, rng)
+        embed = PatchEmbedVideo(4, rng, use_other_mask=True)
         frames = rng.random((1, 8, 8, 3)).astype(np.float32)
         m0 = np.zeros((1, 8, 8, 1), dtype=np.float32)
         m1 = m0.copy()
@@ -553,7 +560,7 @@ class TestPatchEmbed:
         np.testing.assert_array_equal(a, b)
 
     def test_mismatched_mask_shape(self, rng):
-        embed = PatchEmbedVideo(4, rng)
+        embed = PatchEmbedVideo(4, rng, use_other_mask=True)
         with pytest.raises(DimensionError):
             embed(Tensor(np.zeros((1, 8, 8, 3))), Tensor(np.zeros((1, 4, 8, 1))),
                   Tensor(np.zeros((1, 8, 8, 1))))

@@ -2,12 +2,10 @@ import os
 import subprocess
 import sys
 
-import numpy as np
 import pytest
 
 import swinvos
 
-from swinvos.checkpoint import save_checkpoint
 from swinvos.cli import main
 from swinvos.config import ModelConfig
 from swinvos.model import init_model
@@ -261,17 +259,17 @@ class TestInferAndEval:
         assert code == 2
         assert "error:" in err
 
-    def test_infer_f64_record_past_float32_range_is_data_error(self, trained, tmp_path,
-                                                                capsys):
+    def test_infer_f64_checkpoint_is_data_error(self, trained, tmp_path, capsys):
+        from oracles import write_f64_checkpoint
+
         _, seq, _ = trained
-        model = init_model(ModelConfig(variant="nano"), seed=0).astype(np.float64)
-        dict(model.named_parameters())["decoder.head.bias"].value[0] = 1e300
         ckpt = tmp_path / "f64.hst"
-        save_checkpoint(model, ckpt)
+        write_f64_checkpoint(init_model(ModelConfig(variant="nano"), seed=0), ckpt)
         code, out, err = run(capsys, "infer", "--ckpt", str(ckpt), "--seq", str(seq),
                              "--out", str(tmp_path / "pred"))
         assert code == 2 and out == ""
         assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert "unknown dtype tag 1 " in err
         assert sorted(os.listdir(tmp_path)) == ["f64.hst"]
 
     def test_infer_version_1_checkpoint_is_data_error(self, trained, tmp_path, capsys):
@@ -326,15 +324,16 @@ class TestGradcheckCommand:
         assert "seed=1234" in out.splitlines()
         assert "matmul" in out and "FAIL" not in out
 
-    def test_suite_default_seed_is_the_command_default(self):
-        import inspect
-
-        from swinvos.cli import build_parser
+    def test_suite_default_seed_is_the_command_default(self, capsys, monkeypatch):
+        # the suite has no seed of its own: the command passes its default
+        from swinvos import gradsuite
         from swinvos.config import GRADCHECK_SEED
-        from swinvos.gradsuite import run_suite
 
-        assert build_parser().parse_args(["gradcheck"]).seed == GRADCHECK_SEED
-        assert inspect.signature(run_suite).parameters["seed"].default == GRADCHECK_SEED
+        seen = []
+        monkeypatch.setattr(gradsuite, "run_suite", lambda seed: seen.append(seed) or [])
+        code, out, _ = run(capsys, "gradcheck")
+        assert code == 0 and seen == [GRADCHECK_SEED]
+        assert f"seed={GRADCHECK_SEED}" in out.splitlines()
 
     def test_seed_zero_reaches_the_suite(self, capsys, monkeypatch):
         from swinvos import gradsuite

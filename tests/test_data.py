@@ -103,11 +103,12 @@ class TestTripletSampling:
         with pytest.raises(UsageError):
             sample_training_triplet(2, 1, np.random.default_rng(0))
 
-    @pytest.mark.parametrize("n", [3, 4, 7, 12, 32])
+    @pytest.mark.parametrize("n", [3, 4, 7, 12, 32, 300, 1000])
     @pytest.mark.parametrize("cap", [0, 1, 2, 5, 25, 40])
     def test_draws_equal_the_listed_triples(self, n, cap):
-        # unranking draws the same triple as indexing the full list, from
-        # the same single rng.integers call
+        # the arithmetic draw over the first rows and the listed tail rows
+        # pick the same triple as indexing the full list, from the same
+        # single rng.integers call
         for seed in range(3):
             rng_a = np.random.default_rng(seed)
             rng_b = np.random.default_rng(seed)

@@ -209,15 +209,15 @@ class TestLayerNorm:
 
 class TestGelu:
     def test_zero(self):
-        assert engine.gelu(Tensor(0.0)).item() == 0.0
+        assert float(engine.gelu(Tensor(0.0)).data) == 0.0
 
     def test_asymptote(self):
         x = 25.0
-        out = engine.gelu(Tensor(x)).item()
+        out = float(engine.gelu(Tensor(x)).data)
         assert abs(out - x) / x < 1e-4
 
     def test_at_one(self):
-        assert abs(engine.gelu(Tensor(1.0)).item() - 0.8412) < 1e-3
+        assert abs(float(engine.gelu(Tensor(1.0)).data) - 0.8412) < 1e-3
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("recorded", [False, True])
@@ -400,6 +400,13 @@ class TestBackward:
             out = engine.mul(p.tensor(), 2.0)
         with pytest.raises(UsageError):
             engine.backward(out, tape)
+
+    def test_bare_parameter_loss_is_unrecorded(self):
+        p = Parameter(np.array(2.0))
+        with Tape() as tape:
+            loss = p.tensor()
+        with pytest.raises(UsageError, match="not recorded"):
+            engine.backward(loss, tape)
 
     def test_grad_slots_reset_between_passes(self):
         p = Parameter(np.array([3.0]))

@@ -358,7 +358,7 @@ class TestReadAll:
         k_all = GEOM.memory_cells(4)
         ys_topk, omega = read_all(query, memory, GEOM, k_all, "hierarchical_topk")
         ys_dense, _ = read_all(query, memory, GEOM, k_all, "dense_all")
-        assert omega.k == k_all
+        assert omega.indices.shape[1] == k_all
         for yt, yd in zip(ys_topk, ys_dense):
             err = np.abs(yt.data - yd.data) / np.maximum(1.0, np.abs(yd.data))
             assert err.max() < 1e-5

@@ -147,7 +147,7 @@ class TestEvaluateSequence:
         masks = [np.zeros((16, 16), np.int64) for _ in range(3)]
         for i, m in enumerate(masks):
             m[4:9, 4 + i:9 + i] = 1
-        report = evaluate_sequence(masks, masks)
+        report = evaluate_sequence(masks, masks, 1)
         assert report.mean_j == 1.0 and report.mean_f == 1.0
         assert report.j_and_f == 1.0
 
@@ -156,9 +156,9 @@ class TestEvaluateSequence:
         pred = [g.copy() for g in gt]
         gt[1][4:10, 4:10] = 1
         pred[1][5:11, 4:10] = 1
-        report = evaluate_sequence(pred, gt)
+        report = evaluate_sequence(pred, gt, 1)
         j = region_similarity(pred[1] == 1, gt[1] == 1)
-        f = contour_accuracy(pred[1] == 1, gt[1] == 1)
+        f = contour_accuracy(pred[1] == 1, gt[1] == 1, None)
         assert abs(report.mean_j - j) < 1e-12
         assert abs(report.mean_f - f) < 1e-12
 
@@ -169,11 +169,11 @@ class TestEvaluateSequence:
         gt[1][8:11, 8:11] = 2  # object 2: 3x3
         pred[1][2:6, 2:6] = 1          # perfect
         pred[1][8:11, 7:10] = 2        # shifted left by 1
-        report = evaluate_sequence(pred, gt)
+        report = evaluate_sequence(pred, gt, 2)
         j1 = 1.0
         j2 = 6 / 12  # 3x2 overlap over union 3x4
         assert abs(report.mean_j - (j1 + j2) / 2) < 1e-12
-        f2 = contour_accuracy(pred[1] == 2, gt[1] == 2)
+        f2 = contour_accuracy(pred[1] == 2, gt[1] == 2, None)
         assert abs(report.mean_f - (1.0 + f2) / 2) < 1e-12
         assert abs(report.j_and_f - (report.mean_j + report.mean_f) / 2) < 1e-12
 
@@ -184,9 +184,9 @@ class TestEvaluateSequence:
         with pytest.raises(DataError):
             evaluate_sequence(pred, gt, n_objects=2)
 
-    @pytest.mark.parametrize("n_objects", [None, 0])
+    @pytest.mark.parametrize("n_objects", [0, -1])
     def test_ground_truth_without_objects_rejected(self, n_objects):
-        # declared or derived, an object count of 0 leaves nothing to score
+        # a declared object count below 1 leaves nothing to score
         gt = [np.zeros((8, 8), np.int64) for _ in range(3)]
         with pytest.raises(DataError, match="no object"):
             evaluate_sequence(gt, gt, n_objects=n_objects)
@@ -194,7 +194,7 @@ class TestEvaluateSequence:
     def test_rows_layout(self):
         gt = [np.zeros((8, 8), np.int64), np.zeros((8, 8), np.int64)]
         gt[1][2:4, 2:4] = 1
-        report = evaluate_sequence(gt, gt)
+        report = evaluate_sequence(gt, gt, 1)
         rows = report.rows()
         assert rows[0][0] == "1" and rows[0][1] == "1"
         assert rows[-2][0] == "mean"

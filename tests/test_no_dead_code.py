@@ -1,5 +1,6 @@
-"""Every top-level function and class of the package has a caller, and
-every defaulted parameter or dataclass field is set by one.
+"""Every top-level function and class of the package has a caller,
+every defaulted parameter or dataclass field is set by one, and every
+default parameter value is relied on by one.
 
 A name counts as used when the package or the benchmark harness names it
 outside its own definition: as a name, an attribute, an import, or a word
@@ -136,3 +137,46 @@ def test_every_defaulted_dataclass_field_is_set_by_a_caller():
              for cls, name in _defaulted_fields(trees[path])
              if not any(name in keywords for _, keywords in calls[cls] + calls["replace"])]
     assert unset == []
+
+
+def _module_names(tree):
+    """Names that ``import x`` binds in a file: a bare name there is the
+    module, not a package function of the same name."""
+    return {(alias.asname or alias.name).split(".")[0]
+            for node in ast.walk(tree) if isinstance(node, ast.Import)
+            for alias in node.names}
+
+
+def _values(trees):
+    """Names referred to other than as the callee of a call (a function
+    passed or stored as a value), module names aside."""
+    found = set()
+    for tree in trees:
+        modules = _module_names(tree)
+        callees = {id(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
+        for node in ast.walk(tree):
+            if id(node) in callees:
+                continue
+            if isinstance(node, ast.Name) and node.id not in modules:
+                found.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                found.add(node.attr)
+    return found
+
+
+def test_every_default_is_relied_on_by_a_product_caller():
+    # a default that every package and benchmark caller overrides serves
+    # only the tests: a second path that nothing in the product takes
+    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in CALLERS}
+    calls = _calls(trees.values())
+    values = _values(trees.values())
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for name, node, skip in _definitions(trees[path]):
+            if name in values:
+                continue
+            for param, index in _defaulted(node, skip):
+                if not any(param not in keywords and (index is None or n <= index)
+                           for n, keywords in calls[name]):
+                    unused.append(f"{path.stem}.{name}({param})")
+    assert unused == []

@@ -3,7 +3,6 @@ import json
 import os
 import struct
 import tempfile
-import warnings
 import zlib
 
 import numpy as np
@@ -11,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (encoder_parameter_count, membership_law, parameter_count,
-                     trunc_normal_loop, write_version_1_checkpoint)
+                     trunc_normal_loop, write_f64_checkpoint, write_version_1_checkpoint)
 
 from swinvos import checkpoint as checkpoint_module
 from swinvos import engine
@@ -172,7 +171,7 @@ class TestInitModel:
         model = init_model(ModelConfig(variant=variant), seed=0)
         assert [[name, list(p.shape)] for name, p in model.named_parameters()] == frozen
         # every parameter is built in the one parameter dtype
-        assert {p.dtype for p in model.parameters()} == {np.dtype(np.float32)}
+        assert {p.value.dtype for p in model.parameters()} == {np.dtype(np.float32)}
 
     @pytest.mark.parametrize("variant", ["nano", "T"])
     def test_parameters_match_loop_reference_draws(self, variant, monkeypatch):
@@ -180,7 +179,7 @@ class TestInitModel:
         # digests keep one T model in memory at a time
         def digests():
             model = init_model(ModelConfig(variant=variant), seed=7)
-            return [(name, p.dtype, p.shape, hashlib.sha256(p.value.tobytes()).digest())
+            return [(name, p.value.dtype, p.shape, hashlib.sha256(p.value.tobytes()).digest())
                     for name, p in model.named_parameters()]
 
         chunked = digests()
@@ -564,7 +563,7 @@ class TestTraining:
         dist[1] = 1.0 - 1e-7
         dist[0] = 1e-7
         loss = cross_entropy(engine.Tensor(dist), labels)
-        assert loss.item() < 1e-5
+        assert float(loss.data) < 1e-5
 
     def test_loss_decreases_over_steps(self):
         model = init_model(ModelConfig(variant="nano", k=4), seed=3)
@@ -585,7 +584,7 @@ class TestTraining:
 
     def test_train_toy_zero_steps_untouched(self, nano_model):
         before = {n: p.value.copy() for n, p in nano_model.named_parameters()}
-        curve = train_toy(nano_model, synth_moving_shapes(0, 4, 64, 1), 0, lr=1e-3)
+        curve = train_toy(nano_model, synth_moving_shapes(0, 4, 64, 1), 0, lr=1e-3, seed=0)
         assert curve == []
         for n, p in nano_model.named_parameters():
             np.testing.assert_array_equal(p.value, before[n])
@@ -597,7 +596,7 @@ class TestTraining:
         blank = VideoSample(sample.frames, [m * 0 for m in sample.masks], 1)
         before = {n: p.value.copy() for n, p in nano_model.named_parameters()}
         with pytest.raises(UsageError, match="labels an object"):
-            train_toy(nano_model, blank, 2, lr=1e-3)
+            train_toy(nano_model, blank, 2, lr=1e-3, seed=0)
         for n, p in nano_model.named_parameters():
             assert p.value.tobytes() == before[n].tobytes(), n
 
@@ -647,7 +646,7 @@ class TestTraining:
         skips = {n: p.value.copy() for n, p in model.named_parameters()
                  if n.startswith("decoder.refine.") and ".skip." in n}
         assert skips
-        curve = train_toy(model, synth_moving_shapes(8, 4, 64, 1), 2, lr=1e-3)
+        curve = train_toy(model, synth_moving_shapes(8, 4, 64, 1), 2, lr=1e-3, seed=0)
         assert len(curve) == 2 and np.all(np.isfinite(curve))
         params = dict(model.named_parameters())
         for name, value in skips.items():
@@ -742,7 +741,7 @@ class TestCheckpoint:
         loaded = load_checkpoint(path)
         for (na, pa), (nb, pb) in zip(nano_model.named_parameters(),
                                       loaded.named_parameters()):
-            assert na == nb and pb.dtype == np.float32
+            assert na == nb and pb.value.dtype == np.float32
             np.testing.assert_array_equal(pa.value, pb.value)
         sample = synth_moving_shapes(3, 2, 64, 1)
         out_a, _ = run_sequence(nano_model, sample.frames, sample.masks[0])
@@ -771,27 +770,18 @@ class TestCheckpoint:
         save_checkpoint(init_model(NANO, seed=3), reference)
         assert chunked.read_bytes() == reference.read_bytes()
 
-    def test_f64_record_past_float32_range_is_data_error(self, tmp_path):
+    def test_save_refuses_a_float64_parameter(self, tmp_path):
         model = init_model(NANO, seed=4).astype(np.float64)
-        dict(model.named_parameters())["decoder.head.bias"].value[0] = 1e300
-        path = tmp_path / "m.hst"
-        save_checkpoint(model, path)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # no overflow RuntimeWarning escapes
-            with pytest.raises(DataError, match="decoder.head.bias"):
-                load_checkpoint(path)
+        with pytest.raises(UsageError, match="float32"):
+            save_checkpoint(model, tmp_path / "m.hst")
+        assert os.listdir(tmp_path) == []
 
-    def test_f64_records_load_rounded_to_float32(self, tmp_path):
-        model = init_model(NANO, seed=4).astype(np.float64)
-        for p in model.parameters():
-            p.value += 1e-12  # moves values off the float32 grid, so the load rounds
+    def test_f64_records_are_data_error(self, tmp_path):
+        # records are float32 only; tag 1 is refused like any unknown tag
         path = tmp_path / "m.hst"
-        save_checkpoint(model, path)
-        assert {v.dtype for v in read_checkpoint(path)[1].values()} == {np.dtype("<f8")}
-        for (na, pa), (nb, pb) in zip(model.named_parameters(),
-                                      load_checkpoint(path).named_parameters()):
-            assert na == nb and pb.dtype == np.float32
-            assert pb.value.tobytes() == pa.value.astype(np.float32).tobytes()
+        write_f64_checkpoint(init_model(NANO, seed=4), path)
+        with pytest.raises(DataError, match="unknown dtype tag 1 "):
+            load_checkpoint(path)
 
     @pytest.mark.parametrize("edit, message", [
         (lambda params: params.pop("decoder.head.bias"), "parameter set mismatch"),
@@ -908,3 +898,18 @@ class TestAblationModes:
         sample = synth_moving_shapes(7, 3, 64, 2)
         loss = train_step(model, sample.frames, sample.masks, lr=1e-4)
         assert np.isfinite(loss)
+
+
+def test_digest_tool_runs_one_configuration(capsys):
+    # the tool that compares the outputs of two trees, on its smallest nano item
+    import digests
+
+    lines = digests.main(["infer/nano_80"])
+    assert [line.split()[0] for line in lines] == ["infer/nano_80/labels", "infer/nano_80/probs"]
+    assert capsys.readouterr().out.splitlines() == lines
+    size, n_frames, n_objects, _ = digests.INFERENCE["nano_80"]
+    sample = synth_moving_shapes(digests.DATA_SEED, n_frames, size, n_objects)
+    labels, _ = run_sequence(init_model(ModelConfig(), digests.INIT_SEED),
+                             sample.frames, sample.masks[0])
+    expect = hashlib.sha256(b"".join(m.astype(np.int64).tobytes() for m in labels[1:]))
+    assert lines[0].split()[1] == expect.hexdigest()
