@@ -51,7 +51,14 @@ def relative_position_index(window, table_window):
 
 
 class RelativePositionBias(Module):
-    """Learned per-head bias over relative token displacements in a window."""
+    """Learned per-head bias over relative token displacements in a window.
+
+    The table holds one [heads] row per displacement. Called with a window,
+    it returns the contiguous [heads, L, L] bias map, gathered in one op
+    (one tape node) from the table's transposed view. The backward adds the
+    gradient's [L*L, heads] rows into the table rows with ``np.add.at`` in
+    index order, as the gradient of a row ``take`` would.
+    """
 
     def __init__(self, table_window, heads, rng):
         rows = math.prod(2 * w - 1 for w in table_window)
@@ -61,10 +68,15 @@ class RelativePositionBias(Module):
 
     def __call__(self, window):
         index = relative_position_index(tuple(window), self.table_window)
-        length = index.shape[0]
-        bias = engine.take(self.table.tensor(), index.reshape(-1))
-        bias = engine.reshape(bias, (length, length, self.heads))
-        return engine.transpose(bias, (2, 0, 1))  # [heads, L, L]
+        table = self.table.tensor()
+        out = np.take(table.data.T, index, axis=1)  # [heads, L, L]
+
+        def bwd(g):
+            full = np.zeros(table.shape, dtype=g.dtype)
+            np.add.at(full, index.reshape(-1), g.transpose(1, 2, 0).reshape(-1, self.heads))
+            return (full,)
+
+        return engine.record_op(out, (table,), bwd)
 
 
 def _partition_flat(arr, window):
@@ -164,6 +176,8 @@ def window_msa(qkv, heads, bias, mask):
 
     qkv: [nW, L, 3C] (queries, keys and values side by side, each split
     into ``heads`` slices of C/heads); ``bias`` is a [heads, L, L] tensor,
+    added as it is to every window's logits (``RelativePositionBias``
+    returns it contiguous, so no copy is made here);
     ``mask`` a [P, 1, L, L] additive array or None, where P divides nW and
     window i takes mask row i % P (the windows of several objects share one
     object's mask). Returns [nW, L, C]. Logits are scaled by
@@ -193,9 +207,6 @@ def window_msa(qkv, heads, bias, mask):
     keep = engine.recording((qkv, bias))
     fit = max(1, _LOGITS_BYTES // (heads * length * length * qkv.dtype.itemsize))
     groups = _window_groups(n_windows, period, fit)
-    # added once per group: a contiguous copy reads faster than the
-    # transposed table view that RelativePositionBias returns
-    bias_data = np.ascontiguousarray(bias.data)
     out = np.empty((n_windows, length, heads, head_dim), dtype=qkv.dtype)
     saved = []
     buf = None
@@ -204,7 +215,7 @@ def window_msa(qkv, heads, bias, mask):
         weights = np.matmul(q[start:stop], k[start:stop].swapaxes(-1, -2),
                             out=None if buf is None else buf[:stop - start])
         weights *= scale
-        weights += bias_data  # broadcast over windows
+        weights += bias.data  # broadcast over windows
         if mask is not None:
             if stop - start > period:  # whole periods
                 periods = weights.reshape((-1, period) + weights.shape[1:])

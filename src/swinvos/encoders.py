@@ -179,12 +179,14 @@ def _project_objects(x, weight):
     """[M, N, C] @ [C, n] as one op of M GEMMs, one per object: a GEMM's
     bytes can depend on its row count, and an object's must not depend on
     M. Returns [M, n, N], each object's map the transposed view of its
-    contiguous [N, n] product: ``dense_read``'s bytes depend on that layout."""
+    contiguous [N, n] product: ``dense_read``'s bytes depend on that layout.
+    The input gradient is an ``engine.array_matmul`` product, whose inner
+    extent is 1 for a one-channel key map."""
     out = np.matmul(x.data, weight.data)  # numpy runs one GEMM per object
 
     def bwd(g):
         g = g.transpose(0, 2, 1)
-        gx = np.matmul(g, weight.data.T) if x.watched else None
+        gx = engine.array_matmul(g, weight.data.T) if x.watched else None
         gw = np.matmul(x.data.transpose(0, 2, 1), g).sum(axis=0) if weight.watched else None
         return gx, gw
 

@@ -377,10 +377,8 @@ def reshape(a, shape):
 
 def transpose(a, axes):
     a = as_tensor(a)
-    axes = tuple(axes)
-    inverse = tuple(np.argsort(axes))
-    out = np.transpose(a.data, axes)
-    return record_op(out, (a,), lambda g: (np.transpose(g, inverse),))
+    out = a.data.transpose(axes)
+    return record_op(out, (a,), lambda g: (g.transpose(tuple(np.argsort(axes))),))
 
 
 def concat(tensors, axis):
@@ -510,6 +508,20 @@ def tsum(a, axis=None):
 # ---------------------------------------------------------------------------
 # linear algebra
 
+def array_matmul(a, b):
+    """``np.matmul(a, b)`` on arrays of rank >= 2, with the same bytes.
+
+    A product with inner extent 1 is the broadcast product ``a * b``
+    instead: BLAS runs a K=1 GEMM at several times the cost per output of
+    K=2. The ``+= 0.0`` turns -0 into +0, as the GEMM's sum from +0 does.
+    """
+    if a.shape[-1] != 1:
+        return np.matmul(a, b)
+    out = a * b
+    out += 0.0
+    return out
+
+
 def matmul(a, b, bias=None):
     """Batched matrix product; leading extents must match or broadcast from 1.
 
@@ -517,7 +529,9 @@ def matmul(a, b, bias=None):
     on a token grid) is folded: the left operand's leading axes become rows
     of one ``[rows, K] @ [K, N]`` GEMM, whose result is reshaped back. numpy
     would otherwise run one small GEMM per leading index. The backward folds
-    the same way, so the weight gradient is one GEMM as well.
+    the same way, so the weight gradient is one GEMM as well. The forward
+    product is ``array_matmul``, so a unit inner extent (a one-channel key
+    map) is a broadcast product.
 
     ``bias`` (a tensor over the last output axis, optional) is added in
     place into the product, so an affine map is one op and one tape node.
@@ -535,10 +549,10 @@ def matmul(a, b, bias=None):
     if folded:
         k, n = b.shape
         rows = math.prod(a.shape[:-1])
-        out = np.matmul(a.data.reshape(rows, k), b.data).reshape(a.shape[:-1] + (n,))
+        out = array_matmul(a.data.reshape(rows, k), b.data).reshape(a.shape[:-1] + (n,))
     else:
         try:
-            out = np.matmul(a.data, b.data)
+            out = array_matmul(a.data, b.data)
         except ValueError as err:
             raise DimensionError(
                 f"matmul batch extents differ: {a.shape} @ {b.shape}") from err

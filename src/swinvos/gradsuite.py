@@ -164,7 +164,7 @@ def _check_dense_read(rng):
         rng.standard_normal((1, 8)), rng.standard_normal((3, 8))])
 
 
-def _check_topk_read(rng):
+def _check_topk_read(rng, key_width=4):
     stage = 3
     omega = TopKIndexSet(np.array([[0, 5], [1, 4], [2, 3], [6, 7]]), _GEOM).expand(stage)
     hi, wi = _GEOM.stage_hw(stage)
@@ -176,8 +176,13 @@ def _check_topk_read(rng):
 
     nm = _GEOM.t * hi * wi
     return engine.gradcheck(fn, [
-        rng.standard_normal((4, hi * wi)), rng.standard_normal((8, hi * wi)),
-        rng.standard_normal((4, nm)), rng.standard_normal((8, nm))])
+        rng.standard_normal((key_width, hi * wi)), rng.standard_normal((8, hi * wi)),
+        rng.standard_normal((key_width, nm)), rng.standard_normal((8, nm))])
+
+
+def _check_topk_read_unit_key(rng):
+    # one-channel keys, as at nano stage 1: the scores are a broadcast product
+    return _check_topk_read(rng, key_width=1)
 
 
 def _check_soft_aggregate(rng):
@@ -226,6 +231,7 @@ SUITE = [
     ("swin_block_objects", _check_swin_block_objects, COMPOSED_TOL),
     ("dense_read", _check_dense_read, PRIMITIVE_TOL),
     ("topk_read", _check_topk_read, PRIMITIVE_TOL),
+    ("topk_read_unit_key", _check_topk_read_unit_key, PRIMITIVE_TOL),
     ("soft_aggregate", _check_soft_aggregate, PRIMITIVE_TOL),
     ("cross_entropy", _check_cross_entropy, PRIMITIVE_TOL),
     ("refinement_stage", _check_refinement_stage, COMPOSED_TOL),

@@ -23,6 +23,7 @@ one score buffer, and the value mix. Chunks and groups only split rows,
 never a softmax, so results do not depend on their size.
 """
 
+import functools
 import time
 from dataclasses import dataclass
 
@@ -76,10 +77,17 @@ class TopKIndexSet:
         x4 = rem // self.geom.w4
         y4 = rem % self.geom.w4
         base = t4 * (hi * wi) + (x4 * r) * wi + (y4 * r)  # [Nq4, k]
-        dx, dy = np.meshgrid(np.arange(r), np.arange(r), indexing="ij")
-        block = (dx * wi + dy).reshape(-1)  # [r*r]
-        out = base[:, :, None] + block[None, None, :]
+        out = base[:, :, None] + _block_offsets(r, wi)[None, None, :]
         return out.reshape(self.indices.shape[0], -1)
+
+
+@functools.lru_cache(maxsize=16)
+def _block_offsets(r, wi):
+    """[r*r] linear offsets of an r x r block in a grid of row length ``wi``,
+    in row-major block order; cached, read-only."""
+    block = (np.arange(r)[:, None] * wi + np.arange(r)).reshape(-1)
+    block.flags.writeable = False
+    return block
 
 
 def _check_kv(kq, vq, km, vm):
@@ -188,7 +196,9 @@ def _gather_attend(q_blocks, km_t, vm_t, omega, cells):
     ``cells`` slices the stage-4 cells of ``q_blocks`` [n_cells, r*r, Ck]
     and ``omega`` [n_cells, n]; the group's keys and values are gathered
     from the memory rows ``km_t`` [Nm, Ck] and ``vm_t`` [Nm, Cv]. The
-    softmax runs in place on the one score buffer, with the steps of
+    scores are ``engine.array_matmul`` products, so one-channel keys (nano
+    stage 1) make them a broadcast product of the query and key columns.
+    The softmax runs in place on the one score buffer, with the steps of
     ``engine.softmax``; the backward is written out with the arithmetic of
     the composed take/matmul/softmax/matmul ops, so results keep their bytes.
     Returns [cells, r*r, Cv].
@@ -197,7 +207,7 @@ def _gather_attend(q_blocks, km_t, vm_t, omega, cells):
     qb = q_blocks.data[cells]
     kg = np.take(km_t.data, idx, axis=0)  # [cells, n, Ck]
     vg = np.take(vm_t.data, idx, axis=0)  # [cells, n, Cv]
-    w = np.matmul(qb, kg.transpose(0, 2, 1))  # [cells, r*r, n]
+    w = engine.array_matmul(qb, kg.transpose(0, 2, 1))  # [cells, r*r, n]
     w -= w.max(axis=-1, keepdims=True)
     np.exp(w, out=w)
     w /= w.sum(axis=-1, keepdims=True)

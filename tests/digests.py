@@ -5,9 +5,10 @@ Each line is ``<item> <sha256>``. The items:
 - ``infer/<config>/labels`` and ``infer/<config>/probs``: the label maps
   and per-object probabilities of every predicted frame, for each
   inference configuration in ``INFERENCE`` (init seed 7, synthetic seed 3);
-- ``train/<variant>/curve`` and ``train/<variant>/params``: the loss curve
-  and parameters of a 10-step nano and a 2-step T ``train_toy`` (lr 1e-3,
-  seed 7), and ``train/nano/checkpoint``, the bytes of the saved nano model.
+- ``train/<run>/curve`` and ``train/<run>/params``: the loss curve and
+  parameters of a 10-step nano, a 10-step nano ``dense_all`` and a 2-step
+  T ``train_toy`` (lr 1e-3, seed 7), and ``train/nano/checkpoint``, the
+  bytes of the saved nano model.
 
 The script imports whichever ``swinvos`` is on the path, so one copy of it
 serves both trees. Run it against each tree's ``src`` and diff the outputs:
@@ -58,8 +59,13 @@ INFERENCE = {
     "nano_3_objects_80": (80, 6, 3, {}),
 }
 
-# variant: (steps, frame extent px, frames)
-TRAINING = {"nano": (10, 64, 8), "T": (2, 64, 4)}
+# run: (steps, frame extent px, frames, ModelConfig fields). Nano
+# dense_all reads stage 1 densely with one-channel keys under training.
+TRAINING = {
+    "nano": (10, 64, 8, {"variant": "nano"}),
+    "nano_dense_all": (10, 64, 8, {"variant": "nano", "read_mode": "dense_all"}),
+    "T": (2, 64, 4, {"variant": "T"}),
+}
 LR = 1e-3
 
 
@@ -85,17 +91,17 @@ def infer_digests(name):
     return [(f"infer/{name}/labels", _sha(labels)), (f"infer/{name}/probs", _sha(probs))]
 
 
-def train_digests(variant):
+def train_digests(run):
     """(item, digest) of one ``train_toy`` run's curve and parameters, and
-    for nano the saved checkpoint's bytes."""
-    steps, size, n_frames = TRAINING[variant]
-    model = init_model(ModelConfig(variant=variant), INIT_SEED)
+    for the nano run the saved checkpoint's bytes."""
+    steps, size, n_frames, fields = TRAINING[run]
+    model = init_model(ModelConfig(**fields), INIT_SEED)
     sample = synth_moving_shapes(DATA_SEED, n_frames, size, 1)
     curve = train_toy(model, sample, steps, LR, seed=INIT_SEED)
     params = [name.encode() + p.value.tobytes() for name, p in model.named_parameters()]
-    out = [(f"train/{variant}/curve", _sha([np.asarray(curve, np.float64).tobytes()])),
-           (f"train/{variant}/params", _sha(params))]
-    if variant == "nano":
+    out = [(f"train/{run}/curve", _sha([np.asarray(curve, np.float64).tobytes()])),
+           (f"train/{run}/params", _sha(params))]
+    if run == "nano":
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "nano.hst"
             save_checkpoint(model, path)
@@ -105,7 +111,7 @@ def train_digests(variant):
 
 # (item prefix, function returning the group's digests, its argument)
 GROUPS = ([(f"infer/{name}/", infer_digests, name) for name in INFERENCE]
-          + [(f"train/{variant}/", train_digests, variant) for variant in TRAINING])
+          + [(f"train/{run}/", train_digests, run) for run in TRAINING])
 
 
 def main(argv):

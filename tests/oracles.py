@@ -15,6 +15,7 @@ import zlib
 import numpy as np
 
 from swinvos import engine, memread
+from swinvos.attention import relative_position_index
 from swinvos.checkpoint import save_checkpoint
 from swinvos.decoder import predict_labels, soft_aggregate
 from swinvos.encoders import KeyValueMaps
@@ -258,6 +259,16 @@ def unfused_window_msa(qkv, heads, bias=None, mask=None):
     weights = engine.softmax(logits, axis=-1)
     out = engine.transpose(engine.matmul(weights, v), (0, 2, 1, 3))
     return engine.reshape(out, (n_windows, length, c))
+
+
+def take_chain_relative_bias(bias, window):
+    """A ``RelativePositionBias`` map as three taped ops: a row take from
+    the table, a reshape to [L, L, heads] and a transpose to [heads, L, L]."""
+    index = relative_position_index(tuple(window), bias.table_window)
+    length = index.shape[0]
+    out = engine.take(bias.table.tensor(), index.reshape(-1))
+    out = engine.reshape(out, (length, length, bias.heads))
+    return engine.transpose(out, (2, 0, 1))
 
 
 def swin_geometry(dims, window, shifted):

@@ -7,6 +7,7 @@ from oracles import (
     pad_roll_partition,
     padded_swin_block,
     swin_geometry,
+    take_chain_relative_bias,
     unfused_window_msa,
 )
 
@@ -162,6 +163,25 @@ class TestRelativePositionBias:
         bias = RelativePositionBias((4, 4), heads=2, rng=rng)
         out = bias((2, 2))
         assert out.shape == (2, 4, 4)
+
+    @pytest.mark.parametrize("window, table_window", [
+        ((4, 4), (4, 4)), ((7, 7), (7, 7)), ((2, 7, 7), (2, 7, 7)), ((2, 3), (4, 4))])
+    def test_one_gather_keeps_the_take_chain_bytes(self, rng, window, table_window):
+        bias = RelativePositionBias(table_window, heads=3, rng=rng)
+        length = int(np.prod(window))
+        probe = Tensor(rng.standard_normal((3, length, length)).astype(np.float32))
+        results = []
+        for build in (lambda: bias(window), lambda: take_chain_relative_bias(bias, window)):
+            with Tape() as tape:
+                out = build()
+                loss = engine.tsum(engine.mul(out, probe))
+            engine.backward(loss, tape)
+            results.append((out, bias.table.grad.copy(), len(tape.nodes)))
+        (out, grad, nodes), (expect, expect_grad, expect_nodes) = results
+        assert out.data.flags.c_contiguous and out.shape == (3, length, length)
+        assert out.data.tobytes() == expect.data.tobytes()
+        assert grad.tobytes() == expect_grad.tobytes()
+        assert nodes == expect_nodes - 2
 
 
 def _mask_and_oracle(dims, window, shifted, extents):

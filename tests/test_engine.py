@@ -89,6 +89,25 @@ class TestMatmul:
         assert out.shape == (5, 3, 2)
         np.testing.assert_allclose(out.data[2], a[2] @ b, rtol=1e-6)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("a_shape, b_shape", [
+        ((64, 1), (1, 300)), ((4, 16, 1), (4, 1, 9)), ((4, 16, 1), (1, 9)),
+        ((2, 1, 5, 1), (3, 1, 7))])
+    def test_unit_inner_extent_keeps_matmul_bytes(self, rng, dtype, a_shape, b_shape):
+        a = rng.standard_normal(a_shape).astype(dtype)
+        b = rng.standard_normal(b_shape).astype(dtype)
+        # every pairing of +-0, +-inf, NaN and a finite value appears
+        a.reshape(-1)[:6] = [0.0, -0.0, np.inf, -np.inf, np.nan, 2.5]
+        b.reshape(-1)[:6] = [-0.0, 0.0, -np.inf, np.inf, np.nan, -1.5]
+        with np.errstate(invalid="ignore"):
+            expect = np.matmul(a, b)
+            out = engine.array_matmul(a, b)
+            bare = a * b
+        assert out.dtype == expect.dtype and out.shape == expect.shape
+        assert out.tobytes() == expect.tobytes()
+        # a bare product keeps -0 where the GEMM's sum from +0 does not
+        assert np.signbit(bare).sum() > np.signbit(expect).sum()
+
     def test_shape_mismatch_names_both_shapes(self):
         with pytest.raises(DimensionError) as err:
             engine.matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 2))))

@@ -158,7 +158,7 @@ def test_suite_checks_project_objects():
     from swinvos.gradsuite import PRIMITIVE_TOL, SUITE
 
     rows = {name: (check, tol) for name, check, tol in SUITE}
-    assert len(SUITE) == 17
+    assert len(SUITE) == 18
     check, tol = rows["project_objects"]
     assert tol == PRIMITIVE_TOL
     assert check(np.random.default_rng(0)) <= tol

@@ -387,19 +387,31 @@ class TestReadAll:
 
     def test_flop_model_matches_operation_counter(self, monkeypatch):
         # count the multiply-adds of every numpy matmul actually executed
-        # (engine ops and fused ops alike) and compare with the model's
+        # (engine ops and fused ops alike), and of every unit-inner-extent
+        # product that engine.array_matmul runs as a multiply plus + 0.0
+        # (2 flops per output, as the GEMM's), and compare with the model's
         # matmul term (model minus 5/elem softmax)
         counted = {"flops": 0}
         real_matmul = np.matmul
+        real_array_matmul = engine.array_matmul
 
-        def counting_matmul(a, b, *args, **kw):
+        def count(a, b):
             m, p = np.shape(a)[-2:]
             n = np.shape(b)[-1]
             batch = math.prod(np.broadcast_shapes(np.shape(a)[:-2], np.shape(b)[:-2]))
             counted["flops"] += 2 * batch * m * p * n
+
+        def counting_matmul(a, b, *args, **kw):
+            count(a, b)
             return real_matmul(a, b, *args, **kw)
 
+        def counting_array_matmul(a, b):
+            if np.shape(a)[-1] == 1:  # other products reach np.matmul
+                count(a, b)
+            return real_array_matmul(a, b)
+
         monkeypatch.setattr(np, "matmul", counting_matmul)
+        monkeypatch.setattr(engine, "array_matmul", counting_array_matmul)
         geom = ReadGeometry(t=2, h4=2, w4=2)
         query, memory = random_kv(geom, 8, 0)
         for mode in ("dense_all", "hierarchical_topk"):

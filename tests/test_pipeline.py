@@ -319,6 +319,39 @@ class TestSegmentFrame:
         assert labels.max() <= 2
 
 
+def _refuse_unit_inner_extent(monkeypatch):
+    """Make ``np.matmul`` fail on a product with inner extent 1, the K=1
+    GEMM that BLAS runs several times slower per output than K=2."""
+    real = np.matmul
+
+    def guarded(a, b, *args, **kwargs):
+        if np.shape(a)[-1] == 1:
+            raise AssertionError(f"K=1 matmul {np.shape(a)} @ {np.shape(b)}")
+        return real(a, b, *args, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", guarded)
+
+
+class TestUnitInnerExtent:
+    """Nano stage-1 keys are one channel wide (C/8 with C = 8); no product
+    on them may reach BLAS as a K=1 GEMM."""
+
+    @pytest.mark.parametrize("read_mode", ["hierarchical_topk", "dense_all", "last_stage_only"])
+    def test_segment_frame(self, monkeypatch, read_mode):
+        model = init_model(ModelConfig(variant="nano", read_mode=read_mode), seed=0)
+        sample = synth_moving_shapes(0, 3, 64, 2)
+        bank = MemoryBank("every8", sample.frames[0], sample.masks[0], 2)
+        _refuse_unit_inner_extent(monkeypatch)
+        for t in (1, 2):
+            segment_frame(model, bank, sample.frames[t], t)
+
+    def test_train_step(self, monkeypatch):
+        model = init_model(ModelConfig(variant="nano"), seed=0)
+        sample = synth_moving_shapes(0, 3, 64, 1)
+        _refuse_unit_inner_extent(monkeypatch)
+        train_step(model, sample.frames, sample.masks, lr=1e-3)
+
+
 class TestRunSequence:
     def test_single_frame_returns_given_mask(self, nano_model):
         sample = synth_moving_shapes(2, 1, 64, 1)
