@@ -68,7 +68,7 @@ class RelativePositionBias(Module):
 
     def __call__(self, window):
         index = relative_position_index(tuple(window), self.table_window)
-        table = self.table.tensor()
+        table = self.table
         out = np.take(table.data.T, index, axis=1)  # [heads, L, L]
 
         def bwd(g):
@@ -192,7 +192,6 @@ def window_msa(qkv, heads, bias, mask):
     each group's weights for the backward, which is written out for ``qkv``
     and ``bias``.
     """
-    qkv = engine.as_tensor(qkv)
     n_windows, length, width = qkv.shape
     if width % (3 * heads):
         raise ConfigError(f"qkv width {width} is not 3 x a multiple of heads {heads}")
@@ -310,7 +309,7 @@ class SwinBlock(Module):
         attn = self.attn
         h = engine.gather_rows(attn.qkv(self.norm1(x)), layout.slots, layout.tokens,
                                (layout.slots.size // length, length, 3 * c),
-                               fill=attn.qkv.bias.tensor())
+                               fill=attn.qkv.bias)
         h = window_msa(h, attn.heads, bias=attn.bias(window), mask=mask)
         h = engine.gather_rows(h, layout.tokens, layout.slots, dims + (c,))
         x = engine.add(x, attn.proj(h))
@@ -326,13 +325,7 @@ class PatchEmbedImage(Module):
         self.norm = engine.LayerNorm(dim)
 
     def __call__(self, frame):
-        h, w, c = frame.shape
-        if c != 3:
-            raise DimensionError(f"expected RGB frame, got {frame.shape}")
-        if h % PATCH or w % PATCH:
-            raise DimensionError(f"frame extents {h}x{w} not divisible by {PATCH}")
-        tokens = _patchify(frame, PATCH)
-        return self.norm(self.embed(tokens))
+        return self.norm(self.embed(_patchify(frame, PATCH)))
 
 
 class PatchEmbedVideo(Module):
@@ -358,9 +351,6 @@ class PatchEmbedVideo(Module):
             raise DimensionError(
                 f"frame/mask extents differ: {frames.shape} vs {target_masks.shape}"
                 f" vs {other_masks.shape}")
-        t, h, w, _ = frames.shape
-        if h % PATCH or w % PATCH:
-            raise DimensionError(f"frame extents {h}x{w} not divisible by {PATCH}")
         tokens = self.embed_rgb(_patchify(frames, PATCH))
         tokens = engine.add(tokens, self.embed_target(_patchify(target_masks, PATCH)))
         if self.embed_other is not None:

@@ -44,7 +44,7 @@ def save_checkpoint(model, path):
     for name, param in model.named_parameters():
         encoded = name.encode("utf-8")
         body += struct.pack("<I", len(encoded)) + encoded
-        value = param.value
+        value = param.data
         if value.dtype != np.float32:
             raise UsageError(f"checkpoints hold float32 parameters, {name} is {value.dtype}")
         body += struct.pack("<I", value.ndim)
@@ -146,8 +146,8 @@ def load_checkpoint(path):
                         f"(missing {sorted(missing)[:3]}, extra {sorted(extra)[:3]})")
     for name, value in params.items():
         target = names[name]
-        if target.value.shape != value.shape:
+        if target.shape != value.shape:
             raise DataError(f"{path}: shape mismatch for {name}: "
-                            f"file {value.shape} vs model {target.value.shape}")
-        target.value = value
+                            f"file {value.shape} vs model {target.shape}")
+        target.data = value
     return model

@@ -54,7 +54,6 @@ def build_parser():
     train.add_argument("--data-seed", type=int, default=0)
     train.add_argument("--steps", type=int, default=500)
     train.add_argument("--lr", type=float, default=1e-3)
-    train.add_argument("--no-curriculum", action="store_true")
     train.add_argument("--ckpt", help="checkpoint output path (required)")
     train.add_argument("--loss-csv", help="loss curve output (default: <ckpt>.loss.csv)")
 
@@ -154,8 +153,7 @@ def cmd_train_toy(args):
     _print_config(args, ("steps", "lr"))
     sys.stdout.write(config.canonical())
     model = init_model(config, args.seed)
-    curve = train_toy(model, sample, args.steps, args.lr, seed=args.seed,
-                      curriculum=not args.no_curriculum)
+    curve = train_toy(model, sample, args.steps, args.lr, seed=args.seed)
     save_checkpoint(model, args.ckpt)
     _write_lines(loss_csv, ["step,loss"]
                  + [f"{i},{v:.6f}" for i, v in enumerate(curve)])

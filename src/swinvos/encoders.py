@@ -170,8 +170,8 @@ class KeyValueProjector(Module):
         per_stage = []
         for f, keys, values in zip(features, self.keys, self.values):
             flat = engine.reshape(f, (f.shape[0] if f.ndim == 5 else 1, -1, f.shape[-1]))
-            per_stage.append(zip(engine.unstack(_project_objects(flat, keys.weight.tensor())),
-                                 engine.unstack(_project_objects(flat, values.weight.tensor()))))
+            per_stage.append(zip(engine.unstack(_project_objects(flat, keys.weight)),
+                                 engine.unstack(_project_objects(flat, values.weight))))
         return [[KeyValueMaps(k, v) for k, v in maps] for maps in zip(*per_stage)]
 
 

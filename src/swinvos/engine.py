@@ -3,8 +3,10 @@
 A ``Tensor`` wraps a row-major numpy array (f32 or f64). Differentiable
 operations record onto the active ``Tape`` (define-by-run, rebuilt every
 forward pass); ``backward`` replays the tape in reverse and accumulates
-gradients onto every ``Parameter`` that was touched. Tensors are immutable
-values; a tape and its parameters follow a single-writer contract.
+gradients onto every ``Parameter`` that was touched. A ``Parameter`` is a
+tensor, so modules hand their weights straight to ops. Tensors are values,
+except parameters, which Adam updates in place between passes; a tape and
+its parameters follow a single-writer contract.
 """
 
 import functools
@@ -43,16 +45,19 @@ def _checked(data):
 
 
 class Tensor:
-    """Immutable dense array value; the universal carrier of the package."""
+    """Dense array value; the universal carrier of the package.
 
-    __slots__ = ("data", "param", "watched")
+    A tensor is never written after it is made, except a ``Parameter``,
+    whose array Adam updates in place between passes.
+    """
+
+    __slots__ = ("data", "watched")
 
     def __init__(self, data, dtype=None):
         if dtype is None and not (isinstance(data, (np.ndarray, np.generic))
                                   and data.dtype in _SUPPORTED_DTYPES):
             dtype = DEFAULT_DTYPE
         self.data = np.asarray(data, dtype)
-        self.param = None
         self.watched = False
 
     @property
@@ -81,37 +86,26 @@ def as_tensor(value):
     return Tensor(value, dtype=np.float64 if isinstance(value, (int, float)) else None)
 
 
-class Parameter:
+class Parameter(Tensor):
     """A trainable tensor with gradient and Adam moment slots.
 
+    Always watched: every op on it under a tape is recorded, and the tape
+    counts it as touched. ``adam_step`` updates ``data`` in place.
     ``grad``, ``adam_m`` and ``adam_v`` are allocated lazily so that a
     full-scale model can be instantiated for inspection without tripling
     its memory footprint. All four arrays share one shape.
     """
 
-    __slots__ = ("value", "grad", "adam_m", "adam_v", "step_count", "name")
+    __slots__ = ("grad", "adam_m", "adam_v", "step_count", "name")
 
-    def __init__(self, value):
-        self.value = np.asarray(value)
+    def __init__(self, data):
+        super().__init__(data)
+        self.watched = True
         self.grad = None
         self.adam_m = None
         self.adam_v = None
         self.step_count = 0
         self.name = ""
-
-    @property
-    def shape(self):
-        return self.value.shape
-
-    def tensor(self):
-        """Wrap the current value for use in a forward pass."""
-        t = Tensor(self.value)
-        t.param = self
-        tape = _active_tape()
-        if tape is not None:
-            t.watched = True
-            tape._touch(self)
-        return t
 
 
 class _Node:
@@ -149,12 +143,11 @@ class Tape:
         assert popped is self
         return False
 
-    def _touch(self, param):
-        if id(param) not in self._param_ids:
-            self._param_ids.add(id(param))
-            self.parameters.append(param)
-
     def _record(self, out, inputs, backward_fn):
+        for t in inputs:
+            if isinstance(t, Parameter) and id(t) not in self._param_ids:
+                self._param_ids.add(id(t))
+                self.parameters.append(t)
         node = _Node(out, inputs, backward_fn)
         self.nodes.append(node)
         self._node_by_out[id(out)] = node
@@ -194,7 +187,7 @@ def backward(loss, tape):
     if loss.shape != ():
         raise UsageError(f"backward requires a scalar loss, got shape {loss.shape}")
     for p in tape.parameters:
-        p.grad = np.zeros_like(p.value)
+        p.grad = np.zeros_like(p.data)
     seed = tape._node_by_out.get(id(loss))
     if seed is None:
         raise UsageError("loss tensor was not recorded on this tape")
@@ -207,8 +200,8 @@ def backward(loss, tape):
         for t, g in zip(node.inputs, grads):
             if g is None or not t.watched:
                 continue
-            if t.param is not None:
-                t.param.grad += g
+            if isinstance(t, Parameter):
+                t.grad += g
             else:
                 producer = tape._node_by_out.get(id(t))
                 if producer is None:
@@ -245,9 +238,9 @@ def _binary_operands(a, b):
     if a.dtype != b.dtype:
         # Promote plain python/int constants silently; mixing f32/f64 tensors
         # is almost always a bug, so only widen zero-ndim constants.
-        if a.ndim == 0 and a.param is None and not a.watched:
+        if a.ndim == 0 and not a.watched:
             a = Tensor(a.data.astype(b.dtype))
-        elif b.ndim == 0 and b.param is None and not b.watched:
+        elif b.ndim == 0 and not b.watched:
             b = Tensor(b.data.astype(a.dtype))
         else:
             raise DimensionError(f"dtype mismatch: {a.dtype} vs {b.dtype}")
@@ -317,12 +310,10 @@ def maximum(a, b):
 
 
 def log(a):
-    a = as_tensor(a)
     return record_op(np.log(a.data), (a,), lambda g: (g / a.data,))
 
 
 def clamp(a, lo, hi):
-    a = as_tensor(a)
     out = np.clip(a.data, lo, hi)
     inside = (a.data >= lo) & (a.data <= hi)
     return record_op(out, (a,), lambda g: (g * inside,))
@@ -339,7 +330,6 @@ def gelu(a):
     those of the formula. The tanh argument is kept at full size only when
     the op is recorded, because the backward reads it.
     """
-    a = as_tensor(a)
     x = a.data
     keep = recording((a,))
     out = np.empty(x.shape, x.dtype)
@@ -370,20 +360,17 @@ def gelu(a):
 # structural ops
 
 def reshape(a, shape):
-    a = as_tensor(a)
     out = a.data.reshape(shape)
     return record_op(out, (a,), lambda g: (g.reshape(a.shape),))
 
 
 def transpose(a, axes):
-    a = as_tensor(a)
     out = a.data.transpose(axes)
     return record_op(out, (a,), lambda g: (g.transpose(tuple(np.argsort(axes))),))
 
 
 def concat(tensors, axis):
     """Join along ``axis``; a single tensor passes through uncopied and unrecorded."""
-    tensors = [as_tensor(t) for t in tensors]
     if len(tensors) == 1:
         return tensors[0]
     out = np.concatenate([t.data for t in tensors], axis=axis)
@@ -406,7 +393,6 @@ def concat(tensors, axis):
 
 def getitem(a, key):
     """Basic indexing or an index-array tuple of distinct positions; gradient fills zeros."""
-    a = as_tensor(a)
     out = a.data[key]
 
     def bwd(g):
@@ -419,7 +405,6 @@ def getitem(a, key):
 
 def pad(a, widths):
     """Zero-pad; ``widths`` is a (before, after) pair per axis."""
-    a = as_tensor(a)
     out = np.pad(a.data, widths)
     slices = tuple(slice(b, b + n) for (b, _), n in zip(widths, a.shape))
     return record_op(out, (a,), lambda g: (np.ascontiguousarray(g[slices]),))
@@ -440,9 +425,7 @@ def gather_rows(a, rows, inverse, shape, fill=None):
     backward is the inverse gather, with no scatter-add; ``fill`` receives
     the sum of the gradients of its rows. Returns the rows as ``shape``.
     """
-    a = as_tensor(a)
     c = a.shape[-1]
-    fill = None if fill is None else as_tensor(fill)
     out = _gather_rows(a.data.reshape(-1, c), rows, 0 if fill is None else fill.data)
 
     def bwd(g):
@@ -459,7 +442,6 @@ def gather_rows(a, rows, inverse, shape, fill=None):
 def unstack(a):
     """Split ``a`` along axis 0 into views that keep its memory layout, one
     tape node each; the gradient of piece i fills row i of zeros."""
-    a = as_tensor(a)
 
     def piece(i):
         def bwd(g):
@@ -477,7 +459,6 @@ def take(a, indices):
     The gradient scatter-adds back to the gathered rows; rows never
     selected receive zero gradient (straight-through on the gather).
     """
-    a = as_tensor(a)
     indices = np.asarray(indices)
     if indices.size and (indices.min() < 0 or indices.max() >= a.shape[0]):
         raise DimensionError(f"take indices out of range for {a.shape[0]} rows")
@@ -496,7 +477,6 @@ def take(a, indices):
 
 def tsum(a, axis=None):
     """Sum over every axis, or over ``axis``, which is kept with extent 1."""
-    a = as_tensor(a)
     out = a.data.sum(axis=axis, keepdims=axis is not None)
 
     def bwd(g):
@@ -537,10 +517,8 @@ def matmul(a, b, bias=None):
     place into the product, so an affine map is one op and one tape node.
     """
     a, b = _binary_operands(a, b)
-    if bias is not None:
-        bias = as_tensor(bias)
-        if bias.dtype != a.dtype:
-            raise DimensionError(f"dtype mismatch: {a.dtype} vs bias {bias.dtype}")
+    if bias is not None and bias.dtype != a.dtype:
+        raise DimensionError(f"dtype mismatch: {a.dtype} vs bias {bias.dtype}")
     if a.ndim < 2 or b.ndim < 2:
         raise DimensionError(f"matmul needs rank >= 2, got {a.shape} @ {b.shape}")
     if a.shape[-1] != b.shape[-2]:
@@ -584,7 +562,6 @@ def matmul(a, b, bias=None):
 
 def softmax(a, axis):
     """Exp-normalize along ``axis`` with max subtraction for stability."""
-    a = as_tensor(a)
     if a.shape[axis] == 0:
         raise DimensionError(f"softmax along empty axis {axis} of shape {a.shape}")
     out = a.data - a.data.max(axis=axis, keepdims=True)
@@ -600,9 +577,6 @@ def softmax(a, axis):
 
 def layer_norm(x, gamma, beta):
     """Normalize the last axis to zero mean / unit variance, then affine."""
-    x = as_tensor(x)
-    gamma = as_tensor(gamma)
-    beta = as_tensor(beta)
     dim = x.shape[-1]
     if gamma.shape != (dim,) or beta.shape != (dim,):
         raise DimensionError(
@@ -656,9 +630,6 @@ def conv2d(x, w, b):
     columns: ``gw = g @ col^T`` with ``g`` zero-extended to W+2 columns, and
     ``gx`` is the forward GEMM on ``g`` with the kernel flipped, channels swapped.
     """
-    x = as_tensor(x)
-    w = as_tensor(w)
-    b = as_tensor(b)
     if x.ndim != 3 or w.ndim != 4 or w.shape[2:] != (3, 3):
         raise DimensionError(f"conv2d expects [C,H,W] x and [Co,Ci,3,3] kernel, got {x.shape}, {w.shape}")
     cin, h, wd = x.shape
@@ -702,7 +673,6 @@ def _interp_matrix(n_src, n_dst, dtype):
 
 def bilinear_upsample(x, target):
     """Bilinear resize of [C, H, W] to [C, H', W'], align-corners=false."""
-    x = as_tensor(x)
     if x.ndim != 3:
         raise DimensionError(f"bilinear_upsample expects [C,H,W], got {x.shape}")
     th, tw = target
@@ -731,8 +701,8 @@ def adam_step(params, lr):
         if p.grad is None:
             raise UsageError(f"parameter {p.name or '<unnamed>'} has no gradient")
         if p.adam_m is None:
-            p.adam_m = np.zeros_like(p.value)
-            p.adam_v = np.zeros_like(p.value)
+            p.adam_m = np.zeros_like(p.data)
+            p.adam_v = np.zeros_like(p.data)
         p.step_count += 1
         t = p.step_count
         p.adam_m *= beta1
@@ -741,7 +711,7 @@ def adam_step(params, lr):
         p.adam_v += (1 - beta2) * (p.grad * p.grad)
         mhat = p.adam_m / (1 - beta1 ** t)
         vhat = p.adam_v / (1 - beta2 ** t)
-        p.value -= (lr * mhat / (np.sqrt(vhat) + eps)).astype(p.value.dtype, copy=False)
+        p.data -= (lr * mhat / (np.sqrt(vhat) + eps)).astype(p.data.dtype, copy=False)
 
 
 # ---------------------------------------------------------------------------
@@ -800,7 +770,7 @@ class Module:
     def astype(self, dtype):
         """Cast each parameter to ``dtype`` in place (float64 for gradchecks); returns self."""
         for p in self.parameters():
-            p.value = p.value.astype(dtype)
+            p.data = p.data.astype(dtype)
         return self
 
 
@@ -828,8 +798,7 @@ class Linear(Module):
         self.bias = Parameter(np.zeros(out_dim, dtype=DEFAULT_DTYPE)) if bias else None
 
     def __call__(self, x):
-        return matmul(x, self.weight.tensor(),
-                      None if self.bias is None else self.bias.tensor())
+        return matmul(x, self.weight, self.bias)
 
 
 class LayerNorm(Module):
@@ -838,7 +807,7 @@ class LayerNorm(Module):
         self.beta = Parameter(np.zeros(dim, dtype=DEFAULT_DTYPE))
 
     def __call__(self, x):
-        return layer_norm(x, self.gamma.tensor(), self.beta.tensor())
+        return layer_norm(x, self.gamma, self.beta)
 
 
 class Conv3x3(Module):
@@ -847,7 +816,7 @@ class Conv3x3(Module):
         self.bias = Parameter(np.zeros(out_ch, dtype=DEFAULT_DTYPE))
 
     def __call__(self, x):
-        return conv2d(x, self.weight.tensor(), self.bias.tensor())
+        return conv2d(x, self.weight, self.bias)
 
 
 # ---------------------------------------------------------------------------
@@ -883,7 +852,7 @@ def gradcheck(fn, arrays):
     arrays = [np.asarray(a, dtype=np.float64) for a in arrays]
     params = [Parameter(a.copy()) for a in arrays]
     with Tape() as tape:
-        loss = fn(*[p.tensor() for p in params])
+        loss = fn(*params)
     backward(loss, tape)
     analytic = [p.grad for p in params]
 
@@ -891,7 +860,7 @@ def gradcheck(fn, arrays):
         value = fn(*[Tensor(a) for a in arrs])
         return float(value.data)
 
-    numeric = finite_difference(scalar_fn, [p.value for p in params])
+    numeric = finite_difference(scalar_fn, [p.data for p in params])
     worst = 0.0
     for a, n in zip(analytic, numeric):
         denom = np.maximum(1.0, np.abs(n))

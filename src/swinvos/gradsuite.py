@@ -113,16 +113,6 @@ def _check_window_msa(rng):
                                  rng.standard_normal((heads, length, length)) * 0.1])
 
 
-class _Bound:
-    """Stands in for a Parameter, handing the block a gradcheck input."""
-
-    def __init__(self, tensor):
-        self._tensor = tensor
-
-    def tensor(self):
-        return self._tensor
-
-
 def _check_swin_block(rng, objects=()):
     # shifted 2-D block on a 5x6 grid that pads to 6x6 for 3x3 windows, with
     # valid extents (2, 4), so some windows hold padding and invalid tokens
@@ -136,7 +126,7 @@ def _check_swin_block(rng, objects=()):
 
     def fn(x, *params):
         for (owner, attr), value in zip(bound, params):
-            setattr(owner, attr, _Bound(value))
+            setattr(owner, attr, value)
         out = block(x, valid=objects + (2, 4))
         return engine.tsum(engine.mul(out, Tensor(probe)))
 

@@ -285,14 +285,14 @@ def train_step(model, frames, masks, lr):
     return value
 
 
-def train_toy(model, sample, steps, lr, seed, curriculum=True):
+def train_toy(model, sample, steps, lr, seed):
     """Overfit on one synthetic video; returns the loss curve.
 
-    The triplet-sampling interval cap grows linearly from 0 to
-    ``MAX_INTERVAL`` (clamped to the sequence length) over the schedule;
-    with ``curriculum`` off the cap is fixed at its final value. A triplet
-    whose three masks label no object is redrawn, so a sample must label
-    an object in some frame.
+    The triplet-sampling interval cap grows linearly from 1 to
+    ``MAX_INTERVAL`` (clamped to the sequence length) over the schedule,
+    so early steps sample nearby frames; a one-step run uses the final
+    cap. A triplet whose three masks label no object is redrawn, so a
+    sample must label an object in some frame.
     """
     if steps < 0:
         raise UsageError(f"step count must not be negative, got {steps}")
@@ -308,10 +308,7 @@ def train_toy(model, sample, steps, lr, seed, curriculum=True):
     final_cap = max(1, min(MAX_INTERVAL, n - 1))
     curve = []
     for step in range(steps):
-        if curriculum and steps > 1:
-            cap = max(1, round(final_cap * step / (steps - 1)))
-        else:
-            cap = final_cap
+        cap = max(1, round(final_cap * step / (steps - 1))) if steps > 1 else final_cap
         triplet = sample_training_triplet(n, cap, rng)
         while not any(labelled[i] for i in triplet):
             triplet = sample_training_triplet(n, cap, rng)

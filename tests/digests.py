@@ -98,7 +98,7 @@ def train_digests(run):
     model = init_model(ModelConfig(**fields), INIT_SEED)
     sample = synth_moving_shapes(DATA_SEED, n_frames, size, 1)
     curve = train_toy(model, sample, steps, LR, seed=INIT_SEED)
-    params = [name.encode() + p.value.tobytes() for name, p in model.named_parameters()]
+    params = [name.encode() + p.data.tobytes() for name, p in model.named_parameters()]
     out = [(f"train/{run}/curve", _sha([np.asarray(curve, np.float64).tobytes()])),
            (f"train/{run}/params", _sha(params))]
     if run == "nano":

@@ -96,14 +96,14 @@ def membership_law(t, policy="every8"):
 
 
 def parameter_count(model):
-    return sum(p.value.size for _, p in model.named_parameters())
+    return sum(p.data.size for _, p in model.named_parameters())
 
 
 def encoder_parameter_count(model):
     """Parameters of the two encoders plus their key/value projectors."""
     prefixes = ("query_encoder", "memory_encoder", "image_only_memory",
                 "query_proj", "memory_proj")
-    return sum(p.value.size for name, p in model.named_parameters()
+    return sum(p.data.size for name, p in model.named_parameters()
                if name.startswith(prefixes))
 
 
@@ -266,7 +266,7 @@ def take_chain_relative_bias(bias, window):
     the table, a reshape to [L, L, heads] and a transpose to [heads, L, L]."""
     index = relative_position_index(tuple(window), bias.table_window)
     length = index.shape[0]
-    out = engine.take(bias.table.tensor(), index.reshape(-1))
+    out = engine.take(bias.table, index.reshape(-1))
     out = engine.reshape(out, (length, length, bias.heads))
     return engine.transpose(out, (2, 0, 1))
 
@@ -395,7 +395,7 @@ def write_f64_checkpoint(model, path):
     config = model.config.canonical().encode("utf-8")
     body = struct.pack("<II", 2, len(config)) + config
     for name, param in model.named_parameters():
-        value = param.value.astype("<f8")
+        value = param.data.astype("<f8")
         body += struct.pack("<I", len(name)) + name.encode("utf-8")
         body += struct.pack("<I", value.ndim) + b"".join(struct.pack("<Q", e) for e in value.shape)
         body += bytes([1]) + value.tobytes()

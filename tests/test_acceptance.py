@@ -289,7 +289,7 @@ def test_criterion_9_roundtrips(tmp_path):
     loaded = load_checkpoint(path)
     for (na, pa), (nb, pb) in zip(model.named_parameters(),
                                   loaded.named_parameters()):
-        ok &= na == nb and bool((pa.value == pb.value).all())
+        ok &= na == nb and bool((pa.data == pb.data).all())
     sample = synth_moving_shapes(2, 2, 64, 1)
     out_a, _ = run_sequence(model, sample.frames, sample.masks[0])
     out_b, _ = run_sequence(loaded, sample.frames, sample.masks[0])

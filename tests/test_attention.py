@@ -29,10 +29,10 @@ from swinvos.errors import ConfigError, DimensionError
 
 
 def zero_output_projections(block):
-    block.attn.proj.weight.value[:] = 0
-    block.attn.proj.bias.value[:] = 0
-    block.mlp.fc2.weight.value[:] = 0
-    block.mlp.fc2.bias.value[:] = 0
+    block.attn.proj.weight.data[:] = 0
+    block.attn.proj.bias.data[:] = 0
+    block.mlp.fc2.weight.data[:] = 0
+    block.mlp.fc2.bias.data[:] = 0
 
 
 def to_windows(x, layout, fill=None):
@@ -322,7 +322,7 @@ class TestWindowMsa:
         for op in (window_msa, unfused_window_msa):
             params = [engine.Parameter(qkv.copy()), engine.Parameter(bias.copy())]
             with Tape() as tape:
-                out = op(params[0].tensor(), heads, bias=params[1].tensor(), mask=mask)
+                out = op(params[0], heads, bias=params[1], mask=mask)
                 loss = engine.tsum(engine.mul(out, probe))
             engine.backward(loss, tape)
             outs.append(out.data)
@@ -334,7 +334,7 @@ class TestWindowMsa:
     def test_one_tape_node(self, rng):
         qkv = engine.Parameter(rng.standard_normal((2, 4, 12)).astype(np.float32))
         with Tape() as tape:
-            window_msa(qkv.tensor(), 2, bias=Tensor(np.zeros((2, 4, 4), np.float32)), mask=None)
+            window_msa(qkv, 2, bias=Tensor(np.zeros((2, 4, 4), np.float32)), mask=None)
         assert len(tape.nodes) == 1
 
     # windows per group: one, within a mask period, one period, whole
@@ -353,7 +353,7 @@ class TestWindowMsa:
             monkeypatch.setattr(attention, "_LOGITS_BYTES", budget)
             params = [engine.Parameter(qkv.copy()), engine.Parameter(bias.copy())]
             with Tape() as tape:
-                out = window_msa(params[0].tensor(), heads, bias=params[1].tensor(), mask=mask)
+                out = window_msa(params[0], heads, bias=params[1], mask=mask)
                 engine.backward(engine.tsum(engine.mul(out, probe)), tape)
             assert len(tape.nodes) == 3
             plain = window_msa(Tensor(qkv), heads, bias=Tensor(bias), mask=mask)
@@ -371,7 +371,7 @@ class TestWindowMsa:
 def _random_biases(block, rng):
     for name, p in block.named_parameters():
         if name.endswith((".bias", ".beta")):
-            p.value[...] = rng.normal(0.0, 0.05, p.shape)
+            p.data[...] = rng.normal(0.0, 0.05, p.shape)
 
 
 # (grid, window, valid extents): a 2-D grid that pads 32 -> 35, a 3-D grid
@@ -428,14 +428,14 @@ class TestSwinBlock:
 
     def test_astype_casts_every_parameter(self, rng):
         block = SwinBlock(4, 2, (2, 2), shifted=True, rng=rng)
-        before = [(name, p.shape, p.value.copy()) for name, p in block.named_parameters()]
+        before = [(name, p.shape, p.data.copy()) for name, p in block.named_parameters()]
         assert all(value.dtype == np.float32 for _, _, value in before)
         assert block.astype(np.float64) is block
         after = block.named_parameters()
         assert [(name, shape) for name, shape, _ in before] == [(n, p.shape) for n, p in after]
         for (_, _, value), (_, p) in zip(before, after):
-            assert p.value.dtype == np.float64
-            np.testing.assert_array_equal(p.value, value.astype(np.float64))
+            assert p.data.dtype == np.float64
+            np.testing.assert_array_equal(p.data, value.astype(np.float64))
         assert block(Tensor(rng.standard_normal((4, 6, 4))), valid=(4, 6)).dtype == np.float64
 
     def test_padding_does_not_leak_into_valid_tokens(self, rng):
@@ -457,7 +457,7 @@ class TestVideoSwinBlock:
         b3 = SwinBlock(8, 2, (1, 4, 4), shifted=True, rng=np.random.default_rng(0))
         # tie weights: identical shapes when P=1
         for (_, p2), (_, p3) in zip(b2.named_parameters(), b3.named_parameters()):
-            p3.value[:] = p2.value.reshape(p3.value.shape)
+            p3.data[:] = p2.data.reshape(p3.data.shape)
         x = rng.standard_normal((8, 8, 8)).astype(np.float32)
         out2 = b2(Tensor(x), valid=(8, 8))
         out3 = b3(Tensor(x[None]), valid=(1, 8, 8))

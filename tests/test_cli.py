@@ -72,6 +72,17 @@ def test_cli_threads_flag_overrides_inherited_blas_threads(tmp_path):
     assert out.stdout.split()[-4:] == ["0", "1", "1", "1"]
 
 
+@pytest.mark.parametrize("threads, want", [("2", "2"), ("0", "4")])
+def test_cli_threads_flag_sets_blas_environment(tmp_path, capsys, monkeypatch, threads, want):
+    # a positive count replaces the inherited values; 0 leaves them
+    variables = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    for var in variables:
+        monkeypatch.setenv(var, "4")
+    code, _, _ = run(capsys, "--threads", threads, "gen", "--out", str(tmp_path / "s"),
+                     "--frames", "1")
+    assert code == 0 and [os.environ[v] for v in variables] == [want] * 3
+
+
 @pytest.fixture(scope="module")
 def trained(tmp_path_factory):
     root = tmp_path_factory.mktemp("cli_train")
@@ -130,7 +141,7 @@ class TestTrainToy:
 
         def saturated(config, seed):
             model = init(config, seed)
-            model.decoder.head.bias.value[:] = (-60, 60)
+            model.decoder.head.bias.data[:] = (-60, 60)
             return model
 
         monkeypatch.setattr(model_module, "init_model", saturated)
@@ -360,6 +371,18 @@ class TestGradcheckCommand:
         finally:
             engine.set_finite_checks(previous)
         assert code == 0 and seen == [True] and after is False
+
+
+    def test_failing_row_exits_3_with_one_error_line(self, capsys, monkeypatch):
+        from swinvos import gradsuite
+
+        monkeypatch.setattr(gradsuite, "run_suite",
+                            lambda seed: [("matmul", True, 1e-11, 1e-5),
+                                          ("softmax", False, 0.5, 1e-5)])
+        code, out, err = run(capsys, "gradcheck")
+        assert code == 3
+        assert err.splitlines() == ["error: gradient check failed"]
+        assert "FAIL" in out.splitlines()[-1] and "FAIL" not in out.splitlines()[-2]
 
 
 class TestBenchCommand:

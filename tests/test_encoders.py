@@ -24,13 +24,13 @@ def tie_video_to_image(video, image):
     img = dict(image.named_parameters())
     for name, p in video.named_parameters():
         if name.startswith("stack."):
-            p.value[:] = img[name].value.reshape(p.shape)
+            p.data[:] = img[name].data.reshape(p.shape)
         elif "embed_rgb" in name:
-            p.value[:] = img[name.replace("embed_rgb", "embed")].value
+            p.data[:] = img[name.replace("embed_rgb", "embed")].data
         elif "patch_embed.norm" in name:
-            p.value[:] = img[name].value
+            p.data[:] = img[name].data
         elif "embed_target" in name or "embed_other" in name:
-            p.value[:] = 0
+            p.data[:] = 0
 
 
 def record_block_extents(monkeypatch):
@@ -136,7 +136,7 @@ class TestVideoEncoder:
         zeros = Tensor(np.zeros((1, 32, 32, 1), np.float32))
         before = video(frames, zeros, zeros)
         for _, p in image.named_parameters():
-            p.value += 1.0
+            p.data += 1.0
         after = video(frames, zeros, zeros)
         for fa, fb in zip(before, after):
             np.testing.assert_array_equal(fa.data, fb.data)

@@ -144,9 +144,9 @@ class TestMatmul:
         x = Parameter(rng.standard_normal((256, 8, 64)).astype(np.float32))
         w = Parameter(rng.standard_normal((64, 256)).astype(np.float32))
         with Tape() as tape:
-            out = engine.matmul(x.tensor(), w.tensor())
+            out = engine.matmul(x, w)
             loss = engine.tsum(out)
-        budget = 2 * (x.value.nbytes + w.value.nbytes + out.data.nbytes)
+        budget = 2 * (x.data.nbytes + w.data.nbytes + out.data.nbytes)
         tracemalloc.start()
         try:
             engine.backward(loss, tape)
@@ -249,7 +249,7 @@ class TestGelu:
         want *= 1.0 + t
         p = Parameter(x)
         with Tape() as tape:
-            got = engine.gelu(p.tensor() if recorded else Tensor(x))
+            got = engine.gelu(p if recorded else Tensor(x))
             loss = engine.tsum(got)
         assert got.watched == recorded
         assert got.data.dtype == want.dtype and got.data.shape == want.shape
@@ -264,12 +264,12 @@ class TestGelu:
 class TestLinear:
     def test_bias_added_in_the_gemm_op(self, rng):
         lin = engine.Linear(4, 3, rng)
-        lin.bias.value[:] = rng.standard_normal(3)
+        lin.bias.data[:] = rng.standard_normal(3)
         x = rng.standard_normal((2, 5, 4)).astype(np.float32)
         with Tape() as tape:
             out = lin(Tensor(x))
         assert len(tape.nodes) == 1
-        expect = (x.reshape(10, 4) @ lin.weight.value).reshape(2, 5, 3) + lin.bias.value
+        expect = (x.reshape(10, 4) @ lin.weight.data).reshape(2, 5, 3) + lin.bias.data
         np.testing.assert_array_equal(out.data, expect)
 
     def test_bias_dtype_must_match(self):
@@ -326,7 +326,7 @@ class TestConv2d:
         g = rng.standard_normal((cout, h, wd)).astype(dtype)
         params = [Parameter(a.copy()) for a in (x, w, b)]
         with Tape() as tape:
-            out = engine.conv2d(*[p.tensor() for p in params])
+            out = engine.conv2d(*params)
             loss = engine.tsum(engine.mul(out, Tensor(g)))
         engine.backward(loss, tape)
         assert out.dtype == dtype and out.data.flags.c_contiguous
@@ -378,7 +378,7 @@ class TestBilinearUpsample:
         def run():
             p = Parameter(x.copy())
             with Tape() as tape:
-                out = engine.bilinear_upsample(p.tensor(), (7, 9))
+                out = engine.bilinear_upsample(p, (7, 9))
                 loss = engine.tsum(engine.mul(out, Tensor(probe)))
             engine.backward(loss, tape)
             return out.data, p.grad
@@ -401,14 +401,14 @@ class TestBackward:
     def test_sum_gives_ones(self):
         p = Parameter(np.array([1.0, 2.0, 3.0]))
         with Tape() as tape:
-            loss = engine.tsum(p.tensor())
+            loss = engine.tsum(p)
         engine.backward(loss, tape)
         np.testing.assert_array_equal(p.grad, np.ones(3))
 
     def test_quadratic(self):
         p = Parameter(np.array([1.0, 2.0]))
         with Tape() as tape:
-            t = p.tensor()
+            t = p
             loss = engine.tsum(engine.mul(t, t))
         engine.backward(loss, tape)
         np.testing.assert_allclose(p.grad, [2.0, 4.0])
@@ -416,14 +416,14 @@ class TestBackward:
     def test_non_scalar_loss_rejected(self):
         p = Parameter(np.array([1.0, 2.0]))
         with Tape() as tape:
-            out = engine.mul(p.tensor(), 2.0)
+            out = engine.mul(p, 2.0)
         with pytest.raises(UsageError):
             engine.backward(out, tape)
 
     def test_bare_parameter_loss_is_unrecorded(self):
         p = Parameter(np.array(2.0))
         with Tape() as tape:
-            loss = p.tensor()
+            loss = p
         with pytest.raises(UsageError, match="not recorded"):
             engine.backward(loss, tape)
 
@@ -431,7 +431,7 @@ class TestBackward:
         p = Parameter(np.array([3.0]))
         for _ in range(2):
             with Tape() as tape:
-                t = p.tensor()
+                t = p
                 loss = engine.tsum(engine.mul(t, t))
             engine.backward(loss, tape)
         np.testing.assert_allclose(p.grad, [6.0])
@@ -441,7 +441,7 @@ class TestBackward:
         # the inner add and to x, and the inner add hands it to x twice
         p = Parameter(np.arange(6.0).reshape(2, 3))
         with Tape() as tape:
-            x = engine.mul(p.tensor(), 2.0)
+            x = engine.mul(p, 2.0)
             loss = engine.tsum(engine.add(engine.add(x, x), x))
         engine.backward(loss, tape)
         np.testing.assert_array_equal(p.grad, np.full((2, 3), 6.0))
@@ -451,7 +451,7 @@ class TestBackward:
         w = rng.standard_normal((4, 5)).astype(np.float32)
         p = Parameter(rng.standard_normal((4, 5)).astype(np.float32))
         with Tape() as tape:
-            x = engine.mul(p.tensor(), 2.0)
+            x = engine.mul(p, 2.0)
             both = engine.add(engine.add(x, x), engine.mul(x, Tensor(w)))
             loss = engine.tsum(engine.mul(both, Tensor(probe)))
         engine.backward(loss, tape)
@@ -459,11 +459,25 @@ class TestBackward:
         expected = ((probe * w) + probe) + probe
         assert p.grad.tobytes() == (np.zeros_like(expected) + expected * 2.0).tobytes()
 
+    def test_tensor_of_another_tape_is_a_constant(self):
+        # x was recorded on the first tape; the second reaches p only
+        # through x, so p is neither touched nor given a gradient there
+        p = Parameter(np.array([1.0, 2.0]))
+        q = Parameter(np.array([3.0, 5.0]))
+        with Tape():
+            x = engine.mul(p, 2.0)
+        with Tape() as tape:
+            loss = engine.tsum(engine.mul(x, q))
+        engine.backward(loss, tape)
+        assert x.watched and len(tape.parameters) == 1 and tape.parameters[0] is q
+        assert p.grad is None
+        np.testing.assert_array_equal(q.grad, [2.0, 4.0])
+
     def test_shared_parameter_accumulates(self):
         p = Parameter(np.array([2.0]))
         with Tape() as tape:
-            a = p.tensor()
-            b = p.tensor()
+            a = p
+            b = p
             loss = engine.tsum(engine.mul(a, b))
         engine.backward(loss, tape)
         np.testing.assert_allclose(p.grad, [4.0])
@@ -474,7 +488,7 @@ class TestAdam:
         p = Parameter(np.array([1.0, -2.0]))
         p.grad = np.zeros(2)
         engine.adam_step([p], lr=0.1)
-        np.testing.assert_array_equal(p.value, [1.0, -2.0])
+        np.testing.assert_array_equal(p.data, [1.0, -2.0])
         assert p.step_count == 1
 
     def test_first_step_magnitude_is_lr(self):
@@ -482,14 +496,14 @@ class TestAdam:
         p = Parameter(np.array([0.5]))
         p.grad = np.array([0.3])
         engine.adam_step([p], lr=0.01)
-        np.testing.assert_allclose(p.value, [0.5 - 0.01], rtol=1e-4)
+        np.testing.assert_allclose(p.data, [0.5 - 0.01], rtol=1e-4)
 
     def test_two_steps_decrease_quadratic(self):
         p = Parameter(np.array([1.0]))
         for _ in range(2):
-            p.grad = 2.0 * p.value
+            p.grad = 2.0 * p.data
             engine.adam_step([p], lr=0.1)
-        assert p.value[0] ** 2 < 1.0
+        assert p.data[0] ** 2 < 1.0
 
     def test_bad_lr(self):
         with pytest.raises(ConfigError):
@@ -501,7 +515,7 @@ class TestAdam:
         p.grad = np.array([0.5])
         with pytest.raises(ConfigError, match="learning rate"):
             engine.adam_step([p], lr=lr)
-        assert p.value[0] == 1.0 and p.step_count == 0
+        assert p.data[0] == 1.0 and p.step_count == 0
 
     def test_missing_grad(self):
         with pytest.raises(UsageError):
@@ -512,7 +526,7 @@ class TestStructuralOps:
     def test_take_scatter_grad(self):
         p = Parameter(np.array([1.0, 2.0, 3.0]))
         with Tape() as tape:
-            picked = engine.take(p.tensor(), np.array([0, 0, 2]))
+            picked = engine.take(p, np.array([0, 0, 2]))
             loss = engine.tsum(picked)
         engine.backward(loss, tape)
         np.testing.assert_array_equal(p.grad, [2.0, 0.0, 1.0])
@@ -521,14 +535,14 @@ class TestStructuralOps:
         p = Parameter(rng.standard_normal((3, 5, 4)))
         probe = rng.standard_normal((3, 4, 5))
         with Tape() as tape:
-            pieces = engine.unstack(engine.transpose(p.tensor(), (0, 2, 1)))
+            pieces = engine.unstack(engine.transpose(p, (0, 2, 1)))
             loss = engine.tsum(engine.mul(pieces[0], Tensor(probe[0])))
             for piece, weights in zip(pieces[1:], probe[1:]):
                 loss = engine.add(loss, engine.tsum(engine.mul(piece, Tensor(weights))))
         assert len(pieces) == 3
         for i, piece in enumerate(pieces):
             assert piece.data.flags.f_contiguous and not piece.data.flags.c_contiguous
-            np.testing.assert_array_equal(piece.data, p.value[i].T)
+            np.testing.assert_array_equal(piece.data, p.data[i].T)
         engine.backward(loss, tape)
         np.testing.assert_array_equal(p.grad, probe.transpose(0, 2, 1))
 
@@ -540,11 +554,11 @@ class TestStructuralOps:
         p = Parameter(np.arange(4, dtype=np.float64))
         q = Parameter(np.arange(2, dtype=np.float64))
         with Tape() as tape:
-            joined = engine.concat([p.tensor(), q.tensor()], axis=0)
+            joined = engine.concat([p, q], axis=0)
             loss = engine.tsum(engine.mul(joined, joined))
         engine.backward(loss, tape)
-        np.testing.assert_allclose(p.grad, 2 * p.value)
-        np.testing.assert_allclose(q.grad, 2 * q.value)
+        np.testing.assert_allclose(p.grad, 2 * p.data)
+        np.testing.assert_allclose(q.grad, 2 * q.data)
 
     def test_dtype_mismatch_rejected(self):
         with pytest.raises(DimensionError):

@@ -310,7 +310,7 @@ class TestGatherAttend:
     def run(self, read, arrays, omega, stage, probe):
         params = [Parameter(a.copy()) for a in arrays]
         with Tape() as tape:
-            y = read(*[p.tensor() for p in params], omega, stage, self.GEOM)
+            y = read(*params, omega, stage, self.GEOM)
             loss = engine.tsum(engine.mul(y, Tensor(probe)))
         engine.backward(loss, tape)
         return y.data.tobytes(), [p.grad.tobytes() for p in params], tape

@@ -1,3 +1,4 @@
+import contextlib
 import hashlib
 import json
 import os
@@ -31,6 +32,23 @@ from swinvos.model import (
 )
 
 NANO = ModelConfig(variant="nano", k=4)
+
+
+@contextlib.contextmanager
+def _finite_checks_off():
+    """Turn off the per-op finite checks that conftest turns on, so that
+    the program's own non-finite checks are the ones that fire."""
+    previous = engine.set_finite_checks(False)
+    try:
+        yield
+    finally:
+        engine.set_finite_checks(previous)
+
+
+def _nan_head_model():
+    model = init_model(NANO, seed=0)
+    model.decoder.head.bias.data[:] = np.nan
+    return model
 
 
 @pytest.fixture(scope="module")
@@ -152,15 +170,15 @@ class TestInitModel:
         b = init_model(NANO, seed=5)
         for (na, pa), (nb, pb) in zip(a.named_parameters(), b.named_parameters()):
             assert na == nb
-            np.testing.assert_array_equal(pa.value, pb.value)
+            np.testing.assert_array_equal(pa.data, pb.data)
 
     def test_different_seed_differs(self):
         a = init_model(NANO, seed=1)
         b = init_model(NANO, seed=2)
-        assert any(np.abs(pa.value - pb.value).max() > 0
+        assert any(np.abs(pa.data - pb.data).max() > 0
                    for (_, pa), (_, pb) in zip(a.named_parameters(),
                                                b.named_parameters())
-                   if pa.value.size and pa.value.std() > 0)
+                   if pa.data.size and pa.data.std() > 0)
 
     @pytest.mark.parametrize("variant", ["nano", "T"])
     def test_parameter_names_frozen(self, variant):
@@ -171,7 +189,7 @@ class TestInitModel:
         model = init_model(ModelConfig(variant=variant), seed=0)
         assert [[name, list(p.shape)] for name, p in model.named_parameters()] == frozen
         # every parameter is built in the one parameter dtype
-        assert {p.value.dtype for p in model.parameters()} == {np.dtype(np.float32)}
+        assert {p.data.dtype for p in model.parameters()} == {np.dtype(np.float32)}
 
     @pytest.mark.parametrize("variant", ["nano", "T"])
     def test_parameters_match_loop_reference_draws(self, variant, monkeypatch):
@@ -179,7 +197,7 @@ class TestInitModel:
         # digests keep one T model in memory at a time
         def digests():
             model = init_model(ModelConfig(variant=variant), seed=7)
-            return [(name, p.value.dtype, p.shape, hashlib.sha256(p.value.tobytes()).digest())
+            return [(name, p.data.dtype, p.shape, hashlib.sha256(p.data.tobytes()).digest())
                     for name, p in model.named_parameters()]
 
         chunked = digests()
@@ -311,6 +329,14 @@ class TestSegmentFrame:
         admitted = bank.entries()[1][2]
         assert isinstance(admitted, engine.Tensor) and admitted.data.tobytes() == probs.tobytes()
 
+    def test_non_finite_distribution_is_a_numeric_error(self):
+        sample = synth_moving_shapes(0, 2, 64, 1)
+        bank = MemoryBank("every8", sample.frames[0], sample.masks[0], 1)
+        with _finite_checks_off():
+            with pytest.raises(NumericError, match="non-finite class distribution at frame 1"):
+                segment_frame(_nan_head_model(), bank, sample.frames[1], 1)
+        assert bank.frame_indices() == [0]
+
     def test_multi_object_labels(self, nano_model):
         sample = synth_moving_shapes(1, 2, 64, 2)
         bank = MemoryBank("every8", sample.frames[0], sample.masks[0], 2)
@@ -370,6 +396,22 @@ class TestRunSequence:
         frames = [np.zeros((64, 64, 3), np.float32)]
         with pytest.raises(DimensionError):
             run_sequence(nano_model, frames, np.ones((32, 32), np.int64))
+
+    def test_empty_sequence_is_a_usage_error(self, nano_model):
+        with pytest.raises(UsageError, match="empty sequence"):
+            run_sequence(nano_model, [], np.ones((64, 64), np.int64))
+
+    def test_later_frame_of_other_extents_rejected(self, nano_model):
+        sample = synth_moving_shapes(2, 2, 64, 1)
+        frames = [sample.frames[0], sample.frames[1][:32]]
+        with pytest.raises(DimensionError, match=r"frame 1 extents \(32, 64, 3\) differ"):
+            run_sequence(nano_model, frames, sample.masks[0])
+
+    def test_non_rgb_frames_rejected(self, nano_model):
+        sample = synth_moving_shapes(2, 2, 64, 1)
+        frames = [np.concatenate([f, f[..., :1]], axis=-1) for f in sample.frames]
+        with pytest.raises(DimensionError, match="expected an RGB frame"):
+            run_sequence(nano_model, frames, sample.masks[0])
 
     def test_indivisible_extents_full_pipeline(self, nano_model):
         # frame (H, W) in, label map (H, W) out, even off the /32 grid
@@ -580,7 +622,7 @@ class TestObjectBatch:
         for build in (model_module._mask_pairs, chained_mask_pairs):
             p = engine.Parameter(probs.copy())
             with engine.Tape() as tape:
-                target, other = build(p.tensor(), True)
+                target, other = build(p, True)
                 loss = engine.add(engine.tsum(engine.mul(target, engine.Tensor(probe[0]))),
                                   engine.tsum(engine.mul(other, engine.Tensor(probe[1]))))
             engine.backward(loss, tape)
@@ -616,22 +658,22 @@ class TestTraining:
         assert not dead, f"no gradient reached: {dead}"
 
     def test_train_toy_zero_steps_untouched(self, nano_model):
-        before = {n: p.value.copy() for n, p in nano_model.named_parameters()}
+        before = {n: p.data.copy() for n, p in nano_model.named_parameters()}
         curve = train_toy(nano_model, synth_moving_shapes(0, 4, 64, 1), 0, lr=1e-3, seed=0)
         assert curve == []
         for n, p in nano_model.named_parameters():
-            np.testing.assert_array_equal(p.value, before[n])
+            np.testing.assert_array_equal(p.data, before[n])
 
     def test_train_toy_refuses_a_sample_without_objects(self, nano_model):
         from swinvos.data import VideoSample
 
         sample = synth_moving_shapes(0, 4, 64, 1)
         blank = VideoSample(sample.frames, [m * 0 for m in sample.masks], 1)
-        before = {n: p.value.copy() for n, p in nano_model.named_parameters()}
+        before = {n: p.data.copy() for n, p in nano_model.named_parameters()}
         with pytest.raises(UsageError, match="labels an object"):
             train_toy(nano_model, blank, 2, lr=1e-3, seed=0)
         for n, p in nano_model.named_parameters():
-            assert p.value.tobytes() == before[n].tobytes(), n
+            assert p.data.tobytes() == before[n].tobytes(), n
 
     @pytest.mark.parametrize("labelled", [{3}, {0, 1, 2, 3, 4, 5}])
     def test_train_toy_redraws_triplets_without_objects(self, monkeypatch, labelled):
@@ -657,7 +699,8 @@ class TestTraining:
             assert seen == [sample_training_triplet(6, cap, rng) for cap in caps]
 
     def test_curriculum_changes_sampled_triplets(self):
-        # reproduce the sampler's draws under both schedules, same seed
+        # the growing cap draws other triplets than a fixed final cap would,
+        # same seed (the schedule train_toy follows)
         from swinvos.data import sample_training_triplet
         n, steps, cap = 10, 6, 25
         final_cap = max(1, min(cap, n - 1))
@@ -676,14 +719,14 @@ class TestTraining:
         # enter the tape; Adam must update only what the tape touched
         model = init_model(ModelConfig(variant="nano", k=4,
                                        read_mode="last_stage_only"), seed=5)
-        skips = {n: p.value.copy() for n, p in model.named_parameters()
+        skips = {n: p.data.copy() for n, p in model.named_parameters()
                  if n.startswith("decoder.refine.") and ".skip." in n}
         assert skips
         curve = train_toy(model, synth_moving_shapes(8, 4, 64, 1), 2, lr=1e-3, seed=0)
         assert len(curve) == 2 and np.all(np.isfinite(curve))
         params = dict(model.named_parameters())
         for name, value in skips.items():
-            assert params[name].value.tobytes() == value.tobytes(), name
+            assert params[name].data.tobytes() == value.tobytes(), name
 
     def test_missing_gradient_names_the_parameter(self):
         model = init_model(NANO, seed=0)
@@ -697,13 +740,23 @@ class TestTraining:
         # the soft-aggregation clamp, so no touched parameter gets a gradient
         model = init_model(NANO, seed=0)
         params = dict(model.named_parameters())
-        params["decoder.head.bias"].value[:] = (-60, 60)
-        before = {n: p.value.copy() for n, p in params.items()}
+        params["decoder.head.bias"].data[:] = (-60, 60)
+        before = {n: p.data.copy() for n, p in params.items()}
         sample = synth_moving_shapes(1, 3, 64, 2)
         with pytest.raises(NumericError, match="soft aggregation clamps"):
             train_step(model, sample.frames, sample.masks, lr=1e-3)
         for name, p in params.items():
-            assert p.value.tobytes() == before[name].tobytes(), name
+            assert p.data.tobytes() == before[name].tobytes(), name
+
+    def test_diverged_loss_is_a_numeric_error(self):
+        model = _nan_head_model()
+        before = {n: p.data.copy() for n, p in model.named_parameters()}
+        sample = synth_moving_shapes(1, 3, 64, 1)
+        with _finite_checks_off():
+            with pytest.raises(NumericError, match="training loss diverged"):
+                train_step(model, sample.frames, sample.masks, lr=1e-3)
+        for name, p in model.named_parameters():
+            assert p.data.tobytes() == before[name].tobytes(), name
 
     def test_mixed_frame_extents_name_the_sizes(self, nano_model):
         small, large = synth_moving_shapes(0, 3, 64, 1), synth_moving_shapes(0, 3, 96, 1)
@@ -774,8 +827,8 @@ class TestCheckpoint:
         loaded = load_checkpoint(path)
         for (na, pa), (nb, pb) in zip(nano_model.named_parameters(),
                                       loaded.named_parameters()):
-            assert na == nb and pb.value.dtype == np.float32
-            np.testing.assert_array_equal(pa.value, pb.value)
+            assert na == nb and pb.data.dtype == np.float32
+            np.testing.assert_array_equal(pa.data, pb.data)
         sample = synth_moving_shapes(3, 2, 64, 1)
         out_a, _ = run_sequence(nano_model, sample.frames, sample.masks[0])
         out_b, _ = run_sequence(loaded, sample.frames, sample.masks[0])
@@ -793,8 +846,8 @@ class TestCheckpoint:
         loaded = load_checkpoint(path)
         _, saved = read_checkpoint(path)
         for (name, p), (_, q) in zip(model.named_parameters(), loaded.named_parameters()):
-            assert q.value.tobytes() == p.value.tobytes() == saved[name].tobytes()
-            assert q.value.dtype == p.value.dtype and q.value.flags.writeable
+            assert q.data.tobytes() == p.data.tobytes() == saved[name].tobytes()
+            assert q.data.dtype == p.data.dtype and q.data.flags.writeable
 
     def test_checkpoint_matches_loop_reference_draws(self, tmp_path, monkeypatch):
         chunked, reference = tmp_path / "a.hst", tmp_path / "b.hst"
