@@ -24,7 +24,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import engine
-from .engine import Linear, Module, Parameter
+from .engine import Linear, Module
 from .errors import ConfigError, DimensionError
 
 MASK_VALUE = -1e9  # finite so gradients stay finite
@@ -62,7 +62,7 @@ class RelativePositionBias(Module):
 
     def __init__(self, table_window, heads, rng):
         rows = math.prod(2 * w - 1 for w in table_window)
-        self.table = Parameter(engine.init_weight(rng, (rows, heads)))
+        self.table = engine.init_weight(rng, (rows, heads))
         self.table_window = tuple(table_window)
         self.heads = heads
 

@@ -82,7 +82,7 @@ class _Reader:
 
     def text(self, n, what):
         try:
-            return self.take(n, what).decode("utf-8")
+            return str(self.take(n, what), "utf-8")
         except UnicodeDecodeError as err:
             raise DataError(f"{self.path}: {what} is not UTF-8 text") from err
 
@@ -92,9 +92,10 @@ class _Reader:
 
 
 def read_checkpoint(path):
-    """Parse and verify a checkpoint; returns (config, {name: ndarray})."""
+    """Parse and verify a checkpoint; returns (config, {name: ndarray}), the
+    arrays read-only views of the file's bytes."""
     with open(path, "rb") as fh:
-        blob = fh.read()
+        blob = memoryview(fh.read())
     if blob[:4] != MAGIC:
         raise DataError(f"{path}: magic mismatch, not a checkpoint file")
     if len(blob) < 12:
@@ -123,7 +124,7 @@ def read_checkpoint(path):
             raise DataError(f"{path}: unknown dtype tag {tag} for {name}")
         payload = reader.take(math.prod(shape) * _F32.itemsize, f"{name} payload")
         try:
-            params[name] = np.frombuffer(payload, _F32).reshape(shape).copy()
+            params[name] = np.frombuffer(payload, _F32).reshape(shape)
         except ValueError as err:
             raise DataError(f"{path}: extents {shape} of {name} "
                             f"cannot form an array: {err}") from err
@@ -133,8 +134,8 @@ def read_checkpoint(path):
 def load_checkpoint(path):
     """Rebuild a model from a checkpoint.
 
-    The model is built without weight draws, and each parameter adopts its
-    parsed float32 array.
+    The model is built without weight draws, and each record is written
+    into its parameter's view of the model's buffer.
     """
     config, params = read_checkpoint(path)
     model = Model(config, None)
@@ -149,5 +150,5 @@ def load_checkpoint(path):
         if target.shape != value.shape:
             raise DataError(f"{path}: shape mismatch for {name}: "
                             f"file {value.shape} vs model {target.shape}")
-        target.data = value
+        target.data[...] = value
     return model

@@ -6,9 +6,14 @@ forward pass); ``backward`` replays the tape in reverse and accumulates
 gradients onto every ``Parameter`` that was touched. A ``Parameter`` is a
 tensor, so modules hand their weights straight to ops. Tensors are values,
 except parameters, which Adam updates in place between passes; a tape and
-its parameters follow a single-writer contract.
+its parameters follow a single-writer contract. A parameter's values and
+gradient are views of its slice of a ``ParameterBuffer``: a model keeps all
+of its parameters in one, so gradient zeroing and Adam run as a few array
+ops over contiguous runs of parameters.
 """
 
+import contextlib
+import copy
 import functools
 import math
 
@@ -21,8 +26,8 @@ _SUPPORTED_DTYPES = (np.float32, np.float64)
 LN_EPS = 1e-5  # added to the layer-norm variance
 INIT_STD = 0.02  # std of the truncated-normal weight draws
 FD_STEP = 1e-5  # central-difference step of finite_difference
-# elements per pass of the chunked weight draws and GELU forward: 512 KB of
-# float64, so a chunk and its temporaries stay in L2
+# elements per pass of the chunked weight draws, GELU forward and Adam
+# update: 512 KB of float64, so a chunk and its temporaries stay in L2
 _CHUNK = 1 << 16
 
 # Enabled by the test suite and by `swinvos gradcheck`; verifies that every
@@ -87,25 +92,149 @@ def as_tensor(value):
 
 
 class Parameter(Tensor):
-    """A trainable tensor with gradient and Adam moment slots.
+    """A trainable tensor: a view of its slice of a ``ParameterBuffer``.
 
     Always watched: every op on it under a tape is recorded, and the tape
-    counts it as touched. ``adam_step`` updates ``data`` in place.
-    ``grad``, ``adam_m`` and ``adam_v`` are allocated lazily so that a
-    full-scale model can be instantiated for inspection without tripling
-    its memory footprint. All four arrays share one shape.
+    counts it as touched. ``data`` views the buffer's values, which
+    ``adam_step`` updates in place. ``grad`` is None until the parameter
+    first gets a gradient, then a view of the buffer's gradients; assigning
+    it writes into that slice. Made inside a ``flat_parameters`` block, the
+    parameter joins the block's buffer when the block closes; otherwise it
+    is the one slice of a buffer of its own.
     """
 
-    __slots__ = ("grad", "adam_m", "adam_v", "step_count", "name")
+    __slots__ = ("_grad", "step_count", "name", "buffer", "index", "start")
 
-    def __init__(self, data):
+    def __init__(self, data, fill=None):
+        """``fill(out)``, when given, writes the initial values into the
+        parameter's slice, and ``data`` gives only the shape and dtype."""
         super().__init__(data)
         self.watched = True
-        self.grad = None
-        self.adam_m = None
-        self.adam_v = None
+        self._grad = None
         self.step_count = 0
         self.name = ""
+        if fill is None:
+            fill = functools.partial(np.copyto, src=self.data)
+        if _OPEN_BLOCKS:
+            _OPEN_BLOCKS[-1].add(self, fill)
+        else:
+            buffer = ParameterBuffer()
+            buffer.add(self, fill)
+            buffer.build()
+
+    @property
+    def grad(self):
+        return self._grad
+
+    @grad.setter
+    def grad(self, value):
+        self._grad = self.slot("grads")
+        self._grad[...] = value
+
+    def slot(self, name):
+        """The parameter's slice of the buffer's array ``name`` (``values``,
+        ``grads``, ``adam_m`` or ``adam_v``), in the parameter's shape."""
+        return self.buffer.array(name)[self.start:self.start + self.data.size].reshape(self.shape)
+
+    def _repoint(self):
+        self.data = self.slot("values")
+        if self._grad is not None:
+            self._grad = self.slot("grads")
+
+    def __deepcopy__(self, memo):
+        """The same slice of a copy of the buffer, so the copied parameters
+        share one buffer as the originals do."""
+        new = copy.copy(self)
+        new.buffer = copy.deepcopy(self.buffer, memo)
+        new._repoint()
+        return new
+
+
+_ALIGN = 16  # elements from one slice start to the next: 64 bytes of float32
+_OPEN_BLOCKS = []  # the buffer of each open flat_parameters block, innermost last
+_ZERO = np.zeros(1, DEFAULT_DTYPE)  # with zero strides, an array of any shape in no memory
+
+
+def _aligned_zeros(n, dtype):
+    """``n`` zeros of ``dtype`` from a 64-byte boundary; the pages stay
+    unmapped until written, so an unwritten buffer costs no memory."""
+    raw = np.zeros(n + _ALIGN, dtype)
+    skip = (-raw.ctypes.data % 64) // raw.itemsize
+    return raw[skip:skip + n]
+
+
+class ParameterBuffer:
+    """The values of ``count`` parameters in one contiguous array, with
+    parallel arrays for their gradients and two Adam moments (``grads``,
+    ``adam_m``, ``adam_v``), each zero-filled when first used: a model built
+    for inference never pays for them.
+
+    A parameter occupies ``[start, start + size)`` of each array, and its
+    ``index`` is its place in the layout. Every start is a multiple of 16
+    elements (64 bytes of float32), and the gaps between slices stay zero:
+    Adam moves a zero-gradient element by zero, so an update may span them.
+    The buffer holds no reference to its parameters, so a model and its
+    buffer are freed as soon as the model is dropped.
+    """
+
+    def __init__(self):
+        self.count = self.size = 0
+        self._pending = []
+        self.values = self.grads = self.adam_m = self.adam_v = None
+
+    def add(self, param, fill):
+        """Give ``param`` the next slice; ``fill(out)`` sets it in ``build``."""
+        param.buffer, param.index, param.start = self, self.count, self.size
+        self.count += 1
+        self.size += -(-param.data.size // _ALIGN) * _ALIGN
+        self._pending.append((param, fill))
+
+    def build(self):
+        """Allocate the values, run each fill on its slice in the order of
+        ``add``, and make every parameter a view of its slice."""
+        self.values = _aligned_zeros(self.size, np.result_type(*(p.dtype for p, _ in self._pending)))
+        for p, fill in self._pending:
+            p._repoint()
+            fill(p.data)
+        self._pending = None
+
+    def array(self, name):
+        """The flat array ``name``, made of zeros on first use."""
+        arr = getattr(self, name)
+        if arr is None:
+            arr = _aligned_zeros(self.size, self.values.dtype)
+            setattr(self, name, arr)
+        return arr
+
+    def astype(self, dtype):
+        """Replace every array by a ``dtype`` copy; the parameters must then
+        re-point their views."""
+        for name in ("values", "grads", "adam_m", "adam_v"):
+            arr = getattr(self, name)
+            if arr is not None:
+                out = _aligned_zeros(arr.size, dtype)
+                out[...] = arr
+                setattr(self, name, out)
+
+    def __deepcopy__(self, memo):
+        new = copy.copy(self)
+        new.astype(self.values.dtype)
+        return new
+
+
+@contextlib.contextmanager
+def flat_parameters():
+    """Gather the parameters made inside the block into one
+    ``ParameterBuffer``, which the block yields. The buffer is built when
+    the block closes: slices in creation order, filled in the same order,
+    so weight draws keep their order and land straight in the buffer."""
+    buffer = ParameterBuffer()
+    _OPEN_BLOCKS.append(buffer)
+    try:
+        yield buffer
+    finally:
+        _OPEN_BLOCKS.pop()
+    buffer.build()
 
 
 class _Node:
@@ -177,8 +306,9 @@ def record_op(out_data, inputs, backward_fn):
 def backward(loss, tape):
     """Reverse-traverse ``tape`` from scalar ``loss``; populate Parameter grads.
 
-    Gradient slots of every touched parameter are zero-initialized first, so
-    repeated backward calls do not leak accumulation across passes. A
+    The gradients of the touched parameters are zero-filled first, one fill
+    per run of them that lies side by side in a buffer, so repeated
+    backward calls do not leak accumulation across passes. A
     non-parameter node's gradient is summed out of place on its second
     contribution, which allocates a buffer of its own, and in place into that
     buffer from the third on: a first contribution may be an array that
@@ -186,8 +316,12 @@ def backward(loss, tape):
     """
     if loss.shape != ():
         raise UsageError(f"backward requires a scalar loss, got shape {loss.shape}")
-    for p in tape.parameters:
-        p.grad = np.zeros_like(p.data)
+    for run in _runs(tape.parameters):
+        start, stop = _span(run)
+        run[0].buffer.array("grads")[start:stop] = 0
+        for p in run:
+            if p.grad is None:
+                p._grad = p.slot("grads")
     seed = tape._node_by_out.get(id(loss))
     if seed is None:
         raise UsageError("loss tensor was not recorded on this tape")
@@ -201,7 +335,7 @@ def backward(loss, tape):
             if g is None or not t.watched:
                 continue
             if isinstance(t, Parameter):
-                t.grad += g
+                t._grad += g
             else:
                 producer = tape._node_by_out.get(id(t))
                 if producer is None:
@@ -692,42 +826,86 @@ def bilinear_upsample(x, target):
 # ---------------------------------------------------------------------------
 # optimizer
 
+def _runs(params):
+    """``params`` grouped into runs: parameters of consecutive indices in one
+    buffer that share a step count, each run in index order."""
+    by_buffer = {}
+    for p in params:
+        by_buffer.setdefault(id(p.buffer), []).append(p)
+    runs = []
+    for group in by_buffer.values():
+        group.sort(key=lambda p: p.index)
+        runs.append(group[:1])
+        for prev, p in zip(group, group[1:]):
+            if p.index == prev.index + 1 and p.step_count == prev.step_count:
+                runs[-1].append(p)
+            else:
+                runs.append([p])
+    return runs
+
+
+def _span(run):
+    """(start, stop) of a run in its buffer's arrays."""
+    return run[0].start, run[-1].start + run[-1].data.size
+
+
 def adam_step(params, lr):
-    """Bias-corrected Adam update over ``params`` (gradients must be populated)."""
+    """Bias-corrected Adam update over ``params`` (gradients must be populated).
+
+    Each run of parameters that lie side by side in a buffer and share a
+    step count is updated as slices of the value, gradient and moment
+    arrays, ``_CHUNK`` elements at a time so that a chunk's arrays stay in
+    cache, by in-place array ops in the order of the per-parameter formula.
+    The arithmetic is elementwise, so the bytes are those of updating each
+    parameter alone. Parameters outside ``params`` keep their moments and
+    step counts.
+    """
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     if not 0 < lr < math.inf:
         raise ConfigError(f"learning rate must be finite and positive, got {lr}")
     for p in params:
         if p.grad is None:
             raise UsageError(f"parameter {p.name or '<unnamed>'} has no gradient")
-        if p.adam_m is None:
-            p.adam_m = np.zeros_like(p.data)
-            p.adam_v = np.zeros_like(p.data)
-        p.step_count += 1
-        t = p.step_count
-        p.adam_m *= beta1
-        p.adam_m += (1 - beta1) * p.grad
-        p.adam_v *= beta2
-        p.adam_v += (1 - beta2) * (p.grad * p.grad)
-        mhat = p.adam_m / (1 - beta1 ** t)
-        vhat = p.adam_v / (1 - beta2 ** t)
-        p.data -= (lr * mhat / (np.sqrt(vhat) + eps)).astype(p.data.dtype, copy=False)
+    for run in _runs(params):
+        buffer = run[0].buffer
+        start, stop = _span(run)
+        t = run[0].step_count + 1
+        for p in run:
+            p.step_count = t
+        arrays = (buffer.values, buffer.grads, buffer.array("adam_m"), buffer.array("adam_v"))
+        scratch = np.empty((2, min(_CHUNK, stop - start)), buffer.values.dtype)
+        for lo in range(start, stop, _CHUNK):
+            x, g, m, v = (a[lo:min(lo + _CHUNK, stop)] for a in arrays)
+            tmp, step = scratch[:, :x.size]
+            m *= beta1
+            m += np.multiply(g, 1 - beta1, out=tmp)
+            v *= beta2
+            np.multiply(g, g, out=tmp)
+            tmp *= 1 - beta2
+            v += tmp
+            np.divide(v, 1 - beta2 ** t, out=tmp)  # vhat
+            np.sqrt(tmp, out=tmp)
+            tmp += eps
+            np.divide(m, 1 - beta1 ** t, out=step)  # mhat
+            step *= lr
+            step /= tmp
+            x -= step
 
 
 # ---------------------------------------------------------------------------
 # initialization and module plumbing
 
-def trunc_normal(rng, shape):
-    """Zero-mean normal truncated to +-2 std, resampling rejected draws.
+def trunc_normal(rng, out):
+    """Fill ``out`` (float32, C-contiguous) with zero-mean normal draws
+    truncated to +-2 std, resampling rejected draws; returns ``out``.
 
     Values are drawn in float64, ``_CHUNK`` at a time, checked and cast
-    into the float32 output while in cache; then only the rejected
-    positions are redrawn, in ascending index order, until none is left.
-    The draws, their order and the generator state afterwards are those
-    of one ``rng.normal`` over the whole shape followed by boolean-mask
-    redraw rounds, so the bytes are too.
+    into ``out`` while in cache; then only the rejected positions are
+    redrawn, in ascending index order, until none is left. The draws,
+    their order and the generator state afterwards are those of one
+    ``rng.normal`` over the whole shape followed by boolean-mask redraw
+    rounds, so the bytes are too.
     """
-    out = np.empty(shape, dtype=DEFAULT_DTYPE)
     flat = out.reshape(-1)
     buf = np.empty(min(flat.size, _CHUNK))
     bound = 2 * INIT_STD
@@ -748,10 +926,13 @@ def trunc_normal(rng, shape):
 
 
 def init_weight(rng, shape):
-    """A ``trunc_normal`` weight draw; with ``rng`` None, an unfilled array
-    for a caller that sets every value (a checkpoint load) and so need not
-    pay for the draws."""
-    return np.empty(shape, dtype=DEFAULT_DTYPE) if rng is None else trunc_normal(rng, shape)
+    """A weight parameter of ``shape``, drawn by ``trunc_normal`` straight
+    into its slice; with ``rng`` None it stays zero, for a caller that sets
+    every value (a checkpoint load) and so need not pay for the draws."""
+    placeholder = np.ndarray(shape, DEFAULT_DTYPE, _ZERO, strides=(0,) * len(shape))
+    if rng is None:
+        return Parameter(placeholder, lambda out: None)
+    return Parameter(placeholder, lambda out: trunc_normal(rng, out))
 
 
 class Module:
@@ -768,9 +949,17 @@ class Module:
         return [p for _, p in self.named_parameters()]
 
     def astype(self, dtype):
-        """Cast each parameter to ``dtype`` in place (float64 for gradchecks); returns self."""
-        for p in self.parameters():
-            p.data = p.data.astype(dtype)
+        """Cast the buffers of the parameters to ``dtype`` in place (float64
+        for gradchecks); returns self. The parameters stay views of their
+        buffers, so a module casts only whole buffers: a model, not a part."""
+        params = self.parameters()
+        buffers = {id(p.buffer): p.buffer for p in params}.values()
+        if sum(b.count for b in buffers) != len(params):
+            raise UsageError("astype casts whole parameter buffers: cast the model, not a part")
+        for buffer in buffers:
+            buffer.astype(dtype)
+        for p in params:
+            p._repoint()
         return self
 
 
@@ -794,7 +983,7 @@ class Linear(Module):
     """
 
     def __init__(self, in_dim, out_dim, rng, bias=True):
-        self.weight = Parameter(init_weight(rng, (in_dim, out_dim)))
+        self.weight = init_weight(rng, (in_dim, out_dim))
         self.bias = Parameter(np.zeros(out_dim, dtype=DEFAULT_DTYPE)) if bias else None
 
     def __call__(self, x):
@@ -812,7 +1001,7 @@ class LayerNorm(Module):
 
 class Conv3x3(Module):
     def __init__(self, in_ch, out_ch, rng):
-        self.weight = Parameter(init_weight(rng, (out_ch, in_ch, 3, 3)))
+        self.weight = init_weight(rng, (out_ch, in_ch, 3, 3))
         self.bias = Parameter(np.zeros(out_ch, dtype=DEFAULT_DTYPE))
 
     def __call__(self, x):
@@ -850,7 +1039,7 @@ def gradcheck(fn, arrays):
     Relative error is |analytic - numeric| / max(1, |numeric|) per element.
     """
     arrays = [np.asarray(a, dtype=np.float64) for a in arrays]
-    params = [Parameter(a.copy()) for a in arrays]
+    params = [Parameter(a) for a in arrays]
     with Tape() as tape:
         loss = fn(*params)
     backward(loss, tape)

@@ -214,18 +214,29 @@ def _gather_attend(q_blocks, km_t, vm_t, omega, cells):
     out = np.matmul(w, vg)
 
     def bwd(g):
-        gv = np.zeros(vm_t.shape, dtype=g.dtype)
-        np.add.at(gv, idx, np.matmul(w.swapaxes(-1, -2), g))
+        gv = _scatter_add(vm_t.shape, idx, np.matmul(w.swapaxes(-1, -2), g))
         gs = np.matmul(g, vg.swapaxes(-1, -2))  # softmax backward, in place
         gs -= (gs * w).sum(axis=-1, keepdims=True)
         gs *= w
         gq = np.zeros(q_blocks.shape, dtype=g.dtype)
         gq[cells] = np.matmul(gs, kg)
-        gk = np.zeros(km_t.shape, dtype=g.dtype)
-        np.add.at(gk, idx, np.matmul(gs.swapaxes(-1, -2), qb))
+        gk = _scatter_add(km_t.shape, idx, np.matmul(gs.swapaxes(-1, -2), qb))
         return gq, gk, gv
 
     return engine.record_op(out, (q_blocks, km_t, vm_t), bwd)
+
+
+def _scatter_add(shape, idx, parts):
+    """Zeros of ``shape`` with row ``idx[c, j]`` summing ``parts[c, j]``.
+
+    The rows of one cell are distinct, so each cell is one fancy-index add,
+    and the cells are added in order: the sums and their order, and so the
+    bytes, are those of ``np.add.at(out, idx, parts)``.
+    """
+    out = np.zeros(shape, dtype=parts.dtype)
+    for rows, part in zip(idx, parts):
+        out[rows] += part
+    return out
 
 
 def _to_cell_blocks(kq, geom, r):

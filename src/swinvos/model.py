@@ -34,7 +34,7 @@ from .encoders import (
     KeyValueProjector,
     VideoEncoder,
 )
-from .engine import DEFAULT_DTYPE, Module, Tape, Tensor
+from .engine import Module, Tape, Tensor
 from .errors import ConfigError, DimensionError, NumericError, UsageError
 from .memread import ReadGeometry, read_all
 from .data import sample_training_triplet
@@ -42,21 +42,28 @@ from .data import sample_training_triplet
 MAX_INTERVAL = 25  # largest triplet-sampling interval cap of train_toy
 
 class Model(Module):
-    """The full model; ``rng`` None leaves the weights unfilled, for a
-    caller that sets every parameter (``load_checkpoint``)."""
+    """The full model; its parameters are views of one ``buffer``. ``rng``
+    None leaves the weights zero, for a caller that sets every parameter
+    (``load_checkpoint``)."""
 
     def __init__(self, config, rng):
-        self.query_encoder = ImageEncoder(config, rng)
-        if config.encoder_mode == "full":
-            self.memory_encoder = VideoEncoder(config, rng)
-        else:
-            self.image_only_memory = ImageOnlyMemoryEncoder(config, rng)
-        self.query_proj = KeyValueProjector(config.dim, rng)
-        self.memory_proj = KeyValueProjector(config.dim, rng)
-        self.decoder = Decoder(config.dim, config.decoder_width, rng)
+        with engine.flat_parameters() as self.buffer:
+            self.query_encoder = ImageEncoder(config, rng)
+            if config.encoder_mode == "full":
+                self.memory_encoder = VideoEncoder(config, rng)
+            else:
+                self.image_only_memory = ImageOnlyMemoryEncoder(config, rng)
+            self.query_proj = KeyValueProjector(config.dim, rng)
+            self.memory_proj = KeyValueProjector(config.dim, rng)
+            self.decoder = Decoder(config.dim, config.decoder_width, rng)
         self.config = config
         for name, param in self.named_parameters():
             param.name = name
+
+    @property
+    def dtype(self):
+        """The parameter dtype, which the forward pass computes in."""
+        return self.buffer.values.dtype
 
     @property
     def per_frame_memory(self):
@@ -144,8 +151,11 @@ def _mask_pairs(probs, other_enabled):
 def _encode_memory_kv(model, memory):
     """Per-object memory k/v maps of stages 1..4 from one joint encoder call
     for all objects over the (key, frame, probs) entries of ``memory``."""
-    frames = Tensor(np.stack([f for _, f, _ in memory]).astype(DEFAULT_DTYPE))
-    probs = engine.concat([engine.reshape(p, (1,) + p.shape) for _, _, p in memory], axis=0)
+    dtype = model.dtype
+    frames = Tensor(np.stack([f for _, f, _ in memory]).astype(dtype))
+    # the bank's seed maps are float32 zeros and ones: exact in any dtype
+    probs = engine.concat([engine.reshape(p if p.dtype == dtype else Tensor(p.data, dtype),
+                                          (1,) + p.shape) for _, _, p in memory], axis=0)
     feats = model.encode_memory(frames, *_mask_pairs(probs, model.config.other_mask_enabled))
     return model.memory_proj(feats)
 
@@ -165,7 +175,7 @@ def _forward(model, frame, bank):
     for _, f, _ in memory:
         if f.shape[:2] != hw:
             raise DimensionError(f"frame extents {hw} differ from memory {f.shape[:2]}")
-    query_feats = model.query_encoder(Tensor(frame.astype(DEFAULT_DTYPE)))
+    query_feats = model.query_encoder(Tensor(frame.astype(model.dtype)))
     if model.per_frame_memory:
         for i, f, p in memory:
             if i not in bank.cache:

@@ -8,7 +8,10 @@ Each line is ``<item> <sha256>``. The items:
 - ``train/<run>/curve`` and ``train/<run>/params``: the loss curve and
   parameters of a 10-step nano, a 10-step nano ``dense_all`` and a 2-step
   T ``train_toy`` (lr 1e-3, seed 7), and ``train/nano/checkpoint``, the
-  bytes of the saved nano model.
+  bytes of the saved nano model;
+- ``train/nano_deepcopy/params``: the parameters of the nano run trained
+  on a ``copy.deepcopy`` of the initial model, which must equal
+  ``train/nano/params``.
 
 The script imports whichever ``swinvos`` is on the path, so one copy of it
 serves both trees. Run it against each tree's ``src`` and diff the outputs:
@@ -24,6 +27,7 @@ Nothing here records expected digests: the bytes depend on the BLAS build
 and its thread count, so both runs need the same BLAS settings.
 """
 
+import copy
 import hashlib
 import sys
 import tempfile
@@ -91,16 +95,27 @@ def infer_digests(name):
     return [(f"infer/{name}/labels", _sha(labels)), (f"infer/{name}/probs", _sha(probs))]
 
 
+def _train(run, deep_copy=False):
+    """The model and loss curve of one ``train_toy`` run, trained on a
+    ``copy.deepcopy`` of the initial model when ``deep_copy`` is set."""
+    steps, size, n_frames, fields = TRAINING[run]
+    model = init_model(ModelConfig(**fields), INIT_SEED)
+    if deep_copy:
+        model = copy.deepcopy(model)
+    sample = synth_moving_shapes(DATA_SEED, n_frames, size, 1)
+    return model, train_toy(model, sample, steps, LR, seed=INIT_SEED)
+
+
+def _params_digest(model):
+    return _sha([name.encode() + p.data.tobytes() for name, p in model.named_parameters()])
+
+
 def train_digests(run):
     """(item, digest) of one ``train_toy`` run's curve and parameters, and
     for the nano run the saved checkpoint's bytes."""
-    steps, size, n_frames, fields = TRAINING[run]
-    model = init_model(ModelConfig(**fields), INIT_SEED)
-    sample = synth_moving_shapes(DATA_SEED, n_frames, size, 1)
-    curve = train_toy(model, sample, steps, LR, seed=INIT_SEED)
-    params = [name.encode() + p.data.tobytes() for name, p in model.named_parameters()]
+    model, curve = _train(run)
     out = [(f"train/{run}/curve", _sha([np.asarray(curve, np.float64).tobytes()])),
-           (f"train/{run}/params", _sha(params))]
+           (f"train/{run}/params", _params_digest(model))]
     if run == "nano":
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "nano.hst"
@@ -109,9 +124,16 @@ def train_digests(run):
     return out
 
 
+def deepcopy_digests(run):
+    """(item, digest) of the parameters of ``run`` trained on a deep copy."""
+    model, _ = _train(run, deep_copy=True)
+    return [(f"train/{run}_deepcopy/params", _params_digest(model))]
+
+
 # (item prefix, function returning the group's digests, its argument)
 GROUPS = ([(f"infer/{name}/", infer_digests, name) for name in INFERENCE]
-          + [(f"train/{run}/", train_digests, run) for run in TRAINING])
+          + [(f"train/{run}/", train_digests, run) for run in TRAINING]
+          + [("train/nano_deepcopy/", deepcopy_digests, "nano")])
 
 
 def main(argv):

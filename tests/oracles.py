@@ -211,16 +211,38 @@ def dilate_chebyshev_loops(mask, radius):
     return out
 
 
-def trunc_normal_loop(rng, shape):
-    """Reference truncated-normal draw: one ``rng.normal`` over the whole
-    float64 shape, then boolean-mask rounds that redraw every rejected
-    position until none is outside +-2 std, then one cast to float32."""
-    out = rng.normal(0.0, engine.INIT_STD, size=shape)
-    bad = np.abs(out) > 2 * engine.INIT_STD
+def trunc_normal_loop(rng, out):
+    """Reference truncated-normal draw into ``out``: one ``rng.normal`` over
+    the whole float64 shape, then boolean-mask rounds that redraw every
+    rejected position until none is outside +-2 std, then one cast to
+    float32."""
+    draw = rng.normal(0.0, engine.INIT_STD, size=out.shape)
+    bad = np.abs(draw) > 2 * engine.INIT_STD
     while bad.any():
-        out[bad] = rng.normal(0.0, engine.INIT_STD, size=int(bad.sum()))
-        bad = np.abs(out) > 2 * engine.INIT_STD
-    return out.astype(engine.DEFAULT_DTYPE)
+        draw[bad] = rng.normal(0.0, engine.INIT_STD, size=int(bad.sum()))
+        bad = np.abs(draw) > 2 * engine.INIT_STD
+    out[...] = draw.astype(engine.DEFAULT_DTYPE)
+    return out
+
+
+def adam_step_loop(params, lr, moments):
+    """Reference Adam: one parameter at a time on arrays of its own, as
+    ``engine.adam_step`` ran before parameters shared a buffer. ``moments``
+    maps ``id(param)`` to its (m, v) pair, made at its first step."""
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+    for p in params:
+        if id(p) not in moments:
+            moments[id(p)] = (np.zeros_like(p.data), np.zeros_like(p.data))
+        m, v = moments[id(p)]
+        p.step_count += 1
+        t = p.step_count
+        m *= beta1
+        m += (1 - beta1) * p.grad
+        v *= beta2
+        v += (1 - beta2) * (p.grad * p.grad)
+        mhat = m / (1 - beta1 ** t)
+        vhat = v / (1 - beta2 ** t)
+        p.data -= (lr * mhat / (np.sqrt(vhat) + eps)).astype(p.data.dtype, copy=False)
 
 
 def conv2d_taps(x, w, b=None):

@@ -212,7 +212,7 @@ class TestKeyValueProjector:
                 loss = engine.tsum(engine.concat(
                     [engine.reshape(engine.mul(m, m), (-1,)) for m in maps], axis=0))
             engine.backward(loss, tape)
-            runs.append((maps, [p.grad for p in tape.parameters]))
+            runs.append((maps, [p.grad.copy() for p in tape.parameters]))
         (got, got_grads), (want, want_grads) = runs
         for a, b in zip(got, want, strict=True):
             assert a.shape == b.shape and a.data.strides == b.data.strides

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import conv2d_taps, trunc_normal_loop
+from oracles import adam_step_loop, conv2d_taps, trunc_normal_loop
 
 from swinvos import engine
 from swinvos.engine import Parameter, Tape, Tensor
@@ -521,6 +521,17 @@ class TestAdam:
         with pytest.raises(UsageError):
             engine.adam_step([Parameter(np.zeros(2))], lr=0.1)
 
+    def test_standalone_parameter_matches_loop_oracle(self, rng):
+        # a parameter outside a model is a buffer of one
+        value = rng.standard_normal((5, 7)).astype(np.float32)
+        p, q = Parameter(value), Parameter(value)
+        moments = {}
+        for g in rng.standard_normal((3, 5, 7)).astype(np.float32):
+            p.grad = q.grad = g
+            engine.adam_step([p], lr=0.01)
+            adam_step_loop([q], 0.01, moments)
+            assert p.data.tobytes() == q.data.tobytes() and p.step_count == q.step_count
+
 
 class TestStructuralOps:
     def test_take_scatter_grad(self):
@@ -588,7 +599,7 @@ def test_finite_check_raises_on_overflow():
 
 
 def test_trunc_normal_bounded(rng):
-    vals = engine.trunc_normal(rng, (1000,))
+    vals = engine.trunc_normal(rng, np.empty(1000, engine.DEFAULT_DTYPE))
     assert np.abs(vals).max() <= 0.04 + 1e-9
 
 
@@ -600,7 +611,8 @@ def test_trunc_normal_matches_loop_reference(shape, seed):
     # same bytes and the same generator stream as one whole-tensor draw
     # with boolean-mask redraw rounds; (3 * chunk + 5,) has a ragged tail
     rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    got, want = engine.trunc_normal(rng, shape), trunc_normal_loop(ref_rng, shape)
+    got = engine.trunc_normal(rng, np.empty(shape, engine.DEFAULT_DTYPE))
+    want = trunc_normal_loop(ref_rng, np.empty(shape, engine.DEFAULT_DTYPE))
     assert got.dtype == want.dtype and got.shape == want.shape
     assert got.tobytes() == want.tobytes()
     assert rng.random() == ref_rng.random()

@@ -326,6 +326,32 @@ class TestGatherAttend:
         assert y == y_ref
         assert grads == grads_ref
 
+    def test_scatter_matches_add_at_where_cells_share_rows(self, monkeypatch):
+        # stage-4 sets of 3 of 4 cells each: every memory cell is read by
+        # several query cells, so the per-cell adds overlap across cells
+        rng = np.random.default_rng(9)
+        idx = np.stack([rng.choice(12, size=5, replace=False) for _ in range(6)])
+        parts = rng.standard_normal((6, 5, 3)).astype(np.float32)
+        want = np.zeros((12, 3), np.float32)
+        np.add.at(want, idx, parts)
+        assert np.unique(idx).size < idx.size
+        assert memread._scatter_add((12, 3), idx, parts).tobytes() == want.tobytes()
+
+        def add_at(shape, idx, parts):
+            out = np.zeros(shape, parts.dtype)
+            np.add.at(out, idx, parts)
+            return out
+
+        stage = 1
+        arrays, omega, probe = self.case(stage, np.float32)
+        omega4 = np.tile(np.arange(4), (self.GEOM.h4 * self.GEOM.w4, 1))[:, :3]
+        omega = TopKIndexSet(omega4, self.GEOM).expand(stage)
+        self.set_cells_per_group(monkeypatch, 4, arrays, omega, stage)
+        _, grads, _ = self.run(topk_read, arrays, omega, stage, probe)
+        monkeypatch.setattr(memread, "_scatter_add", add_at)
+        _, grads_ref, _ = self.run(topk_read, arrays, omega, stage, probe)
+        assert grads == grads_ref
+
     @pytest.mark.parametrize("cells, groups", ((1, 6), (4, 2)))
     def test_one_tape_node_per_cell_group(self, cells, groups, monkeypatch):
         stage = 2

@@ -1,16 +1,20 @@
 import contextlib
+import copy
+import dataclasses
+import gc
 import hashlib
 import json
 import os
 import struct
 import tempfile
+import weakref
 import zlib
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import (encoder_parameter_count, membership_law, parameter_count,
+from oracles import (adam_step_loop, encoder_parameter_count, membership_law, parameter_count,
                      trunc_normal_loop, write_f64_checkpoint, write_version_1_checkpoint)
 
 from swinvos import checkpoint as checkpoint_module
@@ -698,21 +702,23 @@ class TestTraining:
             caps = [max(1, round(5 * s / 39)) for s in range(40)]
             assert seen == [sample_training_triplet(6, cap, rng) for cap in caps]
 
-    def test_curriculum_changes_sampled_triplets(self):
-        # the growing cap draws other triplets than a fixed final cap would,
-        # same seed (the schedule train_toy follows)
+    def test_curriculum_changes_sampled_triplets(self, monkeypatch):
+        # train_toy's sampling cap grows from 1 to the final cap, here the
+        # 10-frame clip's 9, over a 6-step run
         from swinvos.data import sample_training_triplet
-        n, steps, cap = 10, 6, 25
-        final_cap = max(1, min(cap, n - 1))
-        rng_a = np.random.default_rng(7)
-        with_curriculum = [
-            sample_training_triplet(
-                n, max(1, round(final_cap * s / (steps - 1))), rng_a)
-            for s in range(steps)]
-        rng_b = np.random.default_rng(7)
-        without = [sample_training_triplet(n, final_cap, rng_b)
-                   for _ in range(steps)]
-        assert with_curriculum != without
+
+        caps = []
+
+        def spy(n, cap, rng):
+            caps.append(cap)
+            return sample_training_triplet(n, cap, rng)
+
+        monkeypatch.setattr(model_module, "sample_training_triplet", spy)
+        monkeypatch.setattr(model_module, "train_step", lambda model, frames, masks, lr: 0.0)
+        sample = synth_moving_shapes(2, 10, 32, 1)
+        assert all(m.any() for m in sample.masks)  # so no triplet is redrawn
+        train_toy(None, sample, 6, lr=1e-3, seed=7)
+        assert caps == [1, 2, 4, 5, 7, 9]
 
     def test_last_stage_only_trains_without_touching_skips(self):
         # the finer-stage reads are skipped, so the decoder skip weights never
@@ -770,6 +776,123 @@ class TestTraining:
         with pytest.raises(UsageError):
             train_step(nano_model, [np.zeros((64, 64, 3))] * 2,
                        [np.zeros((64, 64), np.int64)] * 2, lr=1e-3)
+
+
+class TestParameterBuffer:
+    """A model keeps its parameters as views of one buffer, and Adam and
+    gradient zeroing run over runs of it."""
+
+    @staticmethod
+    def _steps(model, sample, read_modes, step=train_step):
+        for mode in read_modes:
+            model.config = dataclasses.replace(model.config, read_mode=mode)
+            step(model, sample.frames, sample.masks, 1e-3)
+
+    def test_every_parameter_is_an_aligned_view_of_the_buffer(self, nano_model):
+        params = nano_model.parameters()
+        # laid out in creation order, which need not be the order of the names
+        assert sorted(p.index for p in params) == list(range(nano_model.buffer.count))
+        assert nano_model.buffer.grads is None and nano_model.buffer.adam_m is None
+        ends = sorted((p.start, p.start + p.data.size) for p in params)
+        assert all(end <= start for (_, end), (start, _) in zip(ends, ends[1:]))
+        for p in params:
+            assert p.buffer is nano_model.buffer and p.data.ctypes.data % 64 == 0
+            assert np.shares_memory(p.data, nano_model.buffer.values)
+
+    @pytest.mark.parametrize("chunk", [engine._CHUNK, 1000])
+    def test_adam_matches_loop_oracle(self, monkeypatch, chunk):
+        # the first step touches every parameter, as one run; a
+        # last_stage_only step then leaves the decoder skips at one step, so
+        # the last step updates runs of two step counts. Chunks of 1000
+        # elements end inside parameters.
+        monkeypatch.setattr(engine, "_CHUNK", chunk)
+        sample = synth_moving_shapes(5, 3, 64, 2)
+        modes = ("hierarchical_topk", "last_stage_only", "hierarchical_topk")
+        buffered = engine.adam_step
+        models, moments, runs = [], {}, []
+        for oracle in (False, True):
+            def adam(params, lr):
+                if oracle:
+                    adam_step_loop(params, lr, moments)
+                else:
+                    runs.append((len(params), len(engine._runs(params))))
+                    buffered(params, lr)
+
+            monkeypatch.setattr(engine, "adam_step", adam)
+            models.append(init_model(NANO, seed=4))
+            self._steps(models[-1], sample, modes)
+        n = len(models[0].parameters())
+        assert runs[0] == (n, 1) and runs[1][0] < n and runs[2][0] == n and runs[2][1] > 1
+        for p, q in zip(models[0].parameters(), models[1].parameters(), strict=True):
+            assert p.data.tobytes() == q.data.tobytes(), p.name
+            assert p.step_count == q.step_count > 0
+            for name, moment in zip(("adam_m", "adam_v"), moments[id(q)]):
+                assert p.slot(name).tobytes() == moment.tobytes(), p.name
+
+    def test_deepcopy_trains_its_own_buffer(self):
+        # copied after a step, so gradients and moments are copied too
+        sample = synth_moving_shapes(5, 3, 64, 1)
+        model = init_model(NANO, seed=4)
+        train_step(model, sample.frames, sample.masks, 1e-3)
+        twin = copy.deepcopy(model)
+        before = [p.data.copy() for p in model.parameters()]
+        for p in twin.parameters():
+            assert p.buffer is twin.buffer
+            assert np.shares_memory(p.data, twin.buffer.values)
+            assert np.shares_memory(p.grad, twin.buffer.grads)
+            assert not np.shares_memory(p.data, model.buffer.values)
+        self._steps(twin, sample, ["hierarchical_topk"] * 2)
+        for p, value in zip(model.parameters(), before):
+            assert p.data.tobytes() == value.tobytes() and p.step_count == 1
+        self._steps(model, sample, ["hierarchical_topk"] * 2)
+        for p, q in zip(model.parameters(), twin.parameters(), strict=True):
+            assert p.data.tobytes() == q.data.tobytes() and p.step_count == q.step_count == 3
+
+    def test_checkpoint_load_writes_into_the_buffer(self, tmp_path, nano_model):
+        first, second = tmp_path / "a.hst", tmp_path / "b.hst"
+        save_checkpoint(nano_model, first)
+        loaded = load_checkpoint(first)
+        assert loaded.buffer.count == len(loaded.parameters())
+        for p in loaded.parameters():
+            assert p.buffer is loaded.buffer and np.shares_memory(p.data, loaded.buffer.values)
+        save_checkpoint(loaded, second)
+        assert first.read_bytes() == second.read_bytes()
+
+    def test_astype_keeps_every_parameter_a_view_of_the_buffer(self):
+        model = init_model(NANO, seed=4)
+        before = [p.data.copy() for p in model.parameters()]
+        assert model.astype(np.float64) is model and model.dtype == np.float64
+        for p, value in zip(model.parameters(), before):
+            assert p.buffer is model.buffer and np.shares_memory(p.data, model.buffer.values)
+            assert p.data.dtype == np.float64 and p.data.ctypes.data % 64 == 0
+            np.testing.assert_array_equal(p.data, value)
+        with pytest.raises(UsageError, match="not a part"):
+            model.decoder.astype(np.float32)
+
+    def test_dropped_model_frees_its_buffer_without_the_cycle_collector(self):
+        # a parameter refers to its buffer and not back, so no cycle keeps a
+        # dropped model's arrays alive until a collection
+        sample = synth_moving_shapes(5, 3, 64, 1)
+        model = init_model(NANO, seed=4)
+        train_step(model, sample.frames, sample.masks, 1e-3)
+        gc.disable()
+        try:
+            refs = [weakref.ref(m.buffer) for m in (model, copy.deepcopy(model))]
+            del model
+            assert [ref() for ref in refs] == [None, None]
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize("encoder_mode", ["full", "image_only"])
+    def test_float64_model_runs_a_sequence(self, encoder_mode):
+        # the forward follows the parameter dtype, the bank's seed maps too
+        model = init_model(dataclasses.replace(NANO, encoder_mode=encoder_mode), seed=4)
+        sample = synth_moving_shapes(3, 4, 64, 2)
+        labels, _ = run_sequence(model.astype(np.float64), sample.frames, sample.masks[0])
+        assert all(m.shape == (64, 64) and m.max() <= 2 for m in labels)
+        bank = MemoryBank("every8", sample.frames[0], sample.masks[0], 2)
+        _, probs = segment_frame(model, bank, sample.frames[1], 1)
+        assert probs.dtype == np.float64
 
 
 def _stamped(body):
